@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from ._csvio import write_csv, write_json
@@ -146,6 +147,7 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
         "versions": {
             "axiswirl": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "seeds": "deterministic (nothing is random)",
@@ -239,7 +241,6 @@ def cmd_norms(cfg: RunConfig) -> int:
                       NORM_SERIES_HEADER, norm_series_rows(s))
 
     classification = []
-    inconclusive = False
     for name, s in classify_targets.items():
         for q in (1.5, 1.9, 2.1, 3.0, 4.0):
             c = classify_LqtL1x(s, q)
@@ -248,7 +249,6 @@ def cmd_norms(cfg: RunConfig) -> int:
                 "estimate": c.estimate if np.isfinite(c.estimate) else None,
                 "model": c.model, "tail_exponent": c.tail_exponent,
             })
-            inconclusive = inconclusive or c.finite is None
     summary = {
         "ratios": {s.quantity: float(np.max(np.abs(s.ratios))) for s in series},
         "classification": classification,
@@ -257,9 +257,26 @@ def cmd_norms(cfg: RunConfig) -> int:
     for row in classification:
         verdict = {True: "finite", False: "infinite", None: "inconclusive"}[row["finite"]]
         print(f"norms: {row['series']} q={row['q']}: {verdict} ({row['model']})")
-    if inconclusive:
-        print("norms: warning: at least one classification was inconclusive")
-    return 0
+    failures = norms_verdict_failures(classification, fam.profile.k.nontrivial)
+    for failure in failures:
+        print(f"norms: FAIL: {failure}")
+    return 1 if failures else 0
+
+
+def norms_verdict_failures(classification: list, nontrivial: bool) -> list:
+    """Classification rows that contradict the paper, as messages.
+
+    ``L1_f`` lies in L^q_t exactly for q < 2 and ``L1_Y`` for every q. An
+    inconclusive verdict is a failure. A trivial forcing makes both claims
+    empty (every norm is zero), so then only an inconclusive verdict fails.
+    """
+    failures = []
+    for row in classification:
+        expected = row["q"] < 2.0 if row["series"] == "L1_f" else True
+        if row["finite"] is None or (nontrivial and row["finite"] != expected):
+            failures.append(f"{row['series']} q={row['q']}: finite = "
+                            f"{row['finite']}, the paper says {expected}")
+    return failures
 
 
 ORACLE_ERROR_BUDGET = 1e-5

@@ -15,6 +15,12 @@ which is singular at t = T, and the log-transformed family
     eta  = log(1 + u),          vbar = eta - log(1 - alpha) * r,
 
 defined when the forcing profile is nonpositive (u >= 0).
+
+Every field is keyed on T - t: the public evaluators validate the caller's
+(r, t) once and form T - t once, then call one kernel, either the value
+path (u, v, eta, vbar from phi0) or the gradient path (u, u/r, du/dr from
+the profile jet). Ladder-driven callers pass ``TimeLadder.T_minus``, which
+is free of the cancellation in T - t_j when T is not dyadic.
 """
 
 from __future__ import annotations
@@ -97,20 +103,23 @@ class VectorFieldValue:
     v_3: float = 0.0
 
 
-def _validate(fam: SolutionFamily, r, t):
-    r = np.asarray(r, dtype=float)
+def _T_minus(fam: SolutionFamily, t, T_minus=None):
+    """Validate t against [0, T) and return T - t, the one place it is
+    formed from t. Ladder callers pass the cancellation-free
+    ``TimeLadder.T_minus`` instead; t itself is validated either way."""
     t = np.asarray(t, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise DomainError("radius outside the cylinder [0, 1]")
     if np.any(t >= fam.T):
         raise BlowupTimeError(f"time at or beyond the final time T = {fam.T}")
     if np.any(t < 0.0):
         raise DomainError("negative time")
-    return r, t
+    return fam.T - t if T_minus is None else np.asarray(T_minus, dtype=float)
 
 
-def _tau(fam: SolutionFamily, t):
-    return 2.0 * (fam.T - np.asarray(t, dtype=float))
+def _validate(fam: SolutionFamily, r, t):
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0) or np.any(r > 1.0):
+        raise DomainError("radius outside the cylinder [0, 1]")
+    return r, _T_minus(fam, t)
 
 
 def _shaped(value, r, t):
@@ -119,65 +128,97 @@ def _shaped(value, r, t):
     return value
 
 
+# Kernels below take validated radii r and tm = T - t; tau = 2 tm.
+
+def _w(fam: SolutionFamily, which: str, r, tm):
+    """Value path: u, v, eta or vbar from phi0 alone (no I-spline, no jet)."""
+    root = np.sqrt(2.0 * tm)
+    u = fam.profile.phi0(r / root) / root
+    if which == "u":
+        return u
+    if which == "v":
+        return u + fam.alpha * r
+    if fam.part != 2:
+        raise ValueError(f"{which} is defined for part-2 families")
+    eta = _log1p(u)
+    return eta if which == "eta" else eta - fam.log_wall * r
+
+
+def _jet(fam: SolutionFamily, r, tm):
+    """Gradient path: (u, u/r, du/dr) from one profile jet."""
+    tau = 2.0 * tm
+    root = np.sqrt(tau)
+    phi, phi_over_s, dphi = fam.profile.jet(r / root)
+    return phi / root, phi_over_s / tau, dphi / tau
+
+
+def _log1p(u):
+    if np.any(u <= -1.0):
+        raise InvariantViolation("1 + u must stay positive for admissible forcing")
+    return np.log1p(u)
+
+
+def _h(fam: SolutionFamily, r, tm):
+    tau = 2.0 * tm
+    sigma = r / np.sqrt(tau)
+    kv = np.where(sigma < 1.0, np.asarray(fam.profile.k(sigma), dtype=float), 0.0)
+    return kv / np.power(tau, 1.5)
+
+
+_Y_NAMES = ("Y1", "Y2", "Y3", "Y4", "Y")
+
+
+def _y(fam: SolutionFamily, r, tm):
+    u, _, du = _jet(fam, r, tm)
+    eta = _log1p(u)
+    one_plus = 1.0 + u
+    r2 = r * r
+    y1 = -eta / r2
+    y2 = u / (r2 * one_plus)
+    y3 = _h(fam, r, tm) / one_plus
+    y4 = -np.square(du / one_plus)
+    return y1, y2, y3, y4, y1 + y2 + y3 + y4
+
+
+def _field(fam: SolutionFamily, which: str, r, t):
+    rr, tm = _validate(fam, r, t)
+    return _shaped(_w(fam, which, rr, tm), r, t)
+
+
+def _gradient(fam: SolutionFamily, r, t):
+    """(u, u/r, du/dr) at the caller's points from one gradient-path call."""
+    rr, tm = _validate(fam, r, t)
+    return tuple(_shaped(v, r, t) for v in _jet(fam, rr, tm))
+
+
 def eval_u(fam: SolutionFamily, r, t):
     """Swirl component of the self-similar solution."""
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    out = fam.profile.phi0(sigma) / np.sqrt(tau)
-    return _shaped(out, r, t)
+    return _field(fam, "u", r, t)
 
 
 def eval_u_over_r(fam: SolutionFamily, r, t):
     """u/r with its finite axis limit; used by gradient-type integrands."""
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    return _shaped(fam.profile.phi0_over_r(sigma) / tau, r, t)
+    return _gradient(fam, r, t)[1]
 
 
 def eval_du_dr(fam: SolutionFamily, r, t):
     """Radial derivative of u from the analytic profile chain."""
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    return _shaped(fam.profile.phi0_prime(sigma) / tau, r, t)
+    return _gradient(fam, r, t)[2]
 
 
 def eval_v(fam: SolutionFamily, r, t):
     """Swirl component with the wall-cancelling linear correction."""
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    out = fam.profile.phi0(sigma) / np.sqrt(tau) + fam.alpha * r
-    return _shaped(out, r, t)
+    return _field(fam, "v", r, t)
 
 
 def eval_eta(fam: SolutionFamily, r, t):
     """log(1 + u); requires the part-2 admissible family."""
-    if fam.part != 2:
-        raise ValueError("eta is defined for part-2 families")
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    phi = fam.profile.phi0(sigma) / np.sqrt(tau)
-    if np.any(phi <= -1.0):
-        raise InvariantViolation("1 + u must stay positive for admissible forcing")
-    return _shaped(np.log1p(phi), r, t)
+    return _field(fam, "eta", r, t)
 
 
 def eval_vbar(fam: SolutionFamily, r, t):
     """eta minus its wall value times r; vanishes at both r = 0 and r = 1."""
-    if fam.part != 2:
-        raise ValueError("vbar is defined for part-2 families")
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    phi = fam.profile.phi0(sigma) / np.sqrt(tau)
-    if np.any(phi <= -1.0):
-        raise InvariantViolation("1 + u must stay positive for admissible forcing")
-    out = np.log1p(phi) - fam.log_wall * r
-    return _shaped(out, r, t)
+    return _field(fam, "vbar", r, t)
 
 
 def eval_h(fam: SolutionFamily, r, t):
@@ -185,11 +226,8 @@ def eval_h(fam: SolutionFamily, r, t):
 
     Supported where sigma < 1, i.e. r < sqrt(2 (T - t)); zero outside.
     """
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    kv = np.where(sigma < 1.0, np.asarray(fam.profile.k(sigma), dtype=float), 0.0)
-    return _shaped(kv / np.power(tau, 1.5), r, t)
+    rr, tm = _validate(fam, r, t)
+    return _shaped(_h(fam, rr, tm), r, t)
 
 
 def eval_pressure(fam: SolutionFamily, which: str, r: float, t: float,
@@ -202,14 +240,12 @@ def eval_pressure(fam: SolutionFamily, which: str, r: float, t: float,
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
     r = float(r)
-    t = float(t)
-    _validate(fam, r, t)
+    _, tm = _validate(fam, r, float(t))
     if r == 0.0:
         return 0.0
-    w = eval_v if which == "v" else eval_vbar
 
     def integrand(l):
-        wl = np.asarray(w(fam, l, t), dtype=float)
+        wl = _w(fam, which, l, tm)
         return wl * wl / l
 
     value, _ = integrate(integrand, 0.0, r, spec)
@@ -238,58 +274,35 @@ def eval_Y(fam: SolutionFamily, r, t):
 
 def _y_terms(fam: SolutionFamily, r, t):
     """Y components without the axis cutoff; integrands use this directly."""
-    r, t = _validate(fam, r, t)
-    tau = _tau(fam, t)
-    sigma = r / np.sqrt(tau)
-    prof = fam.profile
-    phi = prof.phi0(sigma) / np.sqrt(tau)
-    one_plus = 1.0 + phi
-    if np.any(one_plus <= 0.0):
-        raise InvariantViolation("1 + u must stay positive for admissible forcing")
-    dphi = prof.phi0_prime(sigma) / tau
-    kv = np.where(sigma < 1.0, np.asarray(prof.k(sigma), dtype=float), 0.0)
-    h = kv / np.power(tau, 1.5)
-    r2 = r * r
-    y1 = -np.log1p(phi) / r2
-    y2 = phi / (r2 * one_plus)
-    y3 = h / one_plus
-    y4 = -np.square(dphi / one_plus)
-    y = y1 + y2 + y3 + y4
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return tuple(float(v) for v in (y1, y2, y3, y4, y))
-    return y1, y2, y3, y4, y
+    rr, tm = _validate(fam, r, t)
+    return tuple(_shaped(v, r, t) for v in _y(fam, rr, tm))
 
 
-def _y_times_r(fam: SolutionFamily, quantity: str, r, t):
+def _y_times_r(fam: SolutionFamily, quantity: str, r, tm):
     """|quantity| * r against the radial measure; finite down to r = 0."""
-    r = np.asarray(r, dtype=float)
     if quantity == "f":
-        return np.abs(eval_h(fam, r, t)) * r
-    y1, y2, y3, y4, y = _y_terms(fam, r, t)
-    q = {"Y1": y1, "Y2": y2, "Y3": y3, "Y4": y4, "Y": y}[quantity]
-    return np.abs(q) * r
+        return np.abs(_h(fam, r, tm)) * r
+    return np.abs(_y(fam, r, tm)[_Y_NAMES.index(quantity)]) * r
 
 
 def sample(fam: SolutionFamily, r: float, t: float) -> FieldSample:
     """Every field of the family at one point, for export and inspection."""
     r = float(r)
     t = float(t)
-    _validate(fam, r, t)
-    tau = 2.0 * (fam.T - t)
-    sigma = r / np.sqrt(tau)
+    rr, tm = _validate(fam, r, t)
     values = {
-        "u": eval_u(fam, r, t),
-        "v": eval_v(fam, r, t),
-        "h": eval_h(fam, r, t),
+        "u": _w(fam, "u", rr, tm),
+        "v": _w(fam, "v", rr, tm),
+        "h": _h(fam, rr, tm),
         "P": eval_pressure(fam, "v", r, t),
     }
     if fam.part == 2:
-        values["eta"] = eval_eta(fam, r, t)
-        values["vbar"] = eval_vbar(fam, r, t)
+        for which in ("eta", "vbar"):
+            values[which] = _w(fam, which, rr, tm)
         if r >= EPS0:
-            y1, y2, y3, y4, y = eval_Y(fam, r, t)
-            values.update(Y1=y1, Y2=y2, Y3=y3, Y4=y4, Y=y)
-    return FieldSample(r=r, t=t, sigma=float(sigma), values=values)
+            values.update(zip(_Y_NAMES, _y(fam, rr, tm)))
+    return FieldSample(r=r, t=t, sigma=float(r / np.sqrt(2.0 * tm)),
+                       values={k: float(v) for k, v in values.items()})
 
 
 def velocity(fam: SolutionFamily, which: str, r: float, t: float) -> VectorFieldValue:

@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (SolutionFamily, eval_du_dr, eval_u_over_r, eval_v,
-                     eval_vbar, eval_u, _y_times_r)
+from .fields import SolutionFamily, _T_minus, _jet, _w, _y_times_r
 from .numerics import QuadratureSpec, TimeLadder, integrate
 from .profiles import EPS0
 
@@ -83,17 +82,14 @@ def _gradient_density(fam: SolutionFamily, which: str):
     if which == "v":
         alpha = fam.alpha
 
-        def density(r, t):
-            du = np.asarray(eval_du_dr(fam, r, t), dtype=float)
-            uor = np.asarray(eval_u_over_r(fam, r, t), dtype=float)
+        def density(r, tm):
+            _, uor, du = _jet(fam, r, tm)
             return (np.square(du + alpha) + np.square(uor + alpha)) * r
     elif which == "vbar":
         lam = fam.log_wall
 
-        def density(r, t):
-            u = np.asarray(eval_u(fam, r, t), dtype=float)
-            du = np.asarray(eval_du_dr(fam, r, t), dtype=float)
-            uor = np.asarray(eval_u_over_r(fam, r, t), dtype=float)
+        def density(r, tm):
+            u, uor, du = _jet(fam, r, tm)
             # log1p(u)/r with its axis limit u/r * (log1p(u)/u) -> u/r.
             small = np.abs(u) < 1e-8
             scale = np.where(small, 1.0 - 0.5 * u, np.log1p(u) / np.where(small, 1.0, u))
@@ -105,35 +101,33 @@ def _gradient_density(fam: SolutionFamily, which: str):
     return density
 
 
-def _radial_breakpoints(fam: SolutionFamily, t: float, lo: float, hi: float,
-                        grid=None):
+def _radial_breakpoints(tm, lo: float, hi: float):
     # Seed panels at the self-similar width so compactly supported or
     # core-concentrated integrands are never missed by the first panel.
-    scale = np.sqrt(2.0 * (fam.T - t))
+    scale = np.sqrt(2.0 * tm)
     pts = [f * scale for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    if grid is not None:
-        pts.extend(grid.nodes[1:-1:max(1, len(grid) // 8)].tolist())
     return sorted(p for p in set(pts) if lo < p < hi)
 
 
 def _kinetic(fam: SolutionFamily, which: str, t: float,
-             spec: QuadratureSpec, grid=None) -> float:
-    w = eval_v if which == "v" else eval_vbar
+             spec: QuadratureSpec, T_minus=None) -> float:
+    tm = _T_minus(fam, t, T_minus)
 
     def integrand(r):
-        wv = np.asarray(w(fam, r, t), dtype=float)
+        wv = _w(fam, which, r, tm)
         return wv * wv * r
 
     value, _ = integrate(integrand, 0.0, 1.0, spec,
-                         breakpoints=_radial_breakpoints(fam, t, 0.0, 1.0, grid))
+                         breakpoints=_radial_breakpoints(tm, 0.0, 1.0))
     return 2.0 * np.pi * value
 
 
 def _dissipation_rate(fam: SolutionFamily, which: str, s: float,
-                      spec: QuadratureSpec, grid=None) -> float:
+                      spec: QuadratureSpec) -> float:
     density = _gradient_density(fam, which)
-    value, _ = integrate(lambda r: density(r, s), 0.0, 1.0, spec,
-                         breakpoints=_radial_breakpoints(fam, s, 0.0, 1.0, grid))
+    tm = _T_minus(fam, s)
+    value, _ = integrate(lambda r: density(r, tm), 0.0, 1.0, spec,
+                         breakpoints=_radial_breakpoints(tm, 0.0, 1.0))
     return 2.0 * np.pi * value
 
 
@@ -145,14 +139,14 @@ def _geometric_subpanels(a: float, b: float, parts: int) -> np.ndarray:
 
 def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
                           t_hi: float, spec: QuadratureSpec,
-                          sub_points: int = 8, grid=None) -> float:
+                          sub_points: int = 8) -> float:
     if t_hi <= t_lo:
         return 0.0
     pts = _geometric_subpanels(t_lo, t_hi, sub_points)
     pieces = []
     for a, b in zip(pts[:-1], pts[1:]):
         value, _ = integrate(
-            lambda s: np.array([_dissipation_rate(fam, which, float(v), spec, grid)
+            lambda s: np.array([_dissipation_rate(fam, which, float(v), spec)
                                 for v in np.atleast_1d(s)]),
             float(a), float(b),
             QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64))
@@ -161,11 +155,10 @@ def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
 
 
 def energy(fam: SolutionFamily, which: str, t: float,
-           grid=None, ladder: Optional[TimeLadder] = None,
+           ladder: Optional[TimeLadder] = None,
            spec: QuadratureSpec = NORM_SPEC) -> float:
     """Kinetic energy at time t plus dissipation accumulated over [0, t].
 
-    ``grid`` optionally seeds the radial quadrature panels with its nodes.
     The time integral is split along the ladder levels below ``t`` with a
     geometric sub-refinement toward each segment's upper end, matching the
     growth of the rate as the final time approaches.
@@ -176,9 +169,9 @@ def energy(fam: SolutionFamily, which: str, t: float,
     if ladder is not None:
         breaks.extend(float(x) for x in ladder.levels if x < t)
     breaks.append(float(t))
-    diss = fsum(_dissipation_integral(fam, which, a, b, spec, grid=grid)
+    diss = fsum(_dissipation_integral(fam, which, a, b, spec)
                 for a, b in zip(breaks[:-1], breaks[1:]))
-    return _kinetic(fam, which, float(t), spec, grid) + diss
+    return _kinetic(fam, which, float(t), spec) + diss
 
 
 _ENERGY_NORMALIZER = {
@@ -193,9 +186,9 @@ def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
     diss = 0.0
     prev = 0.0
     values = []
-    for t in ladder.levels:
+    for t, tm in zip(ladder.levels, ladder.T_minus):
         diss += _dissipation_integral(fam, which, prev, float(t), spec)
-        values.append(_kinetic(fam, which, float(t), spec) + diss)
+        values.append(_kinetic(fam, which, float(t), spec, T_minus=tm) + diss)
         prev = float(t)
     quantity = f"energy_{which}"
     return NormSeries(
@@ -204,26 +197,29 @@ def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
 
 
 def spatial_L1_parts(fam: SolutionFamily, quantity: str, t: float,
-                     spec: QuadratureSpec = NORM_SPEC) -> tuple[float, float]:
+                     spec: QuadratureSpec = NORM_SPEC, *,
+                     T_minus: Optional[float] = None) -> tuple[float, float]:
     """(main, axis) split of the spatial L^1 norm at time t.
 
     ``main`` integrates over [1e-4, 1]; ``axis`` covers the remaining
     sliver (0, 1e-4], where the integrand runs through the profile's series
     form, and is reported separately so it is never silently dropped.
+    ``T_minus`` is T - t when the caller holds it free of cancellation
+    (``TimeLadder.T_minus``); by default it is formed from t.
     """
     if quantity not in _L1_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if quantity != "f" and fam.part != 2:
         raise ValueError("Y quantities need a part-2 family")
-    t = float(t)
+    tm = _T_minus(fam, float(t), T_minus)
 
     def integrand(r):
-        return _y_times_r(fam, quantity, r, t)
+        return _y_times_r(fam, quantity, r, tm)
 
     main, _ = integrate(integrand, EPS0, 1.0, spec,
-                        breakpoints=_radial_breakpoints(fam, t, EPS0, 1.0))
+                        breakpoints=_radial_breakpoints(tm, EPS0, 1.0))
     axis, _ = integrate(integrand, 0.0, EPS0, spec,
-                        breakpoints=_radial_breakpoints(fam, t, 0.0, EPS0))
+                        breakpoints=_radial_breakpoints(tm, 0.0, EPS0))
     return 2.0 * np.pi * main, 2.0 * np.pi * axis
 
 
@@ -250,8 +246,8 @@ _L1_NORMALIZER = {
 
 def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
               spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
-    values = np.array([spatial_L1(fam, quantity, float(t), spec)
-                       for t in ladder.levels])
+    values = np.array([sum(spatial_L1_parts(fam, quantity, float(t), spec, T_minus=tm))
+                       for t, tm in zip(ladder.levels, ladder.T_minus)])
     return NormSeries(
         quantity=f"L1_{quantity}", ladder=ladder, values=values,
         normalizers=_L1_NORMALIZER[quantity](ladder.T_minus))
@@ -259,7 +255,9 @@ def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
 
 # --- L^q_t classification ----------------------------------------------------
 
-_TAIL_MODELS = ("const", "log", "log2", "power")
+_TAIL_SHAPES = {"const": np.ones_like, "log": _log_recip,
+                "log2": lambda u: np.square(_log_recip(u))}
+_TAIL_MODELS = (*_TAIL_SHAPES, "power")
 
 
 def _tail_fit(u: np.ndarray, v: np.ndarray):
@@ -274,9 +272,7 @@ def _tail_fit(u: np.ndarray, v: np.ndarray):
             fitted = np.exp(np.polyval(coef, np.log(u)))
             params = (float(np.exp(coef[1])), p)
         else:
-            shape = {"const": np.ones_like(u), "log": _log_recip(u),
-                     "log2": np.square(_log_recip(u))}[model]
-            design = np.column_stack([np.ones_like(u), shape])
+            design = np.column_stack([np.ones_like(u), _TAIL_SHAPES[model](u)])
             coef, *_ = np.linalg.lstsq(design, v, rcond=None)
             fitted = design @ coef
             params = (float(coef[0]), float(coef[1]))
@@ -294,11 +290,9 @@ def _tail_integral(model: str, params, q: float, u_last: float) -> tuple[bool, f
             return False, inf
         return True, (amp ** q) * u_last ** (1.0 - p * q) / (1.0 - p * q)
     a0, a1 = params
-    shape = {"const": lambda u: np.ones_like(u), "log": _log_recip,
-             "log2": lambda u: np.square(_log_recip(u))}[model]
 
     def integrand(u):
-        return np.abs(a0 + a1 * shape(u)) ** q
+        return np.abs(a0 + a1 * _TAIL_SHAPES[model](u)) ** q
 
     value, _ = integrate(integrand, 0.0, u_last,
                          QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6,

@@ -21,6 +21,7 @@ __all__ = [
     "TimeLadder",
     "DEFAULT_SPEC",
     "integrate",
+    "gauss_panel_sums",
     "differentiate",
     "make_radial_grid",
     "make_time_ladder",
@@ -47,11 +48,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
-    def tightened(self, factor: float) -> "QuadratureSpec":
-        """Same budget, tolerances divided by ``factor``."""
-        return QuadratureSpec(self.abs_tol / factor, self.rel_tol / factor,
-                              self.max_subdivisions)
-
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -66,6 +62,19 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     v10 = half * float(_W10 @ ys[:10])
     v21 = half * float(_W21 @ ys[10:])
     return v21, abs(v21 - v10)
+
+
+def gauss_panel_sums(f, nodes) -> np.ndarray:
+    """21-point Gauss value of ``f`` on every panel [nodes[i], nodes[i+1]].
+
+    ``f`` is called once on the (panels, 21) node matrix. Each row gets its
+    own dot product: one matrix-vector product would reorder the sums.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    half = 0.5 * (nodes[1:] - nodes[:-1])
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    ys = np.asarray(f(mid[:, None] + half[:, None] * _X21), dtype=float)
+    return half * np.array([_W21 @ row for row in ys])
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC, *,
@@ -248,8 +257,3 @@ def empirical_order(coarse_err: float, fine_err: float, refinement: float = 2.0)
     if coarse_err <= 0.0 or fine_err <= 0.0:
         return float("nan")
     return float(np.log(coarse_err / fine_err) / np.log(refinement))
-
-
-def pairwise_sum(values) -> float:
-    """Fixed-order compensated sum for reproducible reductions."""
-    return fsum(values)

@@ -114,9 +114,6 @@ class SwirlStepper:
         ab[1, :] = 1.0 - theta * dt * diag
         ab[2, :-1] = -theta * dt * lower[1:]
         self._ab = ab
-        self._lower = lower
-        self._upper = upper
-        self._diag = diag
 
     def apply_operator(self, w: np.ndarray) -> np.ndarray:
         """L w on interior nodes, using the current boundary entries of w."""
@@ -130,8 +127,9 @@ class SwirlStepper:
             - dt * rhs_mid
         # Dirichlet values are constant in time: move their implicit
         # couplings to the right-hand side.
-        explicit[0] += self.theta * dt * self._lower[0] * self.bc_axis
-        explicit[-1] += self.theta * dt * self._upper[-1] * self.bc_wall
+        lower, _, upper = self._L
+        explicit[0] += self.theta * dt * lower[0] * self.bc_axis
+        explicit[-1] += self.theta * dt * upper[-1] * self.bc_wall
         interior = solve_banded((1, 1), self._ab, explicit)
         out = np.empty_like(w)
         out[0] = self.bc_axis
@@ -140,16 +138,16 @@ class SwirlStepper:
         return out
 
 
-def _march(fam: SolutionFamily, cfg: OracleConfig, initial: np.ndarray,
-           bc_wall: float, rhs: Callable[[np.ndarray, float], np.ndarray],
-           exact_final: Callable[[np.ndarray], np.ndarray],
-           snapshots: int = 9) -> OracleSolution:
+def _march(fam: SolutionFamily, cfg: OracleConfig, closed_form: Callable,
+           bc_wall: float, rhs: Callable, snapshots: int = 9) -> OracleSolution:
+    """Step from closed_form at t = 0 to T - delta and compare there."""
     t_end = fam.T - cfg.delta
     n_steps = int(round(t_end / cfg.dt))
     dt = t_end / n_steps
     stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, 0.0, bc_wall)
     r = stepper.r
     ri = r[1:-1]
+    initial = np.asarray(closed_form(fam, r, 0.0), dtype=float)
 
     keep = np.unique(np.linspace(0, n_steps, snapshots).astype(int))
     times = [0.0]
@@ -158,13 +156,13 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, initial: np.ndarray,
     t = 0.0
     for n in range(n_steps):
         t_mid = t + cfg.theta * dt
-        w = stepper.step(w, np.asarray(rhs(ri, t_mid), dtype=float))
+        w = stepper.step(w, np.asarray(rhs(fam, ri, t_mid), dtype=float))
         t = (n + 1) * dt
         if (n + 1) in keep:
             times.append(t)
             slices.append(w.copy())
 
-    exact = np.asarray(exact_final(r), dtype=float)
+    exact = np.asarray(closed_form(fam, r, t_end), dtype=float)
     err = w - exact
     linf = float(np.max(np.abs(err)))
     l2 = float(np.sqrt(2.0 * np.pi * np.trapezoid(err * err * r, r)))
@@ -179,30 +177,15 @@ def solve_swirl(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
     wall constant alpha) at r = 1; initial slice and forcing come from the
     family evaluators.
     """
-    r = np.linspace(0.0, 1.0, cfg.n_r)
-    initial = np.asarray(eval_u(fam, r, 0.0), dtype=float)
-    t_end = fam.T - cfg.delta
-
-    def rhs(ri, t_mid):
-        return eval_h(fam, ri, t_mid)
-
-    return _march(fam, cfg, initial, -fam.alpha, rhs,
-                  lambda rr: np.asarray(eval_u(fam, rr, t_end), dtype=float))
+    return _march(fam, cfg, eval_u, -fam.alpha, eval_h)
 
 
 def solve_eta(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
     """Same stepper applied to the log-transformed equation."""
     if fam.part != 2:
         raise ValueError("solve_eta needs a part-2 family")
-    r = np.linspace(0.0, 1.0, cfg.n_r)
-    initial = np.asarray(eval_eta(fam, r, 0.0), dtype=float)
-    t_end = fam.T - cfg.delta
-
-    def rhs(ri, t_mid):
-        return _y_terms(fam, ri, t_mid)[4]
-
-    return _march(fam, cfg, initial, fam.log_wall, rhs,
-                  lambda rr: np.asarray(eval_eta(fam, rr, t_end), dtype=float))
+    return _march(fam, cfg, eval_eta, fam.log_wall,
+                  lambda fam, r, t: _y_terms(fam, r, t)[4])
 
 
 def default_levels(fam: SolutionFamily, *, theta: float = 0.5,

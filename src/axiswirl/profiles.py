@@ -9,10 +9,11 @@ which integrates in closed form through g = r p:
 
     g(r) = -int_0^r s e^{s^2/2} I(s) ds,    I(s) = int_s^1 e^{-l^2/2} k(l) dl.
 
-The profile, its first two derivatives, the inner integral I and the wall
-constant alpha = -g(1) are all served from high-accuracy cached splines (for
-bulk field evaluation) with direct adaptive quadrature retained for
-verification-grade calls.
+Bulk evaluation runs off cached splines of I and g through two paths:
+``phi0`` (value only, one g-spline call) and ``jet`` (phi0, phi0/r and
+phi0' from one g-spline and one I-spline call). ``phi0_exact``, ``g_exact``
+and ``inner_integral`` re-derive values by direct adaptive quadrature and
+are the independent reference path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate
+from .numerics import DEFAULT_SPEC, QuadratureSpec, gauss_panel_sums, integrate
 
 __all__ = [
     "EPS0",
@@ -163,15 +164,6 @@ def inner_integral(k: ForcingProfile, s: float,
     return value
 
 
-def _gl_panel_value(f, a, b):
-    # Single 21-point Gauss panel; used for the cache sweep where each panel
-    # is far below rounding error already.
-    from .numerics import _W21, _X21  # local import keeps module surface tidy
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(_W21 @ np.asarray(f(mid + half * _X21), dtype=float))
-
-
 @dataclass
 class SwirlProfile:
     """Profile bundle: I, g = r*phi0, phi0 and two derivatives, alpha.
@@ -179,8 +171,8 @@ class SwirlProfile:
     Bulk evaluation runs off cubic Hermite caches whose nodal values come
     from panel-by-panel Gauss sweeps and whose nodal slopes are the exact
     closed forms; interpolation error sits near rounding, far below the
-    requested quadrature tolerance. Verification-grade variants re-derive
-    values by direct adaptive quadrature.
+    requested quadrature tolerance. ``g_exact`` and ``phi0_exact`` re-derive
+    values by direct adaptive quadrature, independently of the caches.
     """
 
     k: ForcingProfile
@@ -195,26 +187,15 @@ class SwirlProfile:
     _c3: float = field(repr=False)
 
     # -- inner integral ----------------------------------------------------
-    def I(self, s, exact: bool = False):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0.0):
+    def I(self, s):
+        if np.any(np.asarray(s, dtype=float) < 0.0):
             raise ValueError("inner integral requires s >= 0")
-        if exact:
-            flat = np.atleast_1d(s_arr)
-            out = np.array([inner_integral(self.k, v, self.spec) for v in flat])
-            return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
-        out = np.zeros(s_arr.shape)
-        inside = s_arr < 1.0
-        out[inside] = self._I_spline(s_arr[inside])
-        return out if s_arr.ndim else float(out)
+        return _below_one(s, self._I_spline)
 
     # -- g and its closed-form derivatives ---------------------------------
     def g(self, r):
-        r_arr = np.asarray(r, dtype=float)
+        r_arr, tail, series, mid = _regions(r)
         out = np.empty(r_arr.shape)
-        tail = r_arr >= 1.0
-        series = r_arr < EPS0
-        mid = ~(tail | series)
         out[tail] = self.g1
         rs = r_arr[series]
         out[series] = rs * rs * (self._c1 + rs * (self._c2 + rs * self._c3))
@@ -237,29 +218,18 @@ class SwirlProfile:
         return value
 
     def g_prime(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        out = np.zeros(r_arr.shape)
-        inside = r_arr < 1.0
-        ri = r_arr[inside]
-        out[inside] = -ri * np.exp(0.5 * ri * ri) * self._I_spline(ri)
-        return out if r_arr.ndim else float(out)
+        return _below_one(r, lambda s: -s * np.exp(0.5 * s * s) * self._I_spline(s))
 
     def g_second(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        out = np.zeros(r_arr.shape)
-        inside = r_arr < 1.0
-        ri = r_arr[inside]
-        out[inside] = (-(1.0 + ri * ri) * np.exp(0.5 * ri * ri) * self._I_spline(ri)
-                       + ri * np.asarray(self.k(ri), dtype=float))
-        return out if r_arr.ndim else float(out)
+        return _below_one(r, lambda s: (
+            -(1.0 + s * s) * np.exp(0.5 * s * s) * self._I_spline(s)
+            + s * np.asarray(self.k(s), dtype=float)))
 
     # -- phi0 family --------------------------------------------------------
     def phi0(self, r):
-        r_arr = np.asarray(r, dtype=float)
+        """phi0 alone: the value path, one g-spline call and nothing else."""
+        r_arr, tail, series, mid = _regions(r)
         out = np.empty(r_arr.shape)
-        tail = r_arr >= 1.0
-        series = r_arr < EPS0
-        mid = ~(tail | series)
         out[tail] = self.g1 / r_arr[tail]
         rs = r_arr[series]
         out[series] = rs * (self._c1 + rs * (self._c2 + rs * self._c3))
@@ -267,54 +237,46 @@ class SwirlProfile:
         out[mid] = self._g_spline(rm) / rm
         return out if r_arr.ndim else float(out)
 
-    def phi0_over_r(self, r):
-        """phi0(r)/r with its finite axis limit -I(0)/2."""
-        r_arr = np.asarray(r, dtype=float)
-        out = np.empty(r_arr.shape)
-        tail = r_arr >= 1.0
-        series = r_arr < EPS0
-        mid = ~(tail | series)
+    def jet(self, r):
+        """(phi0, phi0/r, phi0'): the gradient path, one g-spline and one
+        I-spline call. phi0/r has the finite axis limit -I(0)/2."""
+        r_arr, tail, series, mid = _regions(r)
+        phi, over, prime = (np.empty(r_arr.shape) for _ in range(3))
         rt = r_arr[tail]
-        out[tail] = self.g1 / (rt * rt)
+        phi[tail] = self.g1 / rt
+        over[tail] = self.g1 / (rt * rt)
+        prime[tail] = -over[tail]
         rs = r_arr[series]
-        out[series] = self._c1 + rs * (self._c2 + rs * self._c3)
-        rm = r_arr[mid]
-        out[mid] = self._g_spline(rm) / (rm * rm)
-        return out if r_arr.ndim else float(out)
-
-    def phi0_prime(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        out = np.empty(r_arr.shape)
-        tail = r_arr >= 1.0
-        series = r_arr < EPS0
-        mid = ~(tail | series)
-        rt = r_arr[tail]
-        out[tail] = -self.g1 / (rt * rt)
-        rs = r_arr[series]
-        out[series] = self._c1 + rs * (2.0 * self._c2 + 3.0 * self._c3 * rs)
+        over[series] = self._c1 + rs * (self._c2 + rs * self._c3)
+        phi[series] = rs * over[series]
+        prime[series] = self._c1 + rs * (2.0 * self._c2 + 3.0 * self._c3 * rs)
         rm = r_arr[mid]
         gm = self._g_spline(rm)
+        phi[mid] = gm / rm
+        over[mid] = gm / (rm * rm)
         gpm = -rm * np.exp(0.5 * rm * rm) * self._I_spline(rm)
-        out[mid] = gpm / rm - gm / (rm * rm)
-        return out if r_arr.ndim else float(out)
+        prime[mid] = gpm / rm - over[mid]
+        if r_arr.ndim:
+            return phi, over, prime
+        return float(phi), float(over), float(prime)
+
+    def phi0_over_r(self, r):
+        """phi0(r)/r with its finite axis limit -I(0)/2."""
+        return self.jet(r)[1]
+
+    def phi0_prime(self, r):
+        return self.jet(r)[2]
 
     def phi0_second(self, r):
-        r_arr = np.asarray(r, dtype=float)
+        r_arr, tail, series, mid = _regions(r)
         out = np.empty(r_arr.shape)
-        tail = r_arr >= 1.0
-        series = r_arr < EPS0
-        mid = ~(tail | series)
         rt = r_arr[tail]
         out[tail] = 2.0 * self.g1 / (rt ** 3)
         rs = r_arr[series]
         out[series] = 2.0 * self._c2 + 6.0 * self._c3 * rs
         rm = r_arr[mid]
-        em = np.exp(0.5 * rm * rm)
-        im = self._I_spline(rm)
-        gm = self._g_spline(rm)
-        gpm = -rm * em * im
-        gsm = -(1.0 + rm * rm) * em * im + rm * np.asarray(self.k(rm), dtype=float)
-        out[mid] = gsm / rm - 2.0 * gpm / (rm * rm) + 2.0 * gm / (rm ** 3)
+        out[mid] = (self.g_second(rm) / rm - 2.0 * self.g_prime(rm) / (rm * rm)
+                    + 2.0 * self.g(rm) / (rm ** 3))
         return out if r_arr.ndim else float(out)
 
     def phi0_exact(self, r: float, spec: Optional[QuadratureSpec] = None) -> float:
@@ -323,6 +285,23 @@ class SwirlProfile:
         if r <= 0.0:
             return 0.0
         return self.g_exact(r, spec) / r if r < 1.0 else self.g_exact(1.0, spec) / r
+
+
+def _below_one(r, f):
+    """f on r < 1, zero on the rest: the support of I and g' and g''."""
+    r_arr = np.asarray(r, dtype=float)
+    out = np.zeros(r_arr.shape)
+    inside = r_arr < 1.0
+    out[inside] = f(r_arr[inside])
+    return out if r_arr.ndim else float(out)
+
+
+def _regions(r):
+    """r as an array, and its tail (r >= 1), axis-series and spline masks."""
+    r_arr = np.asarray(r, dtype=float)
+    tail = r_arr >= 1.0
+    series = r_arr < EPS0
+    return r_arr, tail, series, ~(tail | series)
 
 
 def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -339,8 +318,7 @@ def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
     def i_kernel(l):
         return np.exp(-0.5 * l * l) * np.asarray(k(l), dtype=float)
 
-    seg = np.array([_gl_panel_value(i_kernel, nodes[i], nodes[i + 1])
-                    for i in range(cache_panels)])
+    seg = gauss_panel_sums(i_kernel, nodes)
     i_nodes = np.concatenate((np.flip(np.cumsum(np.flip(seg))), [0.0]))
     i_slope = -i_kernel(nodes)
     i_spline = CubicHermiteSpline(nodes, i_nodes, i_slope)
@@ -348,8 +326,7 @@ def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
     def g_kernel(s):
         return -s * np.exp(0.5 * s * s) * i_spline(s)
 
-    gseg = np.array([_gl_panel_value(g_kernel, nodes[i], nodes[i + 1])
-                     for i in range(cache_panels)])
+    gseg = gauss_panel_sums(g_kernel, nodes)
     g_nodes = np.concatenate(([0.0], np.cumsum(gseg)))
     g_slope = -nodes * np.exp(0.5 * nodes * nodes) * i_nodes
     g_spline = CubicHermiteSpline(nodes, g_nodes, g_slope)
@@ -375,8 +352,7 @@ def ode_residual(profile: SwirlProfile, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ValueError("ode_residual requires r > 0")
-    p = profile.phi0(r_arr)
-    pp = profile.phi0_prime(r_arr)
+    p, _, pp = profile.jet(r_arr)
     ps = profile.phi0_second(r_arr)
     kv = np.where(r_arr < 1.0, np.asarray(profile.k(r_arr), dtype=float), 0.0)
     out = ps + pp / r_arr - p / (r_arr * r_arr) - p - r_arr * pp - kv

@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (SolutionFamily, eval_du_dr, eval_eta, eval_h,
-                     eval_pressure, eval_u, eval_u_over_r, eval_v, eval_vbar,
-                     _y_terms)
+from .fields import (SolutionFamily, eval_h, eval_pressure, eval_u, _field,
+                     _gradient, _y_terms)
 from .numerics import QuadratureSpec, RadialGrid, TimeLadder, local_radial_scale
 from .profiles import EPS0
 
@@ -93,22 +92,15 @@ class BoundCheck:
     passed: bool
 
 
-def _w_and_rhs(fam: SolutionFamily, which: str):
+def _rhs(fam: SolutionFamily, which: str):
+    """Right side of the equation the field ``which`` solves."""
     if which in ("u", "v"):
-        w = eval_u if which == "u" else eval_v
-
-        def rhs(r, t):
-            return eval_h(fam, r, t)
-    elif which in ("eta", "vbar"):
-        if fam.part != 2:
-            raise ValueError(f"{which!r} checks need a part-2 family")
-        w = eval_eta if which == "eta" else eval_vbar
-
-        def rhs(r, t):
-            return _y_terms(fam, r, t)[4]
-    else:
+        return eval_h
+    if which not in ("eta", "vbar"):
         raise ValueError(f"unknown field {which!r}")
-    return w, rhs
+    if fam.part != 2:
+        raise ValueError(f"{which!r} checks need a part-2 family")
+    return lambda fam, r, t: _y_terms(fam, r, t)[4]
 
 
 def _sample_points(grid: RadialGrid, ladder: TimeLadder, exclude_nearest: int):
@@ -130,7 +122,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     transformed identity directly against the analytic Y sum and ``"vbar"``
     repeats it with the stationary wall term subtracted.
     """
-    w, rhs = _w_and_rhs(fam, which)
+    rhs = _rhs(fam, which)
     theta_r0 = (0.5 / (len(grid) - 1)) if theta_r is None else theta_r
     radii, times, tminus = _sample_points(grid, ladder, exclude_nearest)
 
@@ -149,17 +141,17 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
         r = radii[usable]
         h = h_r[usable]
 
-        w0 = np.asarray(w(fam, r, t), dtype=float)
-        wp = np.asarray(w(fam, r + h, t), dtype=float)
-        wm = np.asarray(w(fam, r - h, t), dtype=float)
-        wtp = np.asarray(w(fam, r, t + h_t), dtype=float)
-        wtm = np.asarray(w(fam, r, t - h_t), dtype=float)
+        w0 = np.asarray(_field(fam, which, r, t), dtype=float)
+        wp = np.asarray(_field(fam, which, r + h, t), dtype=float)
+        wm = np.asarray(_field(fam, which, r - h, t), dtype=float)
+        wtp = np.asarray(_field(fam, which, r, t + h_t), dtype=float)
+        wtm = np.asarray(_field(fam, which, r, t - h_t), dtype=float)
 
         d_rr = (wp - 2.0 * w0 + wm) / (h * h)
         d_r_over_r = (wp - wm) / (2.0 * h * r)
         zeroth = w0 / (r * r)
         d_t = (wtp - wtm) / (2.0 * h_t)
-        rhs_v = np.asarray(rhs(r, t), dtype=float)
+        rhs_v = np.asarray(rhs(fam, r, t), dtype=float)
 
         raw = d_rr + d_r_over_r - zeroth - d_t - rhs_v
         mag = np.maximum.reduce([
@@ -192,7 +184,6 @@ def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
         raise ValueError("which must be 'v' or 'vbar'")
     if which == "vbar" and fam.part != 2:
         raise ValueError("'vbar' checks need a part-2 family")
-    w = eval_v if which == "v" else eval_vbar
     spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
     theta_r0 = 0.5 / (len(grid) - 1)
     radii, times, tminus = _sample_points(grid, ladder, exclude_nearest)
@@ -215,7 +206,7 @@ def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
             p_plus = eval_pressure(fam, which, r + h, float(t), spec)
             p_minus = eval_pressure(fam, which, r - h, float(t), spec)
             dp = (p_plus - p_minus) / (2.0 * h)
-            wv = float(w(fam, r, float(t)))
+            wv = float(_field(fam, which, r, float(t)))
             lhs = wv * wv / r
             raw = lhs - dp
             mag = max(1.0, abs(lhs), abs(dp))
@@ -246,9 +237,8 @@ def check_boundary(fam: SolutionFamily, ladder: TimeLadder,
     which = ("v",) if fam.part == 1 else ("v", "vbar")
     samples = []
     for name in which:
-        w = eval_v if name == "v" else eval_vbar
         for t in ladder.levels:
-            samples.append((1.0, float(t), abs(float(w(fam, 1.0, float(t))))))
+            samples.append((1.0, float(t), abs(float(_field(fam, name, 1.0, float(t))))))
     max_abs = max(s[2] for s in samples)
     report = ResidualReport(
         equation="boundary", samples=samples, tolerance=tol,
@@ -273,13 +263,13 @@ def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
     out = []
     for t, tm in zip(ladder.levels, ladder.T_minus):
         shape = (radii * radii + tm)
+        if bound == "grad_u_upper":
+            _, uor, du = _gradient(fam, radii, float(t))
+            out.append(np.sqrt(du * du + uor * uor) * shape)
+            continue
         u = np.asarray(eval_u(fam, radii, float(t)), dtype=float)
         if bound == "u_upper":
             out.append(np.abs(u) * shape / radii)
-        elif bound == "grad_u_upper":
-            du = np.asarray(eval_du_dr(fam, radii, float(t)), dtype=float)
-            uor = np.asarray(eval_u_over_r(fam, radii, float(t)), dtype=float)
-            out.append(np.sqrt(du * du + uor * uor) * shape)
         elif bound == "phi_lower":
             if np.any(u <= 0.0):
                 raise ValueError("lower bound requires a strictly positive field")

@@ -118,3 +118,41 @@ def test_run_summary_always_emitted(tmp_path):
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["exit_status"] == 0
     assert summary["results"]["profile"] == 0
+
+
+def _rows(series, verdicts):
+    return [{"series": series, "q": q, "finite": f}
+            for q, f in zip((1.5, 1.9, 2.1, 3.0, 4.0), verdicts)]
+
+
+def test_norms_verdicts_agreeing_with_the_paper_pass():
+    from axiswirl.cli import norms_verdict_failures
+    rows = (_rows("L1_f", (True, True, False, False, False))
+            + _rows("L1_Y", (True,) * 5))
+    assert norms_verdict_failures(rows, nontrivial=True) == []
+
+
+def test_norms_verdicts_contradicting_the_paper_fail():
+    from axiswirl.cli import norms_verdict_failures
+    rows = (_rows("L1_f", (True, True, True, False, False))
+            + _rows("L1_Y", (True, True, True, False, True)))
+    failures = norms_verdict_failures(rows, nontrivial=True)
+    assert len(failures) == 2
+    assert failures[0].startswith("L1_f q=2.1")
+    assert failures[1].startswith("L1_Y q=3.0")
+
+
+def test_norms_inconclusive_verdict_fails_even_for_trivial_forcing():
+    from axiswirl.cli import norms_verdict_failures
+    rows = _rows("L1_f", (True, None, True, True, True))
+    assert norms_verdict_failures(rows, nontrivial=False) == [
+        "L1_f q=1.9: finite = None, the paper says True"]
+    assert len(norms_verdict_failures(rows, nontrivial=True)) == 4
+
+
+def test_manifest_records_scipy_version(tmp_path):
+    import scipy
+    out = tmp_path / "out"
+    assert run_cli(["profile", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest_profile.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__

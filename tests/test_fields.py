@@ -233,3 +233,37 @@ def test_blowup_sup_growth(fam2_big, fam1_big):
                      for t in ladder.levels])
     assert np.all(np.diff(vmax) >= -1e-12 * vmax[:-1])
     assert vmax[-1] > 10.0 * np.max(np.abs(ax.eval_v(fam1_big, r, 0.0)))
+
+
+def test_tiny_negative_time_raises_although_T_minus_t_rounds_to_T(fam1, fam2):
+    # T - (-1e-300) == T in floating point; validation must read t itself.
+    t = -1e-300
+    for evaluator in (ax.eval_u, ax.eval_v, ax.eval_du_dr, ax.eval_h):
+        with pytest.raises(DomainError):
+            evaluator(fam1, 0.5, t)
+    with pytest.raises(DomainError):
+        ax.eval_Y(fam2, 0.5, t)
+    from axiswirl.norms import spatial_L1_parts
+    with pytest.raises(DomainError):
+        spatial_L1_parts(fam1, "f", t, T_minus=fam1.T)
+
+
+def test_value_path_never_touches_the_I_spline(fam2):
+    # u, v, eta, vbar, the pressure and the kinetic energy need phi0 alone;
+    # only the gradient path (the profile jet) reads the I-spline.
+    import dataclasses
+
+    class Untouchable:
+        def __call__(self, s):
+            raise AssertionError("value path evaluated the I-spline")
+
+    prof = dataclasses.replace(fam2.profile, _I_spline=Untouchable())
+    fam = ax.SolutionFamily(profile=prof, T=fam2.T, part=2)
+    r = np.linspace(0.0, 1.0, 33)
+    for evaluator in (ax.eval_u, ax.eval_v, ax.eval_eta, ax.eval_vbar):
+        assert np.array_equal(evaluator(fam, r, 0.3), evaluator(fam2, r, 0.3))
+    assert ax.eval_pressure(fam, "vbar", 0.7, 0.3) == ax.eval_pressure(fam2, "vbar", 0.7, 0.3)
+    from axiswirl.norms import NORM_SPEC, _kinetic
+    assert _kinetic(fam, "vbar", 0.3, NORM_SPEC) == _kinetic(fam2, "vbar", 0.3, NORM_SPEC)
+    with pytest.raises(AssertionError, match="I-spline"):
+        ax.eval_du_dr(fam, r, 0.3)

@@ -127,3 +127,14 @@ def test_series_length_mismatch_rejected(ladder20):
     with pytest.raises(ValueError):
         NormSeries(quantity="L1_f", ladder=ladder20,
                    values=np.ones(3), normalizers=np.ones(3))
+
+
+def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
+    # At T = 0.3 the difference T - t_j cancels catastrophically on deep
+    # levels; the series must use the ladder's exact T * 2^-j instead.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=1)
+    ladder = ax.make_time_ladder(0.3, 40)
+    series = l1_series(fam, "f", ladder)
+    scaled = series.values * np.sqrt(ladder.T_minus)
+    assert np.ptp(scaled) / np.mean(scaled) < 1e-10
+    assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-9)
