@@ -321,9 +321,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     }
     write_json(_out_path(cfg, "oracle_study.json"), payload)
     if "csv" in cfg.formats:
-        sol = solve_swirl(fam, levels[-1])
         write_csv(_out_path(cfg, "oracle_trajectory.csv"), TRAJECTORY_HEADER,
-                  trajectory_rows(fam, sol))
+                  trajectory_rows(fam, run.finest))
     print(f"oracle: order = {run.convergence_order:.2f} "
           f"(band {band}), final Linf = {run.final_error_Linf:.3e} "
           f"-> {'pass' if passed else 'FAIL'}")

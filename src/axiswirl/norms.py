@@ -6,9 +6,29 @@ Volume integrals over the cylinder reduce to 2*pi times radial integrals
     2 pi * int_0^1 w(r, t)^2 r dr
 
 and the dissipation accumulates int_0^t of 2 pi * int_0^1 [(d_r w)^2 +
-(w/r)^2] r dr, the vertical gradient vanishing identically. The forcing
-norms are L^1 in space; the time integrability exponent is classified by
-fitting the tail growth shape on the last ladder levels and extrapolating.
+(w/r)^2] r dr, the vertical gradient vanishing identically.
+
+For w = v the energy has a closed form. With tau = 2 (T - t), g1 = g(1) =
+-alpha and the profile moments M0 = int_0^1 phi0^2 s ds, M1 = int_0^1
+phi0 s^2 ds and A = int_0^1 (phi0'^2 + (phi0/s)^2) s ds,
+
+    E_v(t) = 2 pi [M0 + g1^2/2 ln(1/tau) + 2 alpha tau M1
+                   + alpha g1 (1 - tau) + alpha^2/4]
+           + 2 pi [(A + g1^2)/2 ln(T/(T - t)) - 2 g1^2 t].
+
+It holds when k is supported in [0, 1], so that phi0 = g1/s for s >= 1,
+and when T <= 1/2, so that tau <= 1 and the core r < sqrt(tau) stays
+inside the cylinder. v does not depend on the part, so neither does E_v,
+and E_v grows exactly like pi (A + 2 g1^2) |ln(T - t)| up to terms affine
+in T - t. ``energy_series(fam, "v", ...)`` is this closed form, the
+production path. The nested numeric path (``energy``, ``_kinetic``,
+``_dissipation_integral``: adaptive quadrature in t over one row-mode
+radial integral per outer panel) is the production path for vbar, which
+has no closed form, and the independent check of the closed form.
+
+The forcing norms are L^1 in space; the time integrability exponent is
+classified by fitting the tail growth shape on the last ladder levels and
+extrapolating.
 """
 
 from __future__ import annotations
@@ -38,6 +58,8 @@ __all__ = [
 ]
 
 NORM_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=2000)
+# The outer time integral of the dissipation rate.
+_TIME_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64)
 
 _L1_QUANTITIES = ("f", "Y1", "Y2", "Y3", "Y4", "Y")
 
@@ -101,12 +123,25 @@ def _gradient_density(fam: SolutionFamily, which: str):
     return density
 
 
-def _radial_breakpoints(tm, lo: float, hi: float):
+_BREAK_FACTORS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+
+
+def _radial_breakpoints(tm):
     # Seed panels at the self-similar width so compactly supported or
     # core-concentrated integrands are never missed by the first panel.
+    return np.multiply.outer(np.sqrt(2.0 * tm), _BREAK_FACTORS)
+
+
+def _wall_breakpoints(tm):
+    # One row of points per entry of tm (integrate's row mode): the
+    # self-similar points, continued by factors of 4 out to the wall. Past
+    # the core the dissipation density falls like r^-3, and one panel from
+    # 4 sqrt(2 tm) to 1 misses that mass while both Gauss rules agree once
+    # T - t is below about 1e-13.
     scale = np.sqrt(2.0 * tm)
-    pts = [f * scale for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    return sorted(p for p in set(pts) if lo < p < hi)
+    reach = max(0, int(np.ceil(np.log(0.25 / np.min(scale)) / np.log(4.0))))
+    factors = np.concatenate((_BREAK_FACTORS, 4.0 ** np.arange(2, reach + 2)))
+    return np.multiply.outer(scale, factors)
 
 
 def _kinetic(fam: SolutionFamily, which: str, t: float,
@@ -118,16 +153,7 @@ def _kinetic(fam: SolutionFamily, which: str, t: float,
         return wv * wv * r
 
     value, _ = integrate(integrand, 0.0, 1.0, spec,
-                         breakpoints=_radial_breakpoints(tm, 0.0, 1.0))
-    return 2.0 * np.pi * value
-
-
-def _dissipation_rate(fam: SolutionFamily, which: str, s: float,
-                      spec: QuadratureSpec) -> float:
-    density = _gradient_density(fam, which)
-    tm = _T_minus(fam, s)
-    value, _ = integrate(lambda r: density(r, tm), 0.0, 1.0, spec,
-                         breakpoints=_radial_breakpoints(tm, 0.0, 1.0))
+                         breakpoints=_radial_breakpoints(tm))
     return 2.0 * np.pi * value
 
 
@@ -142,36 +168,35 @@ def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
                           sub_points: int = 8) -> float:
     if t_hi <= t_lo:
         return 0.0
+    density = _gradient_density(fam, which)
+
+    def rates(s):
+        # The dissipation rate at every time node of an outer panel: one
+        # row-mode radial integral, row i split at the width of T - s_i.
+        tm = _T_minus(fam, s)
+        edges = np.zeros(tm.shape)
+        value, _ = integrate(lambda r: density(r, tm[:, None]), edges,
+                             edges + 1.0, spec,
+                             breakpoints=_wall_breakpoints(tm))
+        return 2.0 * np.pi * value
+
     pts = _geometric_subpanels(t_lo, t_hi, sub_points)
-    pieces = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        value, _ = integrate(
-            lambda s: np.array([_dissipation_rate(fam, which, float(v), spec)
-                                for v in np.atleast_1d(s)]),
-            float(a), float(b),
-            QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64))
-        pieces.append(value)
-    return fsum(pieces)
+    return fsum(integrate(rates, float(a), float(b), _TIME_SPEC)[0]
+                for a, b in zip(pts[:-1], pts[1:]))
 
 
 def energy(fam: SolutionFamily, which: str, t: float,
-           ladder: Optional[TimeLadder] = None,
            spec: QuadratureSpec = NORM_SPEC) -> float:
     """Kinetic energy at time t plus dissipation accumulated over [0, t].
 
-    The time integral is split along the ladder levels below ``t`` with a
-    geometric sub-refinement toward each segment's upper end, matching the
-    growth of the rate as the final time approaches.
+    The nested numeric path for one time: the time integral is refined
+    geometrically toward ``t``, where the rate grows as the final time
+    approaches.
     """
     if t >= fam.T:
         raise ValueError("energy is defined for t < T")
-    breaks = [0.0]
-    if ladder is not None:
-        breaks.extend(float(x) for x in ladder.levels if x < t)
-    breaks.append(float(t))
-    diss = fsum(_dissipation_integral(fam, which, a, b, spec)
-                for a, b in zip(breaks[:-1], breaks[1:]))
-    return _kinetic(fam, which, float(t), spec) + diss
+    return (_kinetic(fam, which, float(t), spec)
+            + _dissipation_integral(fam, which, 0.0, float(t), spec))
 
 
 _ENERGY_NORMALIZER = {
@@ -180,16 +205,36 @@ _ENERGY_NORMALIZER = {
 }
 
 
+def _energy_v(fam: SolutionFamily, ladder: TimeLadder) -> np.ndarray:
+    """The closed-form energy of v at every ladder level (module docstring)."""
+    prof = fam.profile
+    alpha, g1 = fam.alpha, prof.g1
+    tm = ladder.T_minus
+    tau = 2.0 * tm
+    kinetic = (prof.M0 - 0.5 * g1 * g1 * np.log(tau) + 2.0 * alpha * tau * prof.M1
+               + alpha * g1 * (1.0 - tau) + 0.25 * alpha * alpha)
+    dissipation = (0.5 * (prof.A + g1 * g1) * np.log(fam.T / tm)
+                   - 2.0 * g1 * g1 * ladder.levels)
+    return 2.0 * np.pi * (kinetic + dissipation)
+
+
 def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
                   spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
-    """Energy at every ladder level, reusing the cumulative dissipation."""
-    diss = 0.0
-    prev = 0.0
-    values = []
-    for t, tm in zip(ladder.levels, ladder.T_minus):
-        diss += _dissipation_integral(fam, which, prev, float(t), spec)
-        values.append(_kinetic(fam, which, float(t), spec, T_minus=tm) + diss)
-        prev = float(t)
+    """Energy at every ladder level.
+
+    ``v`` takes the closed form; ``vbar`` the nested numeric path, reusing
+    the cumulative dissipation from one level to the next.
+    """
+    if which == "v":
+        values = _energy_v(fam, ladder)
+    else:
+        diss = 0.0
+        prev = 0.0
+        values = []
+        for t, tm in zip(ladder.levels, ladder.T_minus):
+            diss += _dissipation_integral(fam, which, prev, float(t), spec)
+            values.append(_kinetic(fam, which, float(t), spec, T_minus=tm) + diss)
+            prev = float(t)
     quantity = f"energy_{which}"
     return NormSeries(
         quantity=quantity, ladder=ladder, values=np.asarray(values),
@@ -217,9 +262,9 @@ def spatial_L1_parts(fam: SolutionFamily, quantity: str, t: float,
         return _y_times_r(fam, quantity, r, tm)
 
     main, _ = integrate(integrand, EPS0, 1.0, spec,
-                        breakpoints=_radial_breakpoints(tm, EPS0, 1.0))
+                        breakpoints=_radial_breakpoints(tm))
     axis, _ = integrate(integrand, 0.0, EPS0, spec,
-                        breakpoints=_radial_breakpoints(tm, 0.0, EPS0))
+                        breakpoints=_radial_breakpoints(tm))
     return 2.0 * np.pi * main, 2.0 * np.pi * axis
 
 

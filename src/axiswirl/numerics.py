@@ -32,6 +32,7 @@ __all__ = [
 # from numpy at machine precision, so nothing is hand-transcribed.
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X21, _W21 = np.polynomial.legendre.leggauss(21)
+_X31 = np.concatenate((_X10, _X21))
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ DEFAULT_SPEC = QuadratureSpec()
 def _panel(f, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xs = np.concatenate((mid + half * _X10, mid + half * _X21))
+    xs = mid + half * _X31
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise TypeError("integrand must be vectorized (return one value per node)")
@@ -77,8 +78,8 @@ def gauss_panel_sums(f, nodes) -> np.ndarray:
     return half * np.array([_W21 @ row for row in ys])
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC, *,
-              breakpoints=None) -> tuple[float, float]:
+def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
+              breakpoints=None):
     """Adaptively integrate ``f`` over ``[a, b]``.
 
     Parameters
@@ -86,13 +87,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC, *,
     f : callable
         Vectorized integrand; called with a numpy array of nodes strictly
         inside the integration interval.
-    a, b : float
-        Interval endpoints, ``a <= b``.
+    a, b : float or 1-d array
+        Interval endpoints, ``a <= b``. Arrays select row mode (below).
     spec : QuadratureSpec
         Stopping tolerances and subdivision budget.
     breakpoints : sequence of float, optional
         Interior points at which the initial panel set is split (useful when
-        the integrand has known structure).
+        the integrand has known structure). In row mode, a (rows, k) array:
+        row i is split at its own points, clipped into ``[a[i], b[i]]``.
 
     Returns
     -------
@@ -105,7 +107,22 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC, *,
     QuadratureConvergenceError
         If the subdivision budget is exhausted first; the error carries the
         best available value/estimate.
+
+    Row mode
+    --------
+    With array endpoints there is one integral per row, and ``value`` and
+    ``err_estimate`` are arrays. Row i is cut at ``a[i]``, its breakpoints
+    and ``b[i]`` into the same number of segments (a clipped breakpoint
+    leaves a zero-length segment, which contributes zero). Panels live in
+    each segment's reference coordinate [0, 1] and are shared by all rows:
+    ``f`` is called once per panel with a (rows, nodes) array and returns
+    one value per node. Each row must meet its own
+    ``max(abs_tol, rel_tol * |value[i]|)``; refinement splits the worst
+    panel of the row furthest from its tolerance, and the budget counts
+    those splits.
     """
+    if np.ndim(a):
+        return _integrate_rows(f, a, b, spec, breakpoints)
     if b < a:
         raise ValueError("integrate requires a <= b")
     if a == b:
@@ -132,6 +149,69 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC, *,
         xm = 0.5 * (x0 + x1)
         panels[worst] = (x0, xm, *_panel(f, x0, xm))
         panels.append((xm, x1, *_panel(f, xm, x1)))
+        splits += 1
+
+
+def _integrate_rows(f, a, b, spec: QuadratureSpec, breakpoints):
+    """Row mode of :func:`integrate`: one integral per row, shared panels."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("row mode needs 1-d endpoint arrays of one shape")
+    if np.any(b < a):
+        raise ValueError("integrate requires a <= b")
+    lo, hi = a[:, None], b[:, None]
+    cuts = [lo]
+    if breakpoints is not None:
+        inner = np.asarray(breakpoints, dtype=float).reshape(a.size, -1)
+        cuts.append(np.clip(np.sort(inner, axis=1), lo, hi))
+    pts = np.concatenate((*cuts, hi), axis=1)
+    starts, widths = pts[:, :-1], np.diff(pts, axis=1)
+    used = np.any(widths > 0.0, axis=0)  # segments empty in every row go
+    starts, widths = starts[:, used], widths[:, used]
+
+    def panel(seg, u0, u1):
+        half = 0.5 * (u1 - u0)
+        u = 0.5 * (u0 + u1) + half * _X31
+        xs = starts[:, seg, None] + widths[:, seg, None] * u
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.shape != xs.shape:
+            raise TypeError("integrand must be vectorized (return one value per node)")
+        scale = widths[:, seg] * half
+        # A zero-length segment of a row contributes zero, whatever f gives
+        # on its (degenerate) nodes.
+        v10 = np.where(scale > 0.0, scale * (ys[:, :10] @ _W10), 0.0)
+        v21 = np.where(scale > 0.0, scale * (ys[:, 10:] @ _W21), 0.0)
+        return v21, np.abs(v21 - v10)
+
+    n_seg = widths.shape[1]
+    panels = [(seg, 0.0, 1.0) for seg in range(n_seg)]
+    vals = np.empty((n_seg + spec.max_subdivisions, a.size))
+    errs = np.empty_like(vals)
+    for i, p in enumerate(panels):
+        vals[i], errs[i] = panel(*p)
+
+    splits = 0
+    while True:
+        n = len(panels)
+        value = vals[:n].sum(axis=0)
+        err = errs[:n].sum(axis=0)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+        if np.all(err <= tol):
+            return value, err
+        row = int(np.argmax(err / tol))
+        if splits >= spec.max_subdivisions:
+            raise QuadratureConvergenceError(
+                f"quadrature did not converge within {spec.max_subdivisions} "
+                f"subdivisions (row {row}: best estimate {value[row]!r}, "
+                f"err {err[row]!r})", value, err)
+        worst = int(np.argmax(errs[:n, row]))
+        seg, u0, u1 = panels[worst]
+        um = 0.5 * (u0 + u1)
+        panels[worst] = (seg, u0, um)
+        panels.append((seg, um, u1))
+        vals[worst], errs[worst] = panel(seg, u0, um)
+        vals[n], errs[n] = panel(seg, um, u1)
         splits += 1
 
 

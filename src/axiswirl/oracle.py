@@ -16,7 +16,7 @@ itself (initial slice, wall constant, forcing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -59,7 +59,7 @@ class OracleConfig:
 
 @dataclass
 class OracleRun:
-    """Summary of a refinement study."""
+    """Summary of a refinement study; ``finest`` is the finest level's run."""
 
     config: OracleConfig
     final_error_Linf: float
@@ -68,6 +68,7 @@ class OracleRun:
     errors_per_level: list = field(default_factory=list)
     orders_per_pair: list = field(default_factory=list)
     study_valid: bool = True
+    finest: Optional[OracleSolution] = field(default=None, repr=False)
 
 
 @dataclass
@@ -235,6 +236,7 @@ def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
         errors_per_level=errors,
         orders_per_pair=orders,
         study_valid=valid,
+        finest=solutions[-1],
     )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import fsum
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +63,6 @@ class ForcingProfile:
     k: Callable[[np.ndarray], np.ndarray]
     nonpositive: bool
     nontrivial: bool
-    support: tuple[float, float] = (0.0, 1.0)
     k_prime0: float = 0.0
 
     def __call__(self, r):
@@ -173,6 +174,8 @@ class SwirlProfile:
     closed forms; interpolation error sits near rounding, far below the
     requested quadrature tolerance. ``g_exact`` and ``phi0_exact`` re-derive
     values by direct adaptive quadrature, independently of the caches.
+    ``M0``, ``M1`` and ``A`` are the moments of the closed-form energy (see
+    ``norms``), each computed once from the cached profile on first use.
     """
 
     k: ForcingProfile
@@ -285,6 +288,36 @@ class SwirlProfile:
         if r <= 0.0:
             return 0.0
         return self.g_exact(r, spec) / r if r < 1.0 else self.g_exact(1.0, spec) / r
+
+    # -- energy moments: the closed-form part-1 energy (see norms) ----------
+    @cached_property
+    def M0(self) -> float:
+        """int_0^1 phi0^2 sigma d sigma."""
+        return _unit_moment(lambda s: np.square(self.phi0(s)) * s)
+
+    @cached_property
+    def M1(self) -> float:
+        """int_0^1 phi0 sigma^2 d sigma."""
+        return _unit_moment(lambda s: self.phi0(s) * s * s)
+
+    @cached_property
+    def A(self) -> float:
+        """int_0^1 (phi0'^2 + (phi0/sigma)^2) sigma d sigma."""
+        def density(s):
+            _, over, prime = self.jet(s)
+            return (np.square(prime) + np.square(over)) * s
+        return _unit_moment(density)
+
+
+def _unit_moment(f) -> float:
+    """int_0^1 f by a Gauss sweep over the cache panels.
+
+    The sweep runs 256 panels at a time so its temporaries stay below those
+    of ``build_profile``; the panel values do not depend on the split.
+    """
+    nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
+    return fsum(np.concatenate([gauss_panel_sums(f, nodes[i:i + 257])
+                                for i in range(0, _CACHE_PANELS, 256)]))
 
 
 def _below_one(r, f):

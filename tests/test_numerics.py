@@ -158,3 +158,84 @@ def test_time_ladder_validation():
         ax.make_time_ladder(0.6, 8)
     with pytest.raises(ValueError):
         ax.make_time_ladder(0.5, 0)
+
+
+# --- row mode: array endpoints, one integral per row -------------------------
+
+_ROW_SPEC = ax.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
+
+
+def _row_tol(value):
+    return max(_ROW_SPEC.abs_tol, _ROW_SPEC.rel_tol * abs(value))
+
+
+def test_integrate_rows_agree_with_scalar_calls():
+    c = np.array([0.5, 1.0, 4.0, 20.0, 60.0])
+    a = np.array([0.0, 0.1, 0.2, 0.0, 0.3])
+    b = np.array([1.0, 2.0, 0.3, 3.0, 0.9])
+    points = np.outer(c ** -0.5, [0.25, 1.0, 4.0])
+
+    def row(i):
+        return lambda x: np.exp(-c[i] * x) * np.cos(3.0 * x)
+
+    values, errs = ax.integrate(lambda x: np.exp(-c[:, None] * x) * np.cos(3.0 * x),
+                                a, b, _ROW_SPEC, breakpoints=points)
+    assert values.shape == errs.shape == a.shape
+    for i in range(a.size):
+        scalar, _ = ax.integrate(row(i), a[i], b[i], _ROW_SPEC,
+                                 breakpoints=points[i])
+        assert errs[i] <= _row_tol(values[i])
+        assert abs(values[i] - scalar) <= _row_tol(scalar)
+
+
+def test_integrate_rows_zero_length_segments():
+    # Row 1 clips both breakpoints to b = 0.2, row 2 both to a = 0.7, and
+    # row 3 is empty; the integrand is NaN on every degenerate node.
+    a = np.array([0.0, 0.0, 0.7, 0.4])
+    b = np.array([1.0, 0.2, 1.0, 0.4])
+    points = np.array([[0.3, 0.6]] * 4)
+
+    def f(x):
+        degenerate = (x == b[:, None]) | (x == a[:, None])
+        return np.where(degenerate, np.nan, x * x)
+
+    values, errs = ax.integrate(f, a, b, _ROW_SPEC, breakpoints=points)
+    exact = (b ** 3 - a ** 3) / 3.0
+    assert np.all(np.abs(values - exact) <= 1e-15)
+    assert values[3] == 0.0 and errs[3] == 0.0
+
+
+def test_integrate_rows_budget_exhaustion_carries_row_estimates():
+    spec = ax.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
+    centers = np.array([1.0 / 3.0, 0.55])
+
+    def needles(x):
+        return 1.0 / np.sqrt(np.abs(x - centers[:, None]) + 1e-14)
+
+    with pytest.raises(QuadratureConvergenceError) as info:
+        ax.integrate(needles, np.zeros(2), np.ones(2), spec)
+    assert info.value.value.shape == (2,)
+    assert np.all(np.isfinite(info.value.value))
+    assert np.all(info.value.err_estimate > 0.0)
+
+
+def test_integrate_rows_validation():
+    with pytest.raises(ValueError):
+        ax.integrate(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        ax.integrate(lambda x: x, np.zeros(2), np.ones(3))
+
+
+@pytest.mark.parametrize("which, part, r, t, expected", [
+    ("v", 1, 0.3, 0.2, 8.064609706358863e-07),
+    ("v", 1, 0.9, 0.4, 9.24511199599632e-06),
+    ("v", 1, 0.05, 0.5 - 2.0 ** -12, 0.004798889103634508),
+    ("vbar", 2, 0.3, 0.2, 8.05626244879819e-07),
+    ("vbar", 2, 0.9, 0.4, 9.222429244386477e-06),
+    ("vbar", 2, 0.05, 0.5 - 2.0 ** -12, 0.00458937603598346),
+])
+def test_scalar_integrate_bits_pinned(ref_profile, which, part, r, t, expected):
+    # Scalar calls keep their own code path: these pressures are bitwise
+    # the values the scalar rule gave before row mode existed.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
+    assert ax.eval_pressure(fam, which, r, t) == expected
