@@ -56,6 +56,11 @@ class RunConfig:
             raise ConfigError("part must be 1 or 2")
         if self.ladder_J < 4:
             raise ConfigError("ladder_J must be at least 4")
+        try:  # the deepest ladder any command builds (check_bound's J + 2)
+            make_time_ladder(self.T, max(self.ladder_J + 2, 20))
+        except ValueError as exc:
+            raise ConfigError(f"ladder_J = {self.ladder_J} is too deep for "
+                              f"T = {self.T!r}: {exc}") from exc
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
         bad = set(self.formats) - {"csv", "json"}
@@ -371,9 +376,7 @@ def build_run_config(args) -> RunConfig:
         values["formats"] = tuple(v.strip() for v in args.formats.split(","))
     if "OUT_DIR" in os.environ:
         values["out_dir"] = os.environ["OUT_DIR"]
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -388,6 +391,7 @@ def main(argv=None) -> int:
     status = 0
     summary = {"command": args.command, "results": {}}
     try:
+        cfg.validate()
         for command in commands:
             write_manifest(cfg, command)
             rc = COMMANDS[command](cfg)

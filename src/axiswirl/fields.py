@@ -230,25 +230,25 @@ def eval_h(fam: SolutionFamily, r, t):
     return _shaped(_h(fam, rr, tm), r, t)
 
 
-def eval_pressure(fam: SolutionFamily, which: str, r: float, t: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def eval_pressure(fam: SolutionFamily, which: str, r, t: float,
+                  spec: QuadratureSpec = DEFAULT_SPEC):
     """Pressure normalized to P(0, t) = 0: the integral of w^2/l over (0, r].
 
     ``which`` selects the swirl field w (``"v"`` or ``"vbar"``). The
     integrand extends continuously by zero at the axis since w = O(l).
+    An array of radii is one row-batched quadrature at the one time t;
+    a scalar r gives a float.
     """
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
-    r = float(r)
-    _, tm = _validate(fam, r, float(t))
-    if r == 0.0:
-        return 0.0
+    r, tm = _validate(fam, r, float(t))
 
     def integrand(l):
+        # Rows with r = 0 put their (unused) nodes on the axis itself.
         wl = _w(fam, which, l, tm)
-        return wl * wl / l
+        return wl * wl / np.where(l > 0.0, l, 1.0)
 
-    value, _ = integrate(integrand, 0.0, r, spec)
+    value, _ = integrate(integrand, np.zeros_like(r), r, spec)
     return value
 
 
@@ -285,24 +285,30 @@ def _y_times_r(fam: SolutionFamily, quantity: str, r, tm):
     return np.abs(_y(fam, r, tm)[_Y_NAMES.index(quantity)]) * r
 
 
+def _fields_at(fam: SolutionFamily, r, t: float):
+    """(sigma, every field as an array) at radii r and one time t; the Y
+    components are served for r >= 1e-4 only (NaN below)."""
+    r, tm = _validate(fam, r, t)
+    values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
+              "h": _h(fam, r, tm), "P": eval_pressure(fam, "v", r, t)}
+    if fam.part == 2:
+        for which in ("eta", "vbar"):
+            values[which] = _w(fam, which, r, tm)
+        served = r >= EPS0
+        for name, y in zip(_Y_NAMES, _y(fam, r[served], tm)):
+            values[name] = np.full(r.shape, np.nan)
+            values[name][served] = y
+    return r / np.sqrt(2.0 * tm), values
+
+
 def sample(fam: SolutionFamily, r: float, t: float) -> FieldSample:
     """Every field of the family at one point, for export and inspection."""
     r = float(r)
     t = float(t)
-    rr, tm = _validate(fam, r, t)
-    values = {
-        "u": _w(fam, "u", rr, tm),
-        "v": _w(fam, "v", rr, tm),
-        "h": _h(fam, rr, tm),
-        "P": eval_pressure(fam, "v", r, t),
-    }
-    if fam.part == 2:
-        for which in ("eta", "vbar"):
-            values[which] = _w(fam, which, rr, tm)
-        if r >= EPS0:
-            values.update(zip(_Y_NAMES, _y(fam, rr, tm)))
-    return FieldSample(r=r, t=t, sigma=float(r / np.sqrt(2.0 * tm)),
-                       values={k: float(v) for k, v in values.items()})
+    sigma, values = _fields_at(fam, np.array([r]), t)
+    return FieldSample(r=r, t=t, sigma=float(sigma[0]),
+                       values={k: float(v[0]) for k, v in values.items()
+                               if r >= EPS0 or k not in _Y_NAMES})
 
 
 def velocity(fam: SolutionFamily, which: str, r: float, t: float) -> VectorFieldValue:
@@ -316,17 +322,16 @@ FIELD_SLICE_HEADER = ["r", "t", "sigma", "u", "v", "eta", "vbar", "P", "h",
 
 
 def field_slice_rows(fam: SolutionFamily, radii, times) -> np.ndarray:
-    """Tensor-product field slice; part-1 families report NaN for log fields."""
-    rows = []
+    """Tensor-product field slice; part-1 families report NaN for log fields.
+
+    One vectorised pass per time; ``sample`` is the one-point view.
+    """
+    r = np.asarray(radii, dtype=float)
+    nan = np.full(r.shape, np.nan)
+    blocks = []
     for t in np.asarray(times, dtype=float):
-        for r in np.asarray(radii, dtype=float):
-            s = sample(fam, float(r), float(t))
-            v = s.values
-            rows.append([
-                s.r, s.t, s.sigma, v["u"], v["v"],
-                v.get("eta", np.nan), v.get("vbar", np.nan),
-                v["P"], v["h"],
-                v.get("Y1", np.nan), v.get("Y2", np.nan),
-                v.get("Y3", np.nan), v.get("Y4", np.nan),
-            ])
-    return np.asarray(rows, dtype=float)
+        sigma, values = _fields_at(fam, r, t)
+        blocks.append(np.column_stack(
+            [r, np.full(r.shape, t), sigma]
+            + [values.get(name, nan) for name in FIELD_SLICE_HEADER[3:]]))
+    return np.concatenate(blocks)

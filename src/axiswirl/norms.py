@@ -21,10 +21,10 @@ and when T <= 1/2, so that tau <= 1 and the core r < sqrt(tau) stays
 inside the cylinder. v does not depend on the part, so neither does E_v,
 and E_v grows exactly like pi (A + 2 g1^2) |ln(T - t)| up to terms affine
 in T - t. ``energy_series(fam, "v", ...)`` is this closed form, the
-production path. The nested numeric path (``energy``, ``_kinetic``,
-``_dissipation_integral``: adaptive quadrature in t over one row-mode
-radial integral per outer panel) is the production path for vbar, which
-has no closed form, and the independent check of the closed form.
+production path. The nested numeric path (``energy``, ``_nested_energy``:
+adaptive quadrature in T - t over one row-batched radial integral per
+outer panel) is the production path for vbar, which has no closed form,
+and the independent check of the closed form.
 
 The forcing norms are L^1 in space; the time integrability exponent is
 classified by fitting the tail growth shape on the last ladder levels and
@@ -144,43 +144,50 @@ def _wall_breakpoints(tm):
     return np.multiply.outer(scale, factors)
 
 
-def _kinetic(fam: SolutionFamily, which: str, t: float,
-             spec: QuadratureSpec, T_minus=None) -> float:
+def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
+             T_minus=None):
+    # An array of times is one row-batched radial quadrature.
     tm = _T_minus(fam, t, T_minus)
 
     def integrand(r):
-        wv = _w(fam, which, r, tm)
+        wv = _w(fam, which, r, tm[..., None])
         return wv * wv * r
 
-    value, _ = integrate(integrand, 0.0, 1.0, spec,
+    value, _ = integrate(integrand, np.zeros_like(tm), np.ones_like(tm), spec,
                          breakpoints=_radial_breakpoints(tm))
     return 2.0 * np.pi * value
 
 
 def _geometric_subpanels(a: float, b: float, parts: int) -> np.ndarray:
-    # Breakpoints refined toward b, where the dissipation rate grows.
-    offsets = (b - a) * np.power(2.0, -np.arange(1, parts, dtype=float))
-    return np.concatenate(([a], b - offsets, [b]))
+    # Breakpoints refined toward a, where the dissipation rate grows.
+    offsets = (b - a) * np.power(2.0, -np.arange(parts - 1, 0, -1, dtype=float))
+    return np.concatenate(([a], a + offsets, [b]))
 
 
 def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
                           t_hi: float, spec: QuadratureSpec,
-                          sub_points: int = 8) -> float:
-    if t_hi <= t_lo:
+                          sub_points: int = 8, *, T_minus=None) -> float:
+    """Dissipation accumulated over [t_lo, t_hi].
+
+    The time integral runs in u = T - s, so nodes near the final time keep
+    full relative precision; ``T_minus`` is the pair (T - t_lo, T - t_hi)
+    when the caller holds it free of cancellation.
+    """
+    u_hi, u_lo = (float(u) for u in _T_minus(fam, (t_lo, t_hi), T_minus))
+    if u_lo >= u_hi:
         return 0.0
     density = _gradient_density(fam, which)
 
-    def rates(s):
+    def rates(u):
         # The dissipation rate at every time node of an outer panel: one
-        # row-mode radial integral, row i split at the width of T - s_i.
-        tm = _T_minus(fam, s)
-        edges = np.zeros(tm.shape)
-        value, _ = integrate(lambda r: density(r, tm[:, None]), edges,
+        # row-batched radial integral, row i split at the width of u_i.
+        edges = np.zeros(u.shape)
+        value, _ = integrate(lambda r: density(r, u[:, None]), edges,
                              edges + 1.0, spec,
-                             breakpoints=_wall_breakpoints(tm))
+                             breakpoints=_wall_breakpoints(u))
         return 2.0 * np.pi * value
 
-    pts = _geometric_subpanels(t_lo, t_hi, sub_points)
+    pts = _geometric_subpanels(u_lo, u_hi, sub_points)
     return fsum(integrate(rates, float(a), float(b), _TIME_SPEC)[0]
                 for a, b in zip(pts[:-1], pts[1:]))
 
@@ -218,52 +225,63 @@ def _energy_v(fam: SolutionFamily, ladder: TimeLadder) -> np.ndarray:
     return 2.0 * np.pi * (kinetic + dissipation)
 
 
+def _nested_energy(fam: SolutionFamily, which: str, ladder: TimeLadder,
+                   spec: QuadratureSpec) -> np.ndarray:
+    """The nested numeric path at every ladder level.
+
+    The kinetic term is one row-batched radial quadrature over all levels;
+    the dissipation accumulates level by level, each step integrated in
+    T - s between the ladder's exact ``T_minus`` values.
+    """
+    t_edges = np.concatenate(([0.0], ladder.levels))
+    tm_edges = np.concatenate(([fam.T], ladder.T_minus))
+    steps = [_dissipation_integral(fam, which, t_edges[j], t_edges[j + 1], spec,
+                                   T_minus=tm_edges[j:j + 2])
+             for j in range(len(ladder))]
+    return (_kinetic(fam, which, ladder.levels, spec, T_minus=ladder.T_minus)
+            + np.cumsum(steps))
+
+
 def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
                   spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
     """Energy at every ladder level.
 
-    ``v`` takes the closed form; ``vbar`` the nested numeric path, reusing
-    the cumulative dissipation from one level to the next.
+    ``v`` takes the closed form; ``vbar`` the nested numeric path.
     """
     if which == "v":
         values = _energy_v(fam, ladder)
     else:
-        diss = 0.0
-        prev = 0.0
-        values = []
-        for t, tm in zip(ladder.levels, ladder.T_minus):
-            diss += _dissipation_integral(fam, which, prev, float(t), spec)
-            values.append(_kinetic(fam, which, float(t), spec, T_minus=tm) + diss)
-            prev = float(t)
+        values = _nested_energy(fam, which, ladder, spec)
     quantity = f"energy_{which}"
     return NormSeries(
         quantity=quantity, ladder=ladder, values=np.asarray(values),
         normalizers=_ENERGY_NORMALIZER[quantity](ladder.T_minus))
 
 
-def spatial_L1_parts(fam: SolutionFamily, quantity: str, t: float,
-                     spec: QuadratureSpec = NORM_SPEC, *,
-                     T_minus: Optional[float] = None) -> tuple[float, float]:
+def spatial_L1_parts(fam: SolutionFamily, quantity: str, t,
+                     spec: QuadratureSpec = NORM_SPEC, *, T_minus=None):
     """(main, axis) split of the spatial L^1 norm at time t.
 
     ``main`` integrates over [1e-4, 1]; ``axis`` covers the remaining
     sliver (0, 1e-4], where the integrand runs through the profile's series
     form, and is reported separately so it is never silently dropped.
     ``T_minus`` is T - t when the caller holds it free of cancellation
-    (``TimeLadder.T_minus``); by default it is formed from t.
+    (``TimeLadder.T_minus``); by default it is formed from t. An array of
+    times gives arrays, each part one row-batched quadrature.
     """
     if quantity not in _L1_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if quantity != "f" and fam.part != 2:
         raise ValueError("Y quantities need a part-2 family")
-    tm = _T_minus(fam, float(t), T_minus)
+    tm = _T_minus(fam, t, T_minus)
 
     def integrand(r):
-        return _y_times_r(fam, quantity, r, tm)
+        return _y_times_r(fam, quantity, r, tm[..., None])
 
-    main, _ = integrate(integrand, EPS0, 1.0, spec,
+    edge = np.full_like(tm, EPS0)
+    main, _ = integrate(integrand, edge, np.ones_like(tm), spec,
                         breakpoints=_radial_breakpoints(tm))
-    axis, _ = integrate(integrand, 0.0, EPS0, spec,
+    axis, _ = integrate(integrand, np.zeros_like(tm), edge, spec,
                         breakpoints=_radial_breakpoints(tm))
     return 2.0 * np.pi * main, 2.0 * np.pi * axis
 
@@ -291,8 +309,9 @@ _L1_NORMALIZER = {
 
 def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
               spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
-    values = np.array([sum(spatial_L1_parts(fam, quantity, float(t), spec, T_minus=tm))
-                       for t, tm in zip(ladder.levels, ladder.T_minus)])
+    main, axis = spatial_L1_parts(fam, quantity, ladder.levels, spec,
+                                  T_minus=ladder.T_minus)
+    values = main + axis
     return NormSeries(
         quantity=f"L1_{quantity}", ladder=ladder, values=values,
         normalizers=_L1_NORMALIZER[quantity](ladder.T_minus))

@@ -53,18 +53,6 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _X31
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != xs.shape:
-        raise TypeError("integrand must be vectorized (return one value per node)")
-    v10 = half * float(_W10 @ ys[:10])
-    v21 = half * float(_W21 @ ys[10:])
-    return v21, abs(v21 - v10)
-
-
 def gauss_panel_sums(f, nodes) -> np.ndarray:
     """21-point Gauss value of ``f`` on every panel [nodes[i], nodes[i+1]].
 
@@ -80,27 +68,33 @@ def gauss_panel_sums(f, nodes) -> np.ndarray:
 
 def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
               breakpoints=None):
-    """Adaptively integrate ``f`` over ``[a, b]``.
+    """Adaptively integrate ``f`` over ``[a, b]``, one integral per row.
 
     Parameters
     ----------
     f : callable
         Vectorized integrand; called with a numpy array of nodes strictly
-        inside the integration interval.
+        inside the integration interval, and returns one value per node.
+        With array endpoints the nodes form a (rows, nodes) array whose
+        row i lies in ``[a[i], b[i]]``; with scalar endpoints they form a
+        1-d array.
     a, b : float or 1-d array
-        Interval endpoints, ``a <= b``. Arrays select row mode (below).
+        Interval endpoints, ``a <= b``. Scalars are the one-row case and
+        give float results; arrays give one integral per row.
     spec : QuadratureSpec
         Stopping tolerances and subdivision budget.
-    breakpoints : sequence of float, optional
+    breakpoints : sequence of float, or (rows, k) array, optional
         Interior points at which the initial panel set is split (useful when
-        the integrand has known structure). In row mode, a (rows, k) array:
-        row i is split at its own points, clipped into ``[a[i], b[i]]``.
+        the integrand has known structure). Row i is split at its own
+        points, clipped into ``[a[i], b[i]]``.
 
     Returns
     -------
     (value, err_estimate)
-        The integral and the accumulated panel error estimate, with
-        ``err_estimate <= max(abs_tol, rel_tol * |value|)`` on success.
+        The integral and the accumulated panel error estimate of each row
+        (floats for scalar endpoints, arrays otherwise), with
+        ``err_estimate <= max(abs_tol, rel_tol * |value|)`` row by row on
+        success.
 
     Raises
     ------
@@ -108,56 +102,26 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         If the subdivision budget is exhausted first; the error carries the
         best available value/estimate.
 
-    Row mode
+    The rule
     --------
-    With array endpoints there is one integral per row, and ``value`` and
-    ``err_estimate`` are arrays. Row i is cut at ``a[i]``, its breakpoints
-    and ``b[i]`` into the same number of segments (a clipped breakpoint
-    leaves a zero-length segment, which contributes zero). Panels live in
-    each segment's reference coordinate [0, 1] and are shared by all rows:
-    ``f`` is called once per panel with a (rows, nodes) array and returns
-    one value per node. Each row must meet its own
-    ``max(abs_tol, rel_tol * |value[i]|)``; refinement splits the worst
-    panel of the row furthest from its tolerance, and the budget counts
-    those splits.
+    Row i is cut at ``a[i]``, its breakpoints and ``b[i]`` into the same
+    number of segments; a clipped breakpoint leaves a zero-length segment,
+    which contributes zero whatever ``f`` gives on its nodes, and segments
+    empty in every row are dropped. Each segment is one panel, and a panel
+    holds every row's own endpoints ``(x0, x1)``: its nodes are
+    ``mid + half * x`` for the embedded 10/21-point Gauss-Legendre nodes
+    ``x``, its value the 21-point sum and its error estimate |G21 - G10|.
+    Refinement halves the panel with the largest error in the row furthest
+    from its tolerance, at ``0.5 * (x0 + x1)`` in every row, so all rows
+    share one panel list and ``f`` is called once per panel. The budget
+    counts those halvings. Values and error estimates are the ``fsum`` of
+    each row's panels; the loop's stopping test uses plain sums.
     """
-    if np.ndim(a):
-        return _integrate_rows(f, a, b, spec, breakpoints)
-    if b < a:
-        raise ValueError("integrate requires a <= b")
-    if a == b:
-        return 0.0, 0.0
-    pts = [a]
-    if breakpoints is not None:
-        pts.extend(float(p) for p in sorted(breakpoints) if a < p < b)
-    pts.append(b)
-    panels = [(x0, x1, *_panel(f, x0, x1)) for x0, x1 in zip(pts[:-1], pts[1:])]
-
-    splits = 0
-    while True:
-        value = fsum(p[2] for p in panels)
-        err = fsum(p[3] for p in panels)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return value, err
-        if splits >= spec.max_subdivisions:
-            raise QuadratureConvergenceError(
-                f"quadrature did not converge within {spec.max_subdivisions} "
-                f"subdivisions (best estimate {value!r}, err {err!r})",
-                value, err)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        x0, x1 = panels[worst][0], panels[worst][1]
-        xm = 0.5 * (x0 + x1)
-        panels[worst] = (x0, xm, *_panel(f, x0, xm))
-        panels.append((xm, x1, *_panel(f, xm, x1)))
-        splits += 1
-
-
-def _integrate_rows(f, a, b, spec: QuadratureSpec, breakpoints):
-    """Row mode of :func:`integrate`: one integral per row, shared panels."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("row mode needs 1-d endpoint arrays of one shape")
+        raise ValueError("integrate needs scalar or 1-d endpoint arrays of one shape")
     if np.any(b < a):
         raise ValueError("integrate requires a <= b")
     lo, hi = a[:, None], b[:, None]
@@ -166,52 +130,59 @@ def _integrate_rows(f, a, b, spec: QuadratureSpec, breakpoints):
         inner = np.asarray(breakpoints, dtype=float).reshape(a.size, -1)
         cuts.append(np.clip(np.sort(inner, axis=1), lo, hi))
     pts = np.concatenate((*cuts, hi), axis=1)
-    starts, widths = pts[:, :-1], np.diff(pts, axis=1)
-    used = np.any(widths > 0.0, axis=0)  # segments empty in every row go
-    starts, widths = starts[:, used], widths[:, used]
+    used = np.any(pts[:, 1:] > pts[:, :-1], axis=0)
+    n = int(np.count_nonzero(used))
+    x0 = np.empty((n + spec.max_subdivisions, a.size))
+    x1, vals, errs = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
+    x0[:n], x1[:n] = pts[:, :-1][:, used].T, pts[:, 1:][:, used].T
 
-    def panel(seg, u0, u1):
-        half = 0.5 * (u1 - u0)
-        u = 0.5 * (u0 + u1) + half * _X31
-        xs = starts[:, seg, None] + widths[:, seg, None] * u
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
+    def panel(i):
+        half = 0.5 * (x1[i] - x0[i])
+        mid = 0.5 * (x0[i] + x1[i])
+        xs = mid[:, None] + half[:, None] * _X31
+        nodes = xs[0] if scalar else xs
+        ys = np.asarray(f(nodes), dtype=float)
+        if ys.shape != nodes.shape:
             raise TypeError("integrand must be vectorized (return one value per node)")
-        scale = widths[:, seg] * half
+        ys = ys.reshape(xs.shape)
         # A zero-length segment of a row contributes zero, whatever f gives
         # on its (degenerate) nodes.
-        v10 = np.where(scale > 0.0, scale * (ys[:, :10] @ _W10), 0.0)
-        v21 = np.where(scale > 0.0, scale * (ys[:, 10:] @ _W21), 0.0)
-        return v21, np.abs(v21 - v10)
+        live = half > 0.0
+        v10 = np.where(live, half * (ys[:, :10] @ _W10), 0.0)
+        v21 = np.where(live, half * (ys[:, 10:] @ _W21), 0.0)
+        vals[i], errs[i] = v21, np.abs(v21 - v10)
 
-    n_seg = widths.shape[1]
-    panels = [(seg, 0.0, 1.0) for seg in range(n_seg)]
-    vals = np.empty((n_seg + spec.max_subdivisions, a.size))
-    errs = np.empty_like(vals)
-    for i, p in enumerate(panels):
-        vals[i], errs[i] = panel(*p)
+    def totals(n):
+        value = [fsum(col) for col in vals[:n].T]
+        err = [fsum(col) for col in errs[:n].T]
+        return value, err
 
+    def shaped(v):
+        return v[0] if scalar else np.array(v)
+
+    for i in range(n):
+        panel(i)
     splits = 0
     while True:
-        n = len(panels)
-        value = vals[:n].sum(axis=0)
         err = errs[:n].sum(axis=0)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(vals[:n].sum(axis=0)))
         if np.all(err <= tol):
-            return value, err
+            value, err = totals(n)
+            return shaped(value), shaped(err)
         row = int(np.argmax(err / tol))
         if splits >= spec.max_subdivisions:
+            value, err = totals(n)
             raise QuadratureConvergenceError(
                 f"quadrature did not converge within {spec.max_subdivisions} "
                 f"subdivisions (row {row}: best estimate {value[row]!r}, "
-                f"err {err[row]!r})", value, err)
+                f"err {err[row]!r})", shaped(value), shaped(err))
         worst = int(np.argmax(errs[:n, row]))
-        seg, u0, u1 = panels[worst]
-        um = 0.5 * (u0 + u1)
-        panels[worst] = (seg, u0, um)
-        panels.append((seg, um, u1))
-        vals[worst], errs[worst] = panel(seg, u0, um)
-        vals[n], errs[n] = panel(seg, um, u1)
+        xm = 0.5 * (x0[worst] + x1[worst])
+        x0[n], x1[n] = xm, x1[worst]
+        x1[worst] = xm
+        panel(worst)
+        panel(n)
+        n += 1
         splits += 1
 
 

@@ -149,19 +149,19 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
     )
 
 
-def inner_integral(k: ForcingProfile, s: float,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def inner_integral(k: ForcingProfile, s, spec: QuadratureSpec = DEFAULT_SPEC):
     """I(s) = integral of e^{-l^2/2} k(l) over [s, infinity).
 
     The support of k truncates the integral exactly at l = 1, so I(s) = 0
-    for s >= 1 with no tail approximation.
+    for s >= 1 with no tail approximation. An array of s is one
+    row-batched quadrature; a scalar s gives a float.
     """
-    s = float(s)
-    if s < 0.0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0.0):
         raise ValueError("inner integral requires s >= 0")
-    if s >= 1.0:
-        return 0.0
-    value, _ = integrate(lambda l: np.exp(-0.5 * l * l) * k(l), s, 1.0, spec)
+    lo = np.minimum(s, 1.0)
+    value, _ = integrate(lambda l: np.exp(-0.5 * l * l) * k(l), lo,
+                         np.ones_like(lo), spec)
     return value
 
 
@@ -213,9 +213,7 @@ class SwirlProfile:
             return 0.0
 
         def integrand(s):
-            s = np.atleast_1d(s)
-            iv = np.array([inner_integral(self.k, v, spec) for v in s])
-            return -s * np.exp(0.5 * s * s) * iv
+            return -s * np.exp(0.5 * s * s) * inner_integral(self.k, s, spec)
 
         value, _ = integrate(integrand, 0.0, r, spec)
         return value

@@ -112,6 +112,16 @@ def test_config_error_exit_status(tmp_path):
     assert rc == 2
 
 
+def test_ladder_deeper_than_double_precision_is_a_config_error(tmp_path):
+    # At T = 1/2 the levels T (1 - 2^-j) stop increasing past j = 53.
+    out = tmp_path / "out"
+    rc = run_cli(["norms", "--part", "1", "--ladder-J", "60", "--out", str(out)])
+    assert rc == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 2
+    assert "ladder_J = 60" in summary["error"]
+
+
 def test_run_summary_always_emitted(tmp_path):
     out = tmp_path / "out"
     run_cli(["profile", "--out", str(out)])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import axiswirl as ax
 from axiswirl.norms import (NORM_SPEC, _dissipation_integral, _kinetic,
-                            energy_series)
+                            _nested_energy, energy_series)
 
 
 def nested_energy_v(fam, ladder):
@@ -80,3 +80,14 @@ def test_energy_log_slope_identity(big_profile, T):
 @given(T=st.floats(min_value=1e-100, max_value=0.5))
 def test_closed_form_matches_nested_path_any_T(ref_profile, T):
     assert_matches_nested(ref_profile, T, J=4)
+
+
+# Deep levels put T - t near 1e-16 T: the nested path must integrate the
+# dissipation in T - s from the ladder's exact T_minus, not in t.
+@pytest.mark.parametrize("T", [0.5, 0.3])
+def test_closed_form_matches_nested_path_deep_ladder(ref_profile, T):
+    fam = ax.SolutionFamily(profile=ref_profile, T=T, part=1)
+    ladder = ax.make_time_ladder(T, 50)
+    closed = energy_series(fam, "v", ladder).values
+    nested = _nested_energy(fam, "v", ladder, NORM_SPEC)
+    assert np.max(np.abs(closed - nested) / np.abs(nested)) < 1e-9

@@ -149,6 +149,17 @@ def test_eval_pressure_radial_momentum_identity(fam1):
     assert dp == pytest.approx(v * v / r, abs=1e-8)
 
 
+@pytest.mark.parametrize("which, t", [("v", 0.25), ("vbar", 0.5 - 2.0 ** -20)])
+def test_eval_pressure_rows_match_point_calls(fam2_big, which, t):
+    spec = ax.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
+    radii = np.array([0.0, 1e-4, 0.003, 0.2, 0.55, 1.0])
+    rows = ax.eval_pressure(fam2_big, which, radii, t, spec)
+    assert rows.shape == radii.shape
+    for r, p in zip(radii, rows):
+        point = ax.eval_pressure(fam2_big, which, float(r), t, spec)
+        assert abs(p - point) <= max(spec.abs_tol, spec.rel_tol * abs(point))
+
+
 def test_eval_pressure_invalid_field(fam1):
     with pytest.raises(ValueError):
         ax.eval_pressure(fam1, "w", 0.5, 0.2)
@@ -215,6 +226,22 @@ def test_field_slice_rows_part1_nans(fam1):
     assert rows.shape == (4, len(FIELD_SLICE_HEADER))
     assert np.all(np.isnan(rows[:, FIELD_SLICE_HEADER.index("eta")]))
     assert np.all(~np.isnan(rows[:, FIELD_SLICE_HEADER.index("u")]))
+
+
+def test_field_slice_rows_match_samples(fam2):
+    # The vectorised slice against the one-point view: every field equal,
+    # the pressure (one row-batched quadrature) to the quadrature tolerance.
+    radii, times = [5e-5, 0.2, 0.8, 1.0], [0.1, 0.5 - 2.0 ** -16]
+    rows = field_slice_rows(fam2, radii, times)
+    p_col = FIELD_SLICE_HEADER.index("P")
+    for row in rows:
+        s = ax.sample(fam2, row[0], row[1])
+        expected = [s.r, s.t, s.sigma] + [s.values.get(name, np.nan)
+                                          for name in FIELD_SLICE_HEADER[3:]]
+        others = [i for i in range(len(row)) if i != p_col]
+        np.testing.assert_array_equal(row[others], np.array(expected)[others])
+        tol = max(ax.DEFAULT_SPEC.abs_tol, ax.DEFAULT_SPEC.rel_tol * abs(s.values["P"]))
+        assert abs(row[p_col] - s.values["P"]) <= tol
 
 
 def test_upper_bound_ratio_bounded_and_stable(fam1):

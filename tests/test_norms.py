@@ -138,3 +138,14 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
     scaled = series.values * np.sqrt(ladder.T_minus)
     assert np.ptp(scaled) / np.mean(scaled) < 1e-10
     assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("quantity", ["f", "Y1", "Y4"])
+def test_l1_series_rows_match_per_level_parts(fam2_big, quantity):
+    ladder = ax.make_time_ladder(0.3, 30)
+    fam = ax.SolutionFamily(profile=fam2_big.profile, T=0.3, part=2)
+    series = l1_series(fam, quantity, ladder)
+    for value, t, tm in zip(series.values, ladder.levels, ladder.T_minus):
+        main, axis = spatial_L1_parts(fam, quantity, float(t), T_minus=tm)
+        point = main + axis
+        assert abs(value - point) <= max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * abs(point))

@@ -226,6 +226,21 @@ def test_integrate_rows_validation():
         ax.integrate(lambda x: x, np.zeros(2), np.ones(3))
 
 
+@pytest.mark.parametrize("points", [None, [0.05, 0.2, 0.2, 1.7]])
+def test_integrate_scalar_call_is_the_one_row_case(points):
+    # Scalar endpoints run the row engine on one row: the same panels and
+    # the same bits, whether or not breakpoints seed them.
+    def f(x):
+        return np.exp(-20.0 * x) * np.cos(9.0 * x) + np.sqrt(x)
+
+    value, err = ax.integrate(f, 0.0, 1.3, _ROW_SPEC, breakpoints=points)
+    rows = None if points is None else np.array([points])
+    values, errs = ax.integrate(f, np.array([0.0]), np.array([1.3]), _ROW_SPEC,
+                                breakpoints=rows)
+    assert type(value) is float and values.shape == (1,)
+    assert (value, err) == (values[0], errs[0])
+
+
 @pytest.mark.parametrize("which, part, r, t, expected", [
     ("v", 1, 0.3, 0.2, 8.064609706358863e-07),
     ("v", 1, 0.9, 0.4, 9.24511199599632e-06),
