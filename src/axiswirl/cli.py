@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -63,16 +64,24 @@ class RunConfig:
                               f"T = {self.T!r}: {exc}") from exc
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
+        if self.oracle_levels < 2:
+            raise ConfigError("oracle_levels must be at least 2")
+        try:  # the constructors' own checks, on what the commands build
+            make_radial_grid(self.grid_n, self.grading)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        try:
+            _oracle_configs(self, self)
+        except ValueError as exc:
+            raise ConfigError(f"oracle settings: {exc}") from exc
         bad = set(self.formats) - {"csv", "json"}
         if bad:
             raise ConfigError(f"unknown formats: {sorted(bad)}")
 
 
-_CONFIG_KEYS = {
-    "T": float, "part": int, "k_spec": str, "grid_n": int, "grading": str,
-    "ladder_J": int, "out_dir": str,
-    "oracle_n_r": int, "oracle_theta": float, "oracle_levels": int,
-}
+# Every RunConfig field is a key (and a flag, where the parser has one).
+_CONFIG_KEYS = {name: kind for name, kind in get_type_hints(RunConfig).items()
+                if name != "formats"}
 
 
 def load_config(path: str) -> dict:
@@ -209,7 +218,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                   field_slice_rows(fam, slice_r, slice_t))
     for c in report["checks"]:
         name = c.get("equation", c.get("name"))
-        print(f"verify: {name}: {'pass' if c['passed'] else 'FAIL'}")
+        headroom = (f"refinement_drift = {c['refinement_drift']:.3g}" if "name" in c
+                    else "max_abs_residual/tolerance = "
+                    f"{c['max_abs_residual'] / c['tolerance']:.3g}")
+        print(f"verify: {name}: {'pass' if c['passed'] else 'FAIL'} ({headroom})")
     return 0 if report["passed"] else 1
 
 
@@ -287,24 +299,30 @@ def norms_verdict_failures(classification: list, nontrivial: bool) -> list:
 ORACLE_ERROR_BUDGET = 1e-5
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    fam = build_family(cfg)
+def _oracle_configs(cfg: RunConfig, fam) -> tuple[list, OracleConfig]:
+    """The refinement levels and the near-blow-up probe ``cmd_oracle`` runs.
+    Only ``fam.T`` is read: ``RunConfig.validate`` passes the config."""
     levels = default_levels(fam, theta=cfg.oracle_theta, base_n=cfg.oracle_n_r,
                             base_steps=cfg.oracle_n_r * 8,
                             n_levels=cfg.oracle_levels)
+    # The probe runs closer to the blow-up time: quarter the cutoff, refine
+    # the grid with the shrinking solution scale sqrt(2 delta).
+    finest = levels[-1]
+    probe = OracleConfig(
+        n_r=2 * finest.n_r - 1,
+        dt=(fam.T - fam.T / 32.0) / (8 * (2 * finest.n_r - 1)),
+        delta=fam.T / 32.0, theta=cfg.oracle_theta)
+    return levels, probe
+
+
+def cmd_oracle(cfg: RunConfig) -> int:
+    fam = build_family(cfg)
+    levels, probe_cfg = _oracle_configs(cfg, fam)
     run = convergence_study(fam, levels)
     band = (1.7, 2.3) if cfg.oracle_theta == 0.5 else (0.7, 1.3)
     order_ok = band[0] <= run.convergence_order <= band[1]
     passed = (run.study_valid and order_ok
               and run.final_error_Linf < ORACLE_ERROR_BUDGET)
-
-    # Second probe closer to the blow-up time: quarter the cutoff, refine
-    # the grid with the shrinking solution scale sqrt(2 delta).
-    finest = levels[-1]
-    probe_cfg = OracleConfig(
-        n_r=2 * finest.n_r - 1,
-        dt=(fam.T - fam.T / 32.0) / (8 * (2 * finest.n_r - 1)),
-        delta=fam.T / 32.0, theta=cfg.oracle_theta)
     probe = solve_swirl(fam, probe_cfg)
 
     payload = {
@@ -367,8 +385,7 @@ def build_run_config(args) -> RunConfig:
     values = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in ("part", "T", "k_spec", "grid_n", "ladder_J", "out_dir",
-                "oracle_n_r", "oracle_theta"):
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val

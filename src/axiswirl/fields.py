@@ -16,11 +16,12 @@ which is singular at t = T, and the log-transformed family
 
 defined when the forcing profile is nonpositive (u >= 0).
 
-Every field is keyed on T - t: the public evaluators validate the caller's
-(r, t) once and form T - t once, then call one kernel, either the value
-path (u, v, eta, vbar from phi0) or the gradient path (u, u/r, du/dr from
-the profile jet). Ladder-driven callers pass ``TimeLadder.T_minus``, which
-is free of the cancellation in T - t_j when T is not dyadic.
+The one time coordinate is tm = T - t. The kernels (``_w``: u, v, eta,
+vbar from phi0; ``_jet``: u, u/r, du/dr; ``_h``, ``_y``, ``_rhs``) take
+unchecked radii and tm of broadcastable shapes; verify, norms and oracle
+pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
+formed and checked once by ``_T_minus``. Only the public evaluators take t,
+for tests and export: they validate (r, t), form T - t once, call a kernel.
 """
 
 from __future__ import annotations
@@ -180,6 +181,18 @@ def _y(fam: SolutionFamily, r, tm):
     return y1, y2, y3, y4, y1 + y2 + y3 + y4
 
 
+def _rhs(fam: SolutionFamily, which: str):
+    """Kernel (r, tm) of the right side of the equation ``which`` solves:
+    the forcing for u and v, the Y sum for eta and vbar."""
+    if which in ("u", "v"):
+        return lambda r, tm: _h(fam, r, tm)
+    if which not in ("eta", "vbar"):
+        raise ValueError(f"unknown field {which!r}")
+    if fam.part != 2:
+        raise ValueError(f"{which!r} checks need a part-2 family")
+    return lambda r, tm: _y(fam, r, tm)[4]
+
+
 def _field(fam: SolutionFamily, which: str, r, t):
     rr, tm = _validate(fam, r, t)
     return _shaped(_w(fam, which, rr, tm), r, t)
@@ -269,12 +282,7 @@ def eval_Y(fam: SolutionFamily, r, t):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < EPS0):
         raise DomainError(f"Y components are served for r >= {EPS0:g}")
-    return _y_terms(fam, r, t)
-
-
-def _y_terms(fam: SolutionFamily, r, t):
-    """Y components without the axis cutoff; integrands use this directly."""
-    rr, tm = _validate(fam, r, t)
+    rr, tm = _validate(fam, r_arr, t)
     return tuple(_shaped(v, r, t) for v in _y(fam, rr, tm))
 
 

@@ -10,18 +10,18 @@ stepping uses the one-parameter theta scheme: trapezoidal at theta = 1/2
 (second order), backward Euler at theta = 1. Each step solves one
 tridiagonal system by direct banded elimination; nothing here shares a
 code path with the closed-form construction beyond the problem data
-itself (initial slice, wall constant, forcing).
+itself (initial slice, wall constant, forcing), read from the T - t kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .fields import SolutionFamily, eval_eta, eval_h, eval_u, _y_terms
+from .fields import SolutionFamily, _rhs, _T_minus, _w
 
 __all__ = [
     "OracleConfig",
@@ -139,31 +139,31 @@ class SwirlStepper:
         return out
 
 
-def _march(fam: SolutionFamily, cfg: OracleConfig, closed_form: Callable,
-           bc_wall: float, rhs: Callable, snapshots: int = 9) -> OracleSolution:
-    """Step from closed_form at t = 0 to T - delta and compare there."""
+def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
+           bc_wall: float, snapshots: int = 9) -> OracleSolution:
+    """Step the field ``which`` from t = 0 to T - delta and compare there."""
     t_end = fam.T - cfg.delta
     n_steps = int(round(t_end / cfg.dt))
     dt = t_end / n_steps
     stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, 0.0, bc_wall)
     r = stepper.r
     ri = r[1:-1]
-    initial = np.asarray(closed_form(fam, r, 0.0), dtype=float)
+    rhs = _rhs(fam, which)
+    # T - t of every step's theta-midpoint and of t_end, checked once.
+    tm = _T_minus(fam, np.append(np.arange(n_steps) * dt + cfg.theta * dt, t_end))
+    initial = _w(fam, which, r, fam.T)
 
     keep = np.unique(np.linspace(0, n_steps, snapshots).astype(int))
     times = [0.0]
     slices = [initial.copy()]
     w = initial.copy()
-    t = 0.0
     for n in range(n_steps):
-        t_mid = t + cfg.theta * dt
-        w = stepper.step(w, np.asarray(rhs(fam, ri, t_mid), dtype=float))
-        t = (n + 1) * dt
+        w = stepper.step(w, rhs(ri, tm[n]))
         if (n + 1) in keep:
-            times.append(t)
+            times.append((n + 1) * dt)
             slices.append(w.copy())
 
-    exact = np.asarray(closed_form(fam, r, t_end), dtype=float)
+    exact = _w(fam, which, r, tm[-1])
     err = w - exact
     linf = float(np.max(np.abs(err)))
     l2 = float(np.sqrt(2.0 * np.pi * np.trapezoid(err * err * r, r)))
@@ -176,17 +176,16 @@ def solve_swirl(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
 
     Boundary data: zero at the axis, the constant wall trace (minus the
     wall constant alpha) at r = 1; initial slice and forcing come from the
-    family evaluators.
+    family's T - t kernels.
     """
-    return _march(fam, cfg, eval_u, -fam.alpha, eval_h)
+    return _march(fam, cfg, "u", -fam.alpha)
 
 
 def solve_eta(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
     """Same stepper applied to the log-transformed equation."""
     if fam.part != 2:
         raise ValueError("solve_eta needs a part-2 family")
-    return _march(fam, cfg, eval_eta, fam.log_wall,
-                  lambda fam, r, t: _y_terms(fam, r, t)[4])
+    return _march(fam, cfg, "eta", fam.log_wall)
 
 
 def default_levels(fam: SolutionFamily, *, theta: float = 0.5,
@@ -246,13 +245,10 @@ TRAJECTORY_HEADER = ["t", "r", "phi_numeric", "phi_exact", "abs_error"]
 def trajectory_rows(fam: SolutionFamily, sol: OracleSolution,
                     which: str = "u", stride: int = 8) -> np.ndarray:
     """Snapshot table comparing the discrete trajectory with the closed form."""
-    ev = eval_u if which == "u" else eval_eta
-    rows = []
-    for t, slc in zip(sol.times, sol.values):
-        rs = sol.r[::stride]
-        exact = np.asarray(ev(fam, rs, float(t)), dtype=float)
-        num = slc[::stride]
-        for r, wn, we in zip(rs, num, exact):
-            rows.append([float(t), float(r), float(wn), float(we),
-                         abs(float(wn) - float(we))])
-    return np.asarray(rows, dtype=float)
+    rs = sol.r[::stride]
+    num = sol.values[:, ::stride]
+    tm = _T_minus(fam, sol.times)
+    exact = _w(fam, which, rs, tm[:, None])
+    return np.column_stack([np.repeat(sol.times, rs.size), np.tile(rs, tm.size),
+                            num.ravel(), exact.ravel(),
+                            np.abs(num - exact).ravel()])

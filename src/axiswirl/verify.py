@@ -4,7 +4,8 @@ The constructed fields are exact solutions; the checks see them through
 finite-difference stencils, so pass/fail must be resolution-aware. Every
 stencil is sized against the local solution scale
 
-    ell(r, t) = sqrt(r^2 + 2 (T - t))        (radial step h_r = theta_r * ell)
+    ell(r, t) = sqrt(r^2 + 2 (T - t))        (radial step h_r = theta_r * ell,
+                                              at most 0.45 min(r, 1 - r))
     h_t       = min(1e-5, (T - t) / 100)     (never crosses t = T)
 
 and each sample's residual is normalized by the magnitude of the largest
@@ -14,6 +15,11 @@ truncation of an O(h^2) stencil applied to the true solution, with kappa
 absorbing the profile's derivative-growth ratios. Halving the dimensionless
 steps must shrink the measured residuals about fourfold, which the
 acceptance suite checks explicitly.
+
+Every stencil is taken in T - t coordinates: the samples form one
+level-major (level, radius) lattice keyed on ``TimeLadder.T_minus``, and
+each check evaluates its fields on it in one ``fields`` kernel call (the
+momentum check's pressure is still one quadrature per level).
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (SolutionFamily, eval_h, eval_pressure, eval_u, _field,
-                     _gradient, _y_terms)
-from .numerics import QuadratureSpec, RadialGrid, TimeLadder, local_radial_scale
+from .fields import SolutionFamily, eval_pressure, _jet, _rhs, _w
+from .numerics import (QuadratureSpec, RadialGrid, TimeLadder, local_radial_scale,
+                       make_radial_grid, make_time_ladder)
 from .profiles import EPS0
 
 __all__ = [
@@ -92,22 +98,35 @@ class BoundCheck:
     passed: bool
 
 
-def _rhs(fam: SolutionFamily, which: str):
-    """Right side of the equation the field ``which`` solves."""
-    if which in ("u", "v"):
-        return eval_h
-    if which not in ("eta", "vbar"):
-        raise ValueError(f"unknown field {which!r}")
-    if fam.part != 2:
-        raise ValueError(f"{which!r} checks need a part-2 family")
-    return lambda fam, r, t: _y_terms(fam, r, t)[4]
+def _report(equation: str, samples: list, tolerance: float, raw_max: float, *,
+            skipped: int = 0, requested: Optional[int] = None,
+            raw_samples=()) -> ResidualReport:
+    """The report of normalized samples (r, t, residual) against tolerance."""
+    max_norm = max((s[2] for s in samples), default=0.0)
+    report = ResidualReport(
+        equation=equation, samples=samples, tolerance=tolerance,
+        max_abs_residual=max_norm, passed=False, skipped=skipped,
+        requested=len(samples) if requested is None else requested,
+        max_raw_residual=raw_max, worst=sorted(samples, key=lambda s: -s[2])[:5],
+        raw_samples=list(raw_samples))
+    report.passed = bool(max_norm <= tolerance and report.sampling_valid)
+    return report
 
 
-def _sample_points(grid: RadialGrid, ladder: TimeLadder, exclude_nearest: int):
+def _lattice(grid: RadialGrid, ladder: TimeLadder, exclude_nearest: int,
+             theta: float, stride: int = 1):
+    """Level-major (level, radius) samples r, t, tm = T - t with a usable
+    radial step h = min(theta * ell, 0.45 min(r, 1 - r)) > 0, and the
+    number of samples requested."""
     radii = grid.interior()
-    radii = radii[radii >= EPS0]
+    radii = radii[radii >= EPS0][::stride]
     keep = len(ladder) - exclude_nearest
-    return radii, ladder.levels[:keep], ladder.T_minus[:keep]
+    times, tminus = ladder.levels[:keep], ladder.T_minus[:keep]
+    r = np.tile(radii, times.size)
+    t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
+    h = np.minimum(theta * local_radial_scale(r, tm), 0.45 * np.minimum(r, 1.0 - r))
+    usable = h > 0.0
+    return r[usable], t[usable], tm[usable], h[usable], r.size
 
 
 def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
@@ -124,54 +143,29 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     """
     rhs = _rhs(fam, which)
     theta_r0 = (0.5 / (len(grid) - 1)) if theta_r is None else theta_r
-    radii, times, tminus = _sample_points(grid, ladder, exclude_nearest)
+    r, t, tm, h, requested = _lattice(grid, ladder, exclude_nearest,
+                                      step_scale * theta_r0)
+    h_t = step_scale * np.minimum(1e-5, tm / 100.0)
 
-    samples = []
-    raw_samples = []
-    raw_max = 0.0
-    skipped = 0
-    requested = radii.size * times.size
-    for t, tm in zip(times, tminus):
-        h_t = step_scale * min(1e-5, tm / 100.0)
-        ell = local_radial_scale(radii, tm)
-        h_r = np.minimum(step_scale * theta_r0 * ell,
-                         0.45 * np.minimum(radii, 1.0 - radii))
-        usable = h_r > 0.0
-        skipped += int(np.count_nonzero(~usable))
-        r = radii[usable]
-        h = h_r[usable]
+    # Centre, radial and time neighbours: one kernel call for all stencils.
+    w0, wp, wm, wtp, wtm = _w(fam, which, np.stack((r, r + h, r - h, r, r)),
+                              np.stack((tm, tm, tm, tm - h_t, tm + h_t)))
+    d_rr = (wp - 2.0 * w0 + wm) / (h * h)
+    d_r_over_r = (wp - wm) / (2.0 * h * r)
+    zeroth = w0 / (r * r)
+    d_t = (wtp - wtm) / (2.0 * h_t)
+    rhs_v = rhs(r, tm)
 
-        w0 = np.asarray(_field(fam, which, r, t), dtype=float)
-        wp = np.asarray(_field(fam, which, r + h, t), dtype=float)
-        wm = np.asarray(_field(fam, which, r - h, t), dtype=float)
-        wtp = np.asarray(_field(fam, which, r, t + h_t), dtype=float)
-        wtm = np.asarray(_field(fam, which, r, t - h_t), dtype=float)
-
-        d_rr = (wp - 2.0 * w0 + wm) / (h * h)
-        d_r_over_r = (wp - wm) / (2.0 * h * r)
-        zeroth = w0 / (r * r)
-        d_t = (wtp - wtm) / (2.0 * h_t)
-        rhs_v = np.asarray(rhs(fam, r, t), dtype=float)
-
-        raw = d_rr + d_r_over_r - zeroth - d_t - rhs_v
-        mag = np.maximum.reduce([
-            np.ones_like(raw), np.abs(w0), np.abs(d_rr), np.abs(d_r_over_r),
-            np.abs(zeroth), np.abs(d_t), np.abs(rhs_v)])
-        normalized = np.abs(raw) / mag
-        raw_max = max(raw_max, float(np.max(np.abs(raw))) if raw.size else 0.0)
-        samples.extend(zip(r.tolist(), [float(t)] * r.size, normalized.tolist()))
-        raw_samples.extend(zip(r.tolist(), [float(t)] * r.size, raw.tolist()))
-
+    raw = d_rr + d_r_over_r - zeroth - d_t - rhs_v
+    mag = np.maximum.reduce([
+        np.ones_like(raw), np.abs(w0), np.abs(d_rr), np.abs(d_r_over_r),
+        np.abs(zeroth), np.abs(d_t), np.abs(rhs_v)])
     tolerance = kappa * ((step_scale * theta_r0) ** 2 + (step_scale * THETA_T_CAP) ** 2)
-    max_norm = max((s[2] for s in samples), default=0.0)
-    worst = sorted(samples, key=lambda s: -s[2])[:5]
-    report = ResidualReport(
-        equation=_EQUATION_OF_WHICH[which], samples=samples,
-        tolerance=tolerance, max_abs_residual=max_norm,
-        passed=False, skipped=skipped, requested=requested,
-        max_raw_residual=raw_max, worst=worst, raw_samples=raw_samples)
-    report.passed = bool(max_norm <= tolerance and report.sampling_valid)
-    return report
+    return _report(_EQUATION_OF_WHICH[which],
+                   list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
+                   tolerance, float(np.max(np.abs(raw), initial=0.0)),
+                   skipped=requested - r.size, requested=requested,
+                   raw_samples=zip(r.tolist(), t.tolist(), raw.tolist()))
 
 
 def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
@@ -186,39 +180,25 @@ def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
         raise ValueError("'vbar' checks need a part-2 family")
     spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
     theta_r0 = 0.5 / (len(grid) - 1)
-    radii, times, tminus = _sample_points(grid, ladder, exclude_nearest)
-    radii = radii[::stride]
-
-    samples = []
-    raw_max = 0.0
-    requested = radii.size * times.size
-    skipped = 0
-    for t, tm in zip(times, tminus):
-        ell = local_radial_scale(radii, tm)
-        h_r = np.minimum(step_scale * theta_r0 * ell,
-                         0.45 * np.minimum(radii, 1.0 - radii))
-        usable = h_r > 0.0
-        skipped += int(np.count_nonzero(~usable))
-        r, h = radii[usable], h_r[usable]
-        # Both pressure stencils of every radius in one row-batched quadrature.
-        p = eval_pressure(fam, which, np.concatenate((r + h, r - h)), float(t), spec)
-        dp = (p[:r.size] - p[r.size:]) / (2.0 * h)
-        wv = _field(fam, which, r, float(t))
-        lhs = wv * wv / r
-        raw = lhs - dp
-        mag = np.maximum.reduce([np.ones_like(raw), np.abs(lhs), np.abs(dp)])
-        samples.extend(zip(r.tolist(), [float(t)] * r.size, (np.abs(raw) / mag).tolist()))
-        raw_max = max(raw_max, float(np.max(np.abs(raw), initial=0.0)))
-
-    tolerance = kappa * (step_scale * theta_r0) ** 2
-    max_norm = max((s[2] for s in samples), default=0.0)
-    report = ResidualReport(
-        equation="radial_momentum", samples=samples, tolerance=tolerance,
-        max_abs_residual=max_norm, passed=False, skipped=skipped,
-        requested=requested, max_raw_residual=raw_max,
-        worst=sorted(samples, key=lambda s: -s[2])[:5])
-    report.passed = bool(max_norm <= tolerance and report.sampling_valid)
-    return report
+    r, t, tm, h, requested = _lattice(grid, ladder, exclude_nearest,
+                                      step_scale * theta_r0, stride)
+    # Both pressure stencils of every radius: one row-batched quadrature
+    # per level, since the pressure is integrated at one time.
+    dp = np.empty_like(r)
+    for level in np.unique(t):
+        at = t == level
+        p = eval_pressure(fam, which, np.concatenate((r[at] + h[at], r[at] - h[at])),
+                          float(level), spec)
+        dp[at] = (p[:p.size // 2] - p[p.size // 2:]) / (2.0 * h[at])
+    wv = _w(fam, which, r, tm)
+    lhs = wv * wv / r
+    raw = lhs - dp
+    mag = np.maximum.reduce([np.ones_like(raw), np.abs(lhs), np.abs(dp)])
+    return _report("radial_momentum",
+                   list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
+                   kappa * (step_scale * theta_r0) ** 2,
+                   float(np.max(np.abs(raw), initial=0.0)),
+                   skipped=requested - r.size, requested=requested)
 
 
 def check_boundary(fam: SolutionFamily, ladder: TimeLadder,
@@ -234,14 +214,9 @@ def check_boundary(fam: SolutionFamily, ladder: TimeLadder,
     which = ("v",) if fam.part == 1 else ("v", "vbar")
     samples = []
     for name in which:
-        for t in ladder.levels:
-            samples.append((1.0, float(t), abs(float(_field(fam, name, 1.0, float(t))))))
-    max_abs = max(s[2] for s in samples)
-    report = ResidualReport(
-        equation="boundary", samples=samples, tolerance=tol,
-        max_abs_residual=max_abs, passed=bool(max_abs <= tol),
-        requested=len(samples), max_raw_residual=max_abs,
-        worst=sorted(samples, key=lambda s: -s[2])[:5])
+        wall = np.abs(_w(fam, name, 1.0, ladder.T_minus))
+        samples.extend(zip([1.0] * wall.size, ladder.levels.tolist(), wall.tolist()))
+    report = _report("boundary", samples, tol, max(s[2] for s in samples))
     report.worst.append(("horizontal slip conditions", "structural", 0.0))
     return report
 
@@ -255,25 +230,22 @@ _BOUND_SHAPES = {
 
 def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
                    ladder: TimeLadder) -> np.ndarray:
+    """The normalised field on the (levels, 1) x (1, radii) lattice, level-major."""
+    if bound not in _BOUND_SHAPES:
+        raise ValueError(f"unknown bound {bound!r}")
     radii = grid.interior()
     radii = radii[radii >= EPS0]
-    out = []
-    for t, tm in zip(ladder.levels, ladder.T_minus):
-        shape = (radii * radii + tm)
-        if bound == "grad_u_upper":
-            _, uor, du = _gradient(fam, radii, float(t))
-            out.append(np.sqrt(du * du + uor * uor) * shape)
-            continue
-        u = np.asarray(eval_u(fam, radii, float(t)), dtype=float)
-        if bound == "u_upper":
-            out.append(np.abs(u) * shape / radii)
-        elif bound == "phi_lower":
-            if np.any(u <= 0.0):
-                raise ValueError("lower bound requires a strictly positive field")
-            out.append(radii / (u * shape))
-        else:
-            raise ValueError(f"unknown bound {bound!r}")
-    return np.concatenate(out)
+    tm = ladder.T_minus[:, None]
+    shape = radii * radii + tm
+    if bound == "grad_u_upper":
+        _, uor, du = _jet(fam, radii, tm)
+        return (np.sqrt(du * du + uor * uor) * shape).ravel()
+    u = _w(fam, "u", radii, tm)
+    if bound == "u_upper":
+        return (np.abs(u) * shape / radii).ravel()
+    if np.any(u <= 0.0):
+        raise ValueError("lower bound requires a strictly positive field")
+    return (radii / (u * shape)).ravel()
 
 
 def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
@@ -289,7 +261,6 @@ def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
     base = _bound_samples(fam, bound, grid, ladder)
     fitted = float(np.max(base))
 
-    from .numerics import make_radial_grid, make_time_ladder
     fine_grid = make_radial_grid(2 * len(grid) - 1, grid.grading)
     fine_ladder = make_time_ladder(ladder.T, ladder.J + 2)
     fine = float(np.max(_bound_samples(fam, bound, fine_grid, fine_ladder)))

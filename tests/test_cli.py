@@ -166,3 +166,53 @@ def test_manifest_records_scipy_version(tmp_path):
     assert run_cli(["profile", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest_profile.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--oracle-theta", "0.3"], "", "theta must lie in [1/2, 1]"),
+    (["--oracle-n-r", "8"], "", "n_r must be at least 16"),
+    (["--oracle-n-r", "16", "--oracle-theta", "1.0"], "",
+     "dt must satisfy 0 < dt < delta / 10"),
+    ([], "oracle_levels = 1\n", "oracle_levels must be at least 2"),
+    ([], "grading = spiral\n", "unknown grading 'spiral'"),
+], ids=["oracle-theta", "oracle-n-r", "oracle-dt", "oracle-levels", "grading"])
+def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    rc = run_cli(["oracle", "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 2
+    assert message in summary["error"]
+
+
+def test_every_run_config_field_is_a_config_key(tmp_path):
+    from dataclasses import fields
+    from axiswirl.cli import RunConfig
+    path = tmp_path / "run.cfg"
+    path.write_text("T = 0.25\npart = 2\nk_spec = bump\ngrid_n = 64\n"
+                    "grading = geometric\nladder_J = 10\nout_dir = o\n"
+                    "formats = json\noracle_n_r = 64\noracle_theta = 1.0\n"
+                    "oracle_levels = 2\n")
+    values = load_config(str(path))
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**values)
+    cfg.validate()
+    assert cfg.formats == ("json",) and cfg.oracle_levels == 2
+
+
+def test_verify_console_lines_carry_headroom(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--part", "2", "--grid-n", "48", "--ladder-J", "8",
+                    "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert len(lines) == len(checks)
+    for line, c in zip(lines, checks):
+        if "equation" in c:
+            ratio = c["max_abs_residual"] / c["tolerance"]
+            expected = f"{c['equation']}: pass (max_abs_residual/tolerance = {ratio:.3g})"
+        else:
+            expected = f"{c['name']}: pass (refinement_drift = {c['refinement_drift']:.3g})"
+        assert line == "verify: " + expected

@@ -91,3 +91,19 @@ def test_trajectory_rows_layout(fam1):
     assert rows.shape[1] == len(TRAJECTORY_HEADER)
     assert np.all(rows[:, 4] >= 0.0)
     assert np.allclose(rows[:, 4], np.abs(rows[:, 2] - rows[:, 3]))
+
+
+@pytest.mark.parametrize("which", ["u", "eta"])
+def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
+    # The row-by-row table from the public evaluators at the snapshot times;
+    # at T = 1/2 both form the same T - t.
+    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
+    sol = ax.solve_eta(fam2, cfg) if which == "eta" else ax.solve_swirl(fam2, cfg)
+    ev = ax.eval_u if which == "u" else ax.eval_eta
+    expected = []
+    for t, slc in zip(sol.times, sol.values):
+        rs = sol.r[::8]
+        for r, wn, we in zip(rs, slc[::8], ev(fam2, rs, float(t))):
+            expected.append([float(t), float(r), float(wn), float(we),
+                             abs(float(wn) - float(we))])
+    assert np.array_equal(trajectory_rows(fam2, sol, which), np.array(expected))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import axiswirl as ax
@@ -148,3 +149,33 @@ def test_reports_are_deterministic(fam1, grid64, ladder10):
     b = ax.check_swirl_pde(fam1, "v", grid64, ladder10)
     assert a.max_abs_residual == b.max_abs_residual
     assert a.samples == b.samples
+
+
+def test_bound_samples_read_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
+    # Per level, the normalised |u| built from the kernel at the ladder's own
+    # T - t_j; forming T - t_j from t_j would move it at rounding level.
+    from axiswirl.fields import _w
+    from axiswirl.verify import _bound_samples
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=1)
+    grid = ax.make_radial_grid(64)
+    ladder = ax.make_time_ladder(0.3, 40)
+    radii = grid.interior()
+    expected = np.concatenate([
+        np.abs(_w(fam, "u", radii, tm)) * (radii * radii + tm) / radii
+        for tm in ladder.T_minus])
+    assert np.array_equal(_bound_samples(fam, "u_upper", grid, ladder), expected)
+
+
+@pytest.mark.parametrize("which", ["v", "eta"])
+def test_pde_samples_are_the_concatenated_one_level_reports(fam2, grid64, which):
+    ladder = ax.make_time_ladder(0.5, 10)
+    whole = ax.check_swirl_pde(fam2, which, grid64, ladder)
+    keep = len(ladder) - 2
+    parts = [ax.check_swirl_pde(
+        fam2, which, grid64,
+        ax.TimeLadder(T=0.5, levels=ladder.levels[j:j + 1],
+                      T_minus=ladder.T_minus[j:j + 1]),
+        exclude_nearest=0) for j in range(keep)]
+    assert whole.samples == [s for p in parts for s in p.samples]
+    assert whole.raw_samples == [s for p in parts for s in p.raw_samples]
+    assert whole.requested == sum(p.requested for p in parts)
