@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import axiswirl as ax
+from axiswirl.fields import _rhs, _T_minus, _w
 from axiswirl.oracle import (SwirlStepper, TRAJECTORY_HEADER, default_levels,
                              trajectory_rows)
 
@@ -107,3 +109,76 @@ def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
             expected.append([float(t), float(r), float(wn), float(we),
                              abs(float(wn) - float(we))])
     assert np.array_equal(trajectory_rows(fam2, sol, which), np.array(expected))
+
+
+def test_convergence_study_rejects_unknown_equation(fam2):
+    with pytest.raises(ValueError, match="'Swirl'"):
+        ax.convergence_study(fam2, default_levels(fam2), equation="Swirl")
+
+
+def test_cutoff_leaving_no_step_is_rejected(fam1):
+    # T - delta = 1e-7 rounds to zero steps of 0.025.
+    cfg = ax.OracleConfig(n_r=32, dt=0.025, delta=0.4999999)
+    with pytest.raises(ValueError, match=r"T - delta.*dt"):
+        ax.solve_swirl(fam1, cfg)
+
+
+def _reference_march(fam, cfg, which, bc_wall):
+    """One forcing evaluation and one step per time step, no blocks."""
+    t_end = fam.T - cfg.delta
+    n_steps = int(round(t_end / cfg.dt))
+    dt = t_end / n_steps
+    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, 0.0, bc_wall)
+    ri = stepper.r[1:-1]
+    rhs = _rhs(fam, which)
+    tm = _T_minus(fam, np.arange(n_steps) * dt + cfg.theta * dt)
+    w = _w(fam, which, stepper.r, fam.T)
+    for n in range(n_steps):
+        w = stepper.step(w, rhs(ri, tm[n]))
+    return w
+
+
+# At n_r = 64 a forcing block holds 528 steps: 300 steps fit in one block,
+# 1100 end in a partial third block.
+@pytest.mark.parametrize("steps", [300, 1100])
+@pytest.mark.parametrize("which", ["u", "eta"])
+def test_march_equals_the_per_step_loop(fam2, which, steps):
+    delta = fam2.T / 8.0
+    cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
+    if which == "eta":
+        sol, bc_wall = ax.solve_eta(fam2, cfg), fam2.log_wall
+    else:
+        sol, bc_wall = ax.solve_swirl(fam2, cfg), -fam2.alpha
+    expected = _reference_march(fam2, cfg, which, bc_wall)
+    assert np.array_equal(sol.values[-1], expected)
+    assert sol.error_Linf == float(np.max(np.abs(expected - sol.exact_final)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_r=st.integers(min_value=16, max_value=300),
+       theta=st.floats(min_value=0.5, max_value=1.0),
+       log10_dt=st.floats(min_value=-6.0, max_value=-2.5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_step_matches_a_dense_solve(n_r, theta, log10_dt, seed):
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log10_dt
+    bc_wall = rng.uniform(-2.0, 2.0)
+    stepper = SwirlStepper(n_r, dt, theta, bc_axis=0.0, bc_wall=bc_wall)
+    w = np.concatenate([[0.0], rng.standard_normal(n_r - 2), [bc_wall]])
+    rhs_mid = rng.standard_normal(n_r - 2)
+
+    # The full n_r x n_r theta system, Dirichlet rows included.
+    r = np.linspace(0.0, 1.0, n_r)
+    dr, ri = r[1], r[1:-1]
+    rows = np.arange(1, n_r - 1)
+    L = np.zeros((n_r, n_r))
+    L[rows, rows - 1] = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
+    L[rows, rows] = -2.0 / dr**2 - 1.0 / ri**2
+    L[rows, rows + 1] = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
+    A = np.eye(n_r) - theta * dt * L
+    b = w + (1.0 - theta) * dt * (L @ w)
+    b[1:-1] -= dt * rhs_mid
+    exact = np.linalg.solve(A, b)
+
+    got = stepper.step(w, rhs_mid)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
