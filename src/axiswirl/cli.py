@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._csvio import write_csv, write_json
@@ -111,14 +110,17 @@ def load_config(path: str) -> dict:
 def load_k_table(path: str):
     """Two-column CSV (r, k); cubic interpolation, endpoints forced to zero."""
     radii, kvals = [], []
+    header_allowed = True  # on the first line that is not blank or a comment
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if lineno == 1 and not _is_number(parts[0]):
-                continue  # header row
+            if header_allowed:
+                header_allowed = False
+                if not _is_number(parts[0]):
+                    continue
             if len(parts) != 2 or not all(_is_number(p) for p in parts):
                 raise ConfigError(f"{path}:{lineno}: expected 'r,k' numbers")
             radii.append(float(parts[0]))
@@ -161,12 +163,23 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
         "versions": {
             "axiswirl": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _installed_version("scipy"),
             "python": sys.version.split()[0],
         },
         "seeds": "deterministic (nothing is random)",
     }
     write_json(_out_path(cfg, f"manifest_{command}.json"), payload)
+
+
+def _installed_version(package: str):
+    """The installed version of ``package``, read without importing it;
+    None when it is not installed (only ``oracle`` needs scipy)."""
+    from importlib import metadata
+
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def cmd_profile(cfg: RunConfig) -> int:

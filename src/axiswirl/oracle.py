@@ -9,11 +9,14 @@ is stepped on a uniform radial grid with Dirichlet data at both ends
 stepping uses the one-parameter theta scheme: trapezoidal at theta = 1/2
 (second order), backward Euler at theta = 1. The constant tridiagonal
 matrix is factored once per stepper (LAPACK gttrf), and each step is one
-gttrs solve against that factorisation. The forcing is evaluated for
-blocks of step midpoints at a time, each block bounded in grid points so
-memory stays flat at any resolution. Nothing here shares a code path with
-the closed-form construction beyond the problem data itself (initial
-slice, wall constant, forcing), read from the T - t kernels.
+gttrs solve against that factorisation. numpy has no banded solver, so
+this module is the one user of scipy: it imports ``scipy.linalg.lapack``
+when a stepper is built, and the other commands never load scipy. The
+forcing is evaluated for blocks of step midpoints at a time, each block
+bounded in grid points so memory stays flat at any resolution. Nothing
+here shares a code path with the closed-form construction beyond the
+problem data itself (initial slice, wall constant, forcing), read from
+the T - t kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import SolutionFamily, _rhs, _T_minus, _w
 
@@ -99,6 +101,8 @@ class SwirlStepper:
 
     def __init__(self, n_r: int, dt: float, theta: float,
                  bc_axis: float, bc_wall: float):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         self.n_r = n_r
         self.dt = dt
         self.theta = theta
@@ -120,6 +124,7 @@ class SwirlStepper:
             raise np.linalg.LinAlgError(
                 f"theta-scheme matrix is singular (gttrf info {info})")
         self._lu = lu
+        self._gttrs = dgttrs
 
     def apply_operator(self, w: np.ndarray) -> np.ndarray:
         """L w on interior nodes, using the current boundary entries of w."""
@@ -136,7 +141,7 @@ class SwirlStepper:
         lower, _, upper = self._L
         explicit[0] += self.theta * dt * lower[0] * self.bc_axis
         explicit[-1] += self.theta * dt * upper[-1] * self.bc_wall
-        interior, _ = dgttrs(*self._lu, explicit, overwrite_b=True)
+        interior, _ = self._gttrs(*self._lu, explicit, overwrite_b=True)
         out = np.empty_like(w)
         out[0] = self.bc_axis
         out[-1] = self.bc_wall
@@ -146,7 +151,7 @@ class SwirlStepper:
 
 # Grid points of forcing evaluated per block of step midpoints: large
 # enough to amortise the kernel call, small enough to keep memory flat.
-_BLOCK_POINTS = 2**15
+_BLOCK_POINTS = 2**13
 
 
 def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,

@@ -14,6 +14,12 @@ Bulk evaluation runs off cached splines of I and g through two paths:
 phi0' from one g-spline and one I-spline call). ``phi0_exact``, ``g_exact``
 and ``inner_integral`` re-derive values by direct adaptive quadrature and
 are the independent reference path.
+
+The splines are numpy only: one private cubic Hermite interpolant serves
+the two caches and, with slopes from one tridiagonal solve, the natural
+spline of a sampled forcing table. Both are built and evaluated in the
+order scipy's ``CubicHermiteSpline`` and ``CubicSpline`` use, so values
+agree with scipy's bit for bit, and scipy stays off the import path.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from math import fsum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .numerics import DEFAULT_SPEC, QuadratureSpec, gauss_panel_sums, integrate
 
@@ -120,6 +125,8 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
     k = np.asarray(k_samples, dtype=float).copy()
     if r.ndim != 1 or r.size < 4 or r.shape != k.shape:
         raise ValueError("need at least four aligned (r, k) samples")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(k))):
+        raise ValueError("forcing table radii and values must be finite")
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("sample radii must be strictly increasing")
     if r[0] != 0.0 or r[-1] != 1.0:
@@ -130,7 +137,8 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
                 f"forcing table endpoint k({r[idx]:g}) = {k[idx]:.3e} forced to zero",
                 stacklevel=2)
         k[idx] = 0.0
-    spline = CubicSpline(r, k, bc_type="natural")
+    slopes = _natural_slopes(r, k)
+    spline = _Hermite(r, k, slopes)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -145,7 +153,7 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
         k=evaluate,
         nonpositive=bool(np.all(vals <= endpoint_tol)),
         nontrivial=bool(np.any(np.abs(vals) > endpoint_tol)),
-        k_prime0=float(spline(0.0, 1)),
+        k_prime0=float(slopes[0]),
     )
 
 
@@ -183,8 +191,8 @@ class SwirlProfile:
     alpha: float
     I0: float
     g1: float
-    _I_spline: CubicHermiteSpline = field(repr=False)
-    _g_spline: CubicHermiteSpline = field(repr=False)
+    _I_spline: _Hermite = field(repr=False)
+    _g_spline: _Hermite = field(repr=False)
     _c1: float = field(repr=False)
     _c2: float = field(repr=False)
     _c3: float = field(repr=False)
@@ -335,8 +343,97 @@ def _regions(r):
     return r_arr, tail, series, ~(tail | series)
 
 
-def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
-                  cache_panels: int = _CACHE_PANELS) -> SwirlProfile:
+class _Hermite:
+    """Piecewise cubic Hermite interpolant through (x, y) with slopes dydx.
+
+    Coefficients, interval search (clipped to the end intervals, which
+    extrapolate) and the ascending-power sum follow scipy's
+    ``CubicHermiteSpline``, so values agree with it bit for bit. On nodes
+    i/n with n a power of two the interval is floor(n r), exact in binary
+    and far cheaper than a sorted search. Coefficients are gathered in one
+    ``take`` and updated in place: fresh temporaries cost page faults on
+    large blocks.
+    """
+
+    def __init__(self, x, y, dydx):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        # Ascending powers of s = r - x[i], one row per interval; scipy's
+        # sum starts from 0.0, which turns a -0.0 value into 0.0.
+        self._c = np.column_stack((y[:-1] + 0.0, dydx[:-1],
+                                   (slope - dydx[:-1]) / dx - t, t / dx))
+        self._x = x
+        n = dx.size
+        self._dyadic = (n & (n - 1) == 0
+                        and np.array_equal(x, np.arange(n + 1) / n))
+
+    def __call__(self, r):
+        """Values at an array ``r`` of points (at least one dimension)."""
+        r = np.asarray(r, dtype=float)
+        if not r.size:  # a jet's points often all lie outside the spline
+            return np.empty(r.shape)
+        n = self._x.size - 1
+        if self._dyadic:
+            i = r * n
+            np.fmin(np.fmax(i, 0.0, out=i), n - 1, out=i)  # NaN goes to 0
+            i = i.astype(np.intp)  # the floor, on [0, n - 1]
+        else:
+            i = np.searchsorted(self._x, r, side="right") - 1
+            np.clip(i, 0, n - 1, out=i)
+        s = r - self._x.take(i)
+        c = self._c.take(i, axis=0)
+        c[..., 1] *= s
+        out = c[..., 0] + c[..., 1]
+        z = s * s
+        c[..., 2] *= z
+        out += c[..., 2]
+        z *= s
+        c[..., 3] *= z
+        out += c[..., 3]
+        return out
+
+
+def _natural_slopes(x, y) -> np.ndarray:
+    """Nodal slopes of the natural cubic spline through (x, y).
+
+    The tridiagonal system is the one scipy's ``CubicSpline(bc_type=
+    "natural")`` builds, and it is eliminated in LAPACK ``gtsv``'s order,
+    row swaps included, then back-substituted. The loop runs over the
+    table's rows in plain floats.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = x.size
+    d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]),
+                        [2 * dx[-1]])).tolist()
+    du = np.concatenate(([dx[0]], dx[:-1])).tolist()
+    dl = np.append(dx[1:], dx[-1]).tolist()
+    b = np.concatenate(([3 * (y[1] - y[0])],
+                        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                        [3 * (y[-1] - y[-2])])).tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:  # swap rows i and i + 1; dl[i] becomes the fill-in above
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def build_profile(k: ForcingProfile,
+                  spec: QuadratureSpec = DEFAULT_SPEC) -> SwirlProfile:
     """Construct the swirl profile for ``k``.
 
     The caches accumulate panel-by-panel Gauss values (each panel is exact
@@ -344,7 +441,7 @@ def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
     forms, so cached evaluation is accurate to ~1e-14 absolute, well below
     ``spec`` tolerances.
     """
-    nodes = np.linspace(0.0, 1.0, cache_panels + 1)
+    nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
 
     def i_kernel(l):
         return np.exp(-0.5 * l * l) * np.asarray(k(l), dtype=float)
@@ -352,7 +449,7 @@ def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
     seg = gauss_panel_sums(i_kernel, nodes)
     i_nodes = np.concatenate((np.flip(np.cumsum(np.flip(seg))), [0.0]))
     i_slope = -i_kernel(nodes)
-    i_spline = CubicHermiteSpline(nodes, i_nodes, i_slope)
+    i_spline = _Hermite(nodes, i_nodes, i_slope)
 
     def g_kernel(s):
         return -s * np.exp(0.5 * s * s) * i_spline(s)
@@ -360,7 +457,7 @@ def build_profile(k: ForcingProfile, spec: QuadratureSpec = DEFAULT_SPEC,
     gseg = gauss_panel_sums(g_kernel, nodes)
     g_nodes = np.concatenate(([0.0], np.cumsum(gseg)))
     g_slope = -nodes * np.exp(0.5 * nodes * nodes) * i_nodes
-    g_spline = CubicHermiteSpline(nodes, g_nodes, g_slope)
+    g_spline = _Hermite(nodes, g_nodes, g_slope)
 
     i0 = float(i_nodes[0])
     g1 = float(g_nodes[-1])

@@ -216,3 +216,28 @@ def test_verify_console_lines_carry_headroom(tmp_path, capsys):
         else:
             expected = f"{c['name']}: pass (refinement_drift = {c['refinement_drift']:.3g})"
         assert line == "verify: " + expected
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_non_finite_table_exits_2_with_a_summary(tmp_path, bad):
+    ktab = tmp_path / "k.csv"
+    ktab.write_text(f"r,k\n0,0\n0.25,-1\n0.5,{bad}\n0.75,-1\n1,0\n")
+    out = tmp_path / "out"
+    rc = run_cli(["verify", "--part", "1", "--k", str(ktab), "--out", str(out)])
+    assert rc == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 2
+    assert "finite" in summary["error"]
+
+
+def test_k_table_header_after_leading_comments(tmp_path):
+    path = tmp_path / "comment.csv"
+    r = np.linspace(0.0, 1.0, 9)
+    k = -np.square(np.sin(np.pi * r))
+    path.write_text("# my table\n\nr,k\n"
+                    + "\n".join(f"{a},{b}" for a, b in zip(r, k)) + "\n")
+    prof = load_k_table(str(path))
+    assert prof.nonpositive and prof.nontrivial
+    path.write_text("# my table\n0,0\nr,k\n1,0\n")
+    with pytest.raises(ConfigError, match="comment.csv:3"):
+        load_k_table(str(path))
