@@ -241,3 +241,15 @@ def test_k_table_header_after_leading_comments(tmp_path):
     path.write_text("# my table\n0,0\nr,k\n1,0\n")
     with pytest.raises(ConfigError, match="comment.csv:3"):
         load_k_table(str(path))
+
+
+@pytest.mark.parametrize("part", ["1", "2"])
+def test_verify_passes_at_the_deepest_accepted_ladder(tmp_path, part):
+    # J = 51 is the deepest ladder the CLI accepts at T = 1/2 (J = 52 exits 2);
+    # its last levels sit at T - t ~ 1e-15.
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--part", part, "--ladder-J", "51", "--out", str(out)]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["passed"]
+    assert run_cli(["verify", "--part", part, "--ladder-J", "52",
+                    "--out", str(tmp_path / "too-deep")]) == 2

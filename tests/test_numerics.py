@@ -250,7 +250,7 @@ def test_integrate_scalar_call_is_the_one_row_case(points):
     ("vbar", 2, 0.05, 0.5 - 2.0 ** -12, 0.00458937603598346),
 ])
 def test_scalar_integrate_bits_pinned(ref_profile, which, part, r, t, expected):
-    # Scalar calls keep their own code path: these pressures are bitwise
-    # the values the scalar rule gave before row mode existed.
+    # A scalar call is the one-row case of the row engine: these pressures
+    # are bitwise the values the scalar rule gave before row mode existed.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
     assert ax.eval_pressure(fam, which, r, t) == expected

@@ -1,8 +1,13 @@
+import hashlib
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import axiswirl as ax
-from axiswirl.verify import report_to_dict, residual_order
+from axiswirl.cli import load_k_table
+from axiswirl.verify import _pressure_rise, report_to_dict, residual_order
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +184,79 @@ def test_pde_samples_are_the_concatenated_one_level_reports(fam2, grid64, which)
     assert whole.samples == [s for p in parts for s in p.samples]
     assert whole.raw_samples == [s for p in parts for s in p.raw_samples]
     assert whole.requested == sum(p.requested for p in parts)
+
+
+def _seeded_table(seed, tmp_path):
+    """The benchmark's seeded nonpositive table, written to a file, and its T."""
+    make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
+        "make_inputs"]
+    inputs = make_inputs(seed)
+    path = tmp_path / f"k{seed}.csv"
+    path.write_text(inputs.table_text)
+    return str(path), inputs.T
+
+
+def test_pressure_rise_is_the_difference_of_pressures_from_the_axis(fam1, fam2):
+    # Two paths to P(r + h) - P(r - h) at T - t = 0.25: one integral over
+    # the stencil interval, and the difference of two integrals from r = 0.
+    spec = ax.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
+    r = np.linspace(0.05, 0.95, 19)
+    h = 0.01 * r
+    tm = np.full_like(r, 0.25)
+    for fam, which in ((fam1, "v"), (fam2, "vbar")):
+        rise = _pressure_rise(fam, which, r, h, tm, spec)
+        diff = (ax.eval_pressure(fam, which, r + h, 0.25, spec)
+                - ax.eval_pressure(fam, which, r - h, 0.25, spec))
+        assert np.all(rise > 0.0)
+        np.testing.assert_allclose(rise, diff, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("part, which", [(1, "v"), (2, "vbar")])
+def test_radial_momentum_passes_at_the_deepest_ladder(ref_profile, grid128, part, which):
+    # At T - t ~ 1e-15 the pressure from the axis is ~1e15 times dP/dr; the
+    # interval integral never forms it.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
+    report = ax.check_radial_momentum(fam, which, grid128, ax.make_time_ladder(0.5, 51))
+    assert report.passed
+    assert report.max_abs_residual < 0.1 * report.tolerance
+
+
+def test_radial_momentum_passes_on_a_table_near_blow_up(tmp_path, grid128):
+    path, T = _seeded_table(12, tmp_path)
+    assert T == 0.1007
+    fam = ax.SolutionFamily(profile=ax.build_profile(load_k_table(path)), T=T, part=1)
+    report = ax.check_radial_momentum(fam, "v", grid128, ax.make_time_ladder(T, 40))
+    assert report.passed
+    assert report.max_abs_residual < 0.1 * report.tolerance
+
+
+@pytest.mark.parametrize("part, which, digest", [
+    (1, "v", "1e90679cab29dcd8c0eacaaa2efafdae2788b21038191623b4ac96762b64b215"),
+    (2, "eta", "13d7f32dfa65bbe77cf83d052fa537524e11c791b9a24fe9299befc44c914841"),
+    (2, "vbar", "d080b8c264dfd537f430238c4a0c8b9150c9d436aabf15adeffe2083ece91c4e"),
+])
+def test_swirl_pde_samples_away_from_blow_up_are_pinned(ref_profile, grid64, part,
+                                                        which, digest):
+    # The time step is capped at 1e-5, which every level with T - t >= 1e-3
+    # reaches: those samples (r, t, normalised and raw residual) are bitwise
+    # the ones the step h_t = min(1e-5, (T - t) / 100) gave.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
+    ladder = ax.make_time_ladder(0.5, 51)
+    report = ax.check_swirl_pde(fam, which, grid64, ladder)
+    far = set(ladder.levels[ladder.T_minus >= 1e-3].tolist())
+    rows = [s + q[2:] for s, q in zip(report.samples, report.raw_samples) if s[1] in far]
+    assert len(rows) == 496
+    assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("part, which", [(1, "v"), (2, "eta"), (2, "vbar")])
+def test_swirl_pde_passes_at_the_deepest_ladder(ref_profile, grid128, part, which):
+    # Where h_t >= T - t the time stencil is one-sided into the past, so no
+    # step collapses to the rounding noise of T - t.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
+    ladder = ax.make_time_ladder(0.5, 51)
+    report = ax.check_swirl_pde(fam, which, grid128, ladder)
+    assert report.passed
+    assert report.max_abs_residual < 0.1 * report.tolerance
+    order, _ = residual_order(fam, which, grid128, ladder)
+    assert order >= 1.8
