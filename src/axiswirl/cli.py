@@ -24,8 +24,8 @@ from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
                     l1_series, norm_series_rows)
 from .numerics import make_radial_grid, make_time_ladder
-from .oracle import (OracleConfig, TRAJECTORY_HEADER, convergence_study,
-                     default_levels, solve_swirl, trajectory_rows)
+from .oracle import (TRAJECTORY_HEADER, convergence_study, default_levels,
+                     trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
                        profile_table, reference_k)
 from .verify import (check_bound, check_boundary, check_radial_momentum,
@@ -70,7 +70,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            _oracle_configs(self, self)
+            _oracle_levels(self, self)
         except ValueError as exc:
             raise ConfigError(f"oracle settings: {exc}") from exc
         bad = set(self.formats) - {"csv", "json"}
@@ -86,7 +86,12 @@ _CONFIG_KEYS = {name: kind for name, kind in get_type_hints(RunConfig).items()
 def load_config(path: str) -> dict:
     """Flat key = value file; '#' starts a comment."""
     values = {}
-    with open(path) as handle:
+    try:
+        handle = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from exc
+    with handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -312,31 +317,22 @@ def norms_verdict_failures(classification: list, nontrivial: bool) -> list:
 ORACLE_ERROR_BUDGET = 1e-5
 
 
-def _oracle_configs(cfg: RunConfig, fam) -> tuple[list, OracleConfig]:
-    """The refinement levels and the near-blow-up probe ``cmd_oracle`` runs.
-    Only ``fam.T`` is read: ``RunConfig.validate`` passes the config."""
-    levels = default_levels(fam, theta=cfg.oracle_theta, base_n=cfg.oracle_n_r,
-                            base_steps=cfg.oracle_n_r * 8,
-                            n_levels=cfg.oracle_levels)
-    # The probe runs closer to the blow-up time: quarter the cutoff, refine
-    # the grid with the shrinking solution scale sqrt(2 delta).
-    finest = levels[-1]
-    probe = OracleConfig(
-        n_r=2 * finest.n_r - 1,
-        dt=(fam.T - fam.T / 32.0) / (8 * (2 * finest.n_r - 1)),
-        delta=fam.T / 32.0, theta=cfg.oracle_theta)
-    return levels, probe
+def _oracle_levels(cfg: RunConfig, fam) -> list:
+    """The refinement levels ``cmd_oracle`` runs. Only ``fam.T`` is read:
+    ``RunConfig.validate`` passes the config."""
+    return default_levels(fam, theta=cfg.oracle_theta, base_n=cfg.oracle_n_r,
+                          base_steps=cfg.oracle_n_r * 8,
+                          n_levels=cfg.oracle_levels)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    levels, probe_cfg = _oracle_configs(cfg, fam)
+    levels = _oracle_levels(cfg, fam)
     run = convergence_study(fam, levels)
     band = (1.7, 2.3) if cfg.oracle_theta == 0.5 else (0.7, 1.3)
     order_ok = band[0] <= run.convergence_order <= band[1]
     passed = (run.study_valid and order_ok
               and run.final_error_Linf < ORACLE_ERROR_BUDGET)
-    probe = solve_swirl(fam, probe_cfg)
 
     payload = {
         "theta": cfg.oracle_theta,
@@ -349,10 +345,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "order_band": band,
         "error_budget": ORACLE_ERROR_BUDGET,
         "study_valid": run.study_valid,
-        "near_blowup_probe": {
-            "n_r": probe_cfg.n_r, "delta": probe_cfg.delta,
-            "error_Linf": probe.error_Linf, "error_L2": probe.error_L2,
-        },
         "passed": passed,
     }
     write_json(_out_path(cfg, "oracle_study.json"), payload)
@@ -411,16 +403,15 @@ def build_run_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    try:
-        cfg = build_run_config(args)
-    except (ConfigError, TypeError) as exc:
-        print(f"axiswirl: configuration error: {exc}", file=sys.stderr)
-        return 2
-
     commands = list(COMMANDS) if args.command == "all" else [args.command]
     status = 0
     summary = {"command": args.command, "results": {}}
+    # Holds only the summary's directory until the config is built: the
+    # one build_run_config picks, short of the config file's own out_dir.
+    cfg = RunConfig(out_dir=os.environ.get("OUT_DIR",
+                                           args.out_dir or RunConfig.out_dir))
     try:
+        cfg = build_run_config(args)
         cfg.validate()
         for command in commands:
             write_manifest(cfg, command)

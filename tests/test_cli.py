@@ -122,6 +122,34 @@ def test_ladder_deeper_than_double_precision_is_a_config_error(tmp_path):
     assert "ladder_J = 60" in summary["error"]
 
 
+def test_missing_config_file_exits_2_with_a_summary(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "out"
+    rc = run_cli(["verify", "--config", str(missing), "--out", str(out)])
+    assert rc == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 2
+    assert str(missing) in summary["error"]
+
+
+def test_oracle_marches_only_the_study_levels(tmp_path, monkeypatch):
+    from axiswirl import oracle
+
+    marched = []
+
+    class RecordingStepper(oracle.SwirlStepper):
+        def __init__(self, n_r, *args, **kwargs):
+            marched.append(n_r)
+            super().__init__(n_r, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "SwirlStepper", RecordingStepper)
+    out = tmp_path / "out"
+    assert run_cli(["oracle", "--out", str(out)]) == 0
+    study = json.loads((out / "oracle_study.json").read_text())
+    assert marched == [level["n_r"] for level in study["levels"]]
+    assert "near_blowup_probe" not in study
+
+
 def test_run_summary_always_emitted(tmp_path):
     out = tmp_path / "out"
     run_cli(["profile", "--out", str(out)])
@@ -175,7 +203,10 @@ def test_manifest_records_scipy_version(tmp_path):
      "dt must satisfy 0 < dt < delta / 10"),
     ([], "oracle_levels = 1\n", "oracle_levels must be at least 2"),
     ([], "grading = spiral\n", "unknown grading 'spiral'"),
-], ids=["oracle-theta", "oracle-n-r", "oracle-dt", "oracle-levels", "grading"])
+    ([], "bogus = 1\n", "unknown key 'bogus'"),
+    ([], "T = abc\n", "could not convert string to float: 'abc'"),
+], ids=["oracle-theta", "oracle-n-r", "oracle-dt", "oracle-levels", "grading",
+        "config-unknown-key", "config-bad-value"])
 def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
