@@ -195,17 +195,26 @@ def cmd_profile(cfg: RunConfig) -> int:
     if "csv" in cfg.formats:
         write_csv(_out_path(cfg, "profile.csv"), PROFILE_HEADER, table)
     res_max = float(np.max(np.abs(table[:, 4])))
-    passed = res_max < ODE_RESIDUAL_TOL
+    # The residual cannot see the g cache: its g/r^3 and g/r terms cancel.
+    # So g is also held against the direct quadrature, within the
+    # quadrature's own contract.
+    probe = radii[::40]
+    g_exact = np.array([prof.g_exact(r) for r in probe])
+    g_ratio = float(np.max(np.abs(prof.g(probe) - g_exact) / np.maximum(
+        prof.spec.abs_tol, prof.spec.rel_tol * np.abs(g_exact))))
+    passed = res_max < ODE_RESIDUAL_TOL and g_ratio <= 1.0
     summary = {
         "alpha": prof.alpha,
         "I0": prof.I0,
         "max_ode_residual": res_max,
         "residual_tolerance": ODE_RESIDUAL_TOL,
+        "max_g_error_over_tolerance": g_ratio,
         "passed": passed,
     }
     write_json(_out_path(cfg, "profile_summary.json"), summary)
     print(f"profile: alpha = {prof.alpha:.6e}, max |ode residual| = "
-          f"{res_max:.3e} -> {'pass' if passed else 'FAIL'}")
+          f"{res_max:.3e}, max |g - g_exact|/tolerance = {g_ratio:.3g} -> "
+          f"{'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 

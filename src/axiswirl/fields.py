@@ -22,6 +22,8 @@ unchecked radii and tm of broadcastable shapes; verify, norms and oracle
 pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
 formed and checked once by ``_T_minus``. Only the public evaluators take t,
 for tests and export: they validate (r, t), form T - t once, call a kernel.
+The one pressure integrand, w^2/l keyed on each row's T - t, serves
+``eval_pressure`` (from the axis) and verify's rise across a stencil.
 """
 
 from __future__ import annotations
@@ -243,26 +245,31 @@ def eval_h(fam: SolutionFamily, r, t):
     return _shaped(_h(fam, rr, tm), r, t)
 
 
-def eval_pressure(fam: SolutionFamily, which: str, r, t: float,
+def _pressure_integral(fam: SolutionFamily, which: str, a, b, tm,
+                       spec: QuadratureSpec):
+    """The integral of w^2/l over [a, b] at T - t = tm, one row per entry
+    (a float for scalars); it extends by zero at the axis since w = O(l)."""
+    tm_rows = np.asarray(tm)[..., None]
+
+    def integrand(l):
+        wl = _w(fam, which, l, tm_rows)
+        return wl * wl / np.where(l > 0.0, l, 1.0)
+
+    return integrate(integrand, a, b, spec)[0]
+
+
+def eval_pressure(fam: SolutionFamily, which: str, r, t,
                   spec: QuadratureSpec = DEFAULT_SPEC):
     """Pressure normalized to P(0, t) = 0: the integral of w^2/l over (0, r].
 
-    ``which`` selects the swirl field w (``"v"`` or ``"vbar"``). The
-    integrand extends continuously by zero at the axis since w = O(l).
-    An array of radii is one row-batched quadrature at the one time t;
-    a scalar r gives a float.
+    ``which`` selects the swirl field w (``"v"`` or ``"vbar"``). Arrays of
+    radii and times broadcast to one row per point, all in one row-batched
+    quadrature; a scalar r and t give a float.
     """
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
-    r, tm = _validate(fam, r, float(t))
-
-    def integrand(l):
-        # Rows with r = 0 put their (unused) nodes on the axis itself.
-        wl = _w(fam, which, l, tm)
-        return wl * wl / np.where(l > 0.0, l, 1.0)
-
-    value, _ = integrate(integrand, np.zeros_like(r), r, spec)
-    return value
+    r, tm = np.broadcast_arrays(*_validate(fam, r, t))
+    return _pressure_integral(fam, which, np.zeros_like(r), r, tm, spec)
 
 
 def eval_Y(fam: SolutionFamily, r, t):
@@ -293,17 +300,17 @@ def _y_times_r(fam: SolutionFamily, quantity: str, r, tm):
     return np.abs(_y(fam, r, tm)[_Y_NAMES.index(quantity)]) * r
 
 
-def _fields_at(fam: SolutionFamily, r, t: float):
-    """(sigma, every field as an array) at radii r and one time t; the Y
-    components are served for r >= 1e-4 only (NaN below)."""
-    r, tm = _validate(fam, r, t)
+def _fields_at(fam: SolutionFamily, r, t):
+    """(sigma, every field as an array) at the points (r, t) broadcast; the
+    Y components are served for r >= 1e-4 only (NaN below)."""
+    r, tm = np.broadcast_arrays(*_validate(fam, r, t))
     values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
               "h": _h(fam, r, tm), "P": eval_pressure(fam, "v", r, t)}
     if fam.part == 2:
         for which in ("eta", "vbar"):
             values[which] = _w(fam, which, r, tm)
         served = r >= EPS0
-        for name, y in zip(_Y_NAMES, _y(fam, r[served], tm)):
+        for name, y in zip(_Y_NAMES, _y(fam, r[served], tm[served])):
             values[name] = np.full(r.shape, np.nan)
             values[name][served] = y
     return r / np.sqrt(2.0 * tm), values
@@ -330,16 +337,12 @@ FIELD_SLICE_HEADER = ["r", "t", "sigma", "u", "v", "eta", "vbar", "P", "h",
 
 
 def field_slice_rows(fam: SolutionFamily, radii, times) -> np.ndarray:
-    """Tensor-product field slice; part-1 families report NaN for log fields.
-
-    One vectorised pass per time; ``sample`` is the one-point view.
-    """
-    r = np.asarray(radii, dtype=float)
+    """Time-major field slice in one pass over the (time, radius) lattice;
+    part-1 families report NaN for log fields. ``sample`` is the one-point
+    view."""
+    radii, times = np.asarray(radii, dtype=float), np.asarray(times, dtype=float)
+    r, t = np.tile(radii, times.size), np.repeat(times, radii.size)
+    sigma, values = _fields_at(fam, r, t)
     nan = np.full(r.shape, np.nan)
-    blocks = []
-    for t in np.asarray(times, dtype=float):
-        sigma, values = _fields_at(fam, r, t)
-        blocks.append(np.column_stack(
-            [r, np.full(r.shape, t), sigma]
-            + [values.get(name, nan) for name in FIELD_SLICE_HEADER[3:]]))
-    return np.concatenate(blocks)
+    return np.column_stack([r, t, sigma] + [values.get(name, nan)
+                                            for name in FIELD_SLICE_HEADER[3:]])

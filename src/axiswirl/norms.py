@@ -21,10 +21,11 @@ and when T <= 1/2, so that tau <= 1 and the core r < sqrt(tau) stays
 inside the cylinder. v does not depend on the part, so neither does E_v,
 and E_v grows exactly like pi (A + 2 g1^2) |ln(T - t)| up to terms affine
 in T - t. ``energy_series(fam, "v", ...)`` is this closed form, the
-production path. The nested numeric path (``energy``, ``_nested_energy``:
-adaptive quadrature in T - t over one row-batched radial integral per
-outer panel) is the production path for vbar, which has no closed form,
-and the independent check of the closed form.
+production path. The nested numeric path (``_nested_energy``: every
+ladder step's dissipation one row of a single quadrature in T - s, each
+panel one radial row call at all its time nodes) is the production path
+for vbar, which has no closed form, and the independent check of the
+closed form.
 
 The forcing norms are L^1 in space; the time integrability exponent is
 classified by fitting the tail growth shape on the last ladder levels and
@@ -34,7 +35,7 @@ extrapolating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, inf, isfinite
+from math import inf, isfinite
 from typing import Optional
 
 import numpy as np
@@ -158,38 +159,37 @@ def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
     return 2.0 * np.pi * value
 
 
-def _geometric_subpanels(a: float, b: float, parts: int) -> np.ndarray:
-    # Breakpoints refined toward a, where the dissipation rate grows.
-    offsets = (b - a) * np.power(2.0, -np.arange(parts - 1, 0, -1, dtype=float))
-    return np.concatenate(([a], a + offsets, [b]))
+def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
+                       spec: QuadratureSpec, sub_points: int = 8) -> np.ndarray:
+    """Dissipation over each step between successive (decreasing) T - t
+    values ``tm_edges``: one row call in u = T - s, which keeps full relative
+    precision near the final time. Row j is split at points refined
+    geometrically toward its near end, where the rate grows; each panel
+    takes the radial integrals at all its (rows, 31) time nodes in one row
+    call, node i split at the width of its own u_i."""
+    u_hi, u_lo = tm_edges[:-1], tm_edges[1:]
+    density = _gradient_density(fam, which)
+
+    def rates(u):
+        flat = u.ravel()
+        edges = np.zeros(flat.shape)
+        value, _ = integrate(lambda r: density(r, flat[:, None]), edges,
+                             edges + 1.0, spec, breakpoints=_wall_breakpoints(flat))
+        return 2.0 * np.pi * value.reshape(u.shape)
+
+    fractions = np.power(2.0, -np.arange(sub_points - 1, 0, -1, dtype=float))
+    return integrate(rates, u_lo, u_hi, _TIME_SPEC, breakpoints=u_lo[:, None]
+                     + np.multiply.outer(u_hi - u_lo, fractions))[0]
 
 
 def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
                           t_hi: float, spec: QuadratureSpec,
                           sub_points: int = 8, *, T_minus=None) -> float:
-    """Dissipation accumulated over [t_lo, t_hi].
-
-    The time integral runs in u = T - s, so nodes near the final time keep
-    full relative precision; ``T_minus`` is the pair (T - t_lo, T - t_hi)
-    when the caller holds it free of cancellation.
-    """
-    u_hi, u_lo = (float(u) for u in _T_minus(fam, (t_lo, t_hi), T_minus))
-    if u_lo >= u_hi:
-        return 0.0
-    density = _gradient_density(fam, which)
-
-    def rates(u):
-        # The dissipation rate at every time node of an outer panel: one
-        # row-batched radial integral, row i split at the width of u_i.
-        edges = np.zeros(u.shape)
-        value, _ = integrate(lambda r: density(r, u[:, None]), edges,
-                             edges + 1.0, spec,
-                             breakpoints=_wall_breakpoints(u))
-        return 2.0 * np.pi * value
-
-    pts = _geometric_subpanels(u_lo, u_hi, sub_points)
-    return fsum(integrate(rates, float(a), float(b), _TIME_SPEC)[0]
-                for a, b in zip(pts[:-1], pts[1:]))
+    """Dissipation accumulated over [t_lo, t_hi], the one-row view of
+    ``_dissipation_steps``; ``T_minus`` is the pair (T - t_lo, T - t_hi)
+    when the caller holds it free of cancellation."""
+    tm_edges = _T_minus(fam, (t_lo, t_hi), T_minus)
+    return float(_dissipation_steps(fam, which, tm_edges, spec, sub_points)[0])
 
 
 def energy(fam: SolutionFamily, which: str, t: float,
@@ -227,19 +227,12 @@ def _energy_v(fam: SolutionFamily, ladder: TimeLadder) -> np.ndarray:
 
 def _nested_energy(fam: SolutionFamily, which: str, ladder: TimeLadder,
                    spec: QuadratureSpec) -> np.ndarray:
-    """The nested numeric path at every ladder level.
-
-    The kinetic term is one row-batched radial quadrature over all levels;
-    the dissipation accumulates level by level, each step integrated in
-    T - s between the ladder's exact ``T_minus`` values.
-    """
-    t_edges = np.concatenate(([0.0], ladder.levels))
+    """The nested numeric path at every ladder level: the kinetic term in
+    one radial row call, and the dissipation of every step in one
+    ``_dissipation_steps`` call between the ladder's exact ``T_minus``."""
+    kinetic = _kinetic(fam, which, ladder.levels, spec, T_minus=ladder.T_minus)
     tm_edges = np.concatenate(([fam.T], ladder.T_minus))
-    steps = [_dissipation_integral(fam, which, t_edges[j], t_edges[j + 1], spec,
-                                   T_minus=tm_edges[j:j + 2])
-             for j in range(len(ladder))]
-    return (_kinetic(fam, which, ladder.levels, spec, T_minus=ladder.T_minus)
-            + np.cumsum(steps))
+    return kinetic + np.cumsum(_dissipation_steps(fam, which, tm_edges, spec))
 
 
 def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,

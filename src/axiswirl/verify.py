@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SolutionFamily, _jet, _rhs, _w
-from .numerics import (QuadratureSpec, RadialGrid, TimeLadder, integrate,
+from .fields import SolutionFamily, _jet, _pressure_integral, _rhs, _w
+from .numerics import (QuadratureSpec, RadialGrid, TimeLadder,
                        local_radial_scale, make_radial_grid, make_time_ladder)
 from .profiles import EPS0
 
@@ -185,13 +185,7 @@ def _pressure_rise(fam: SolutionFamily, which: str, r, h, tm,
     w^2/l over [r - h, r + h]: one row call over all samples, with no
     cancellation against the 1/(T - t) growth of P itself near t = T.
     """
-    tm_rows = tm[:, None]
-
-    def integrand(l):
-        wl = _w(fam, which, l, tm_rows)
-        return wl * wl / l
-
-    return integrate(integrand, r - h, r + h, spec)[0]
+    return _pressure_integral(fam, which, r - h, r + h, tm, spec)
 
 
 def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,

@@ -63,6 +63,31 @@ def test_cmd_profile_reference(tmp_path):
     assert header == "r,phi0,phi0_prime,phi0_second,ode_residual"
 
 
+def test_cmd_profile_gate_sees_the_g_cache(tmp_path, monkeypatch):
+    # A perturbed g cache leaves the ODE residual at rounding (its g/r^3
+    # and g/r terms cancel); the comparison with g_exact must catch it.
+    import dataclasses
+
+    from axiswirl import cli
+
+    real_build = cli.build_family
+
+    def doctored_build(cfg):
+        fam = real_build(cfg)
+        spline = fam.profile._g_spline
+        prof = dataclasses.replace(
+            fam.profile, _g_spline=lambda r: spline(r) + 1e-3 * np.sin(7.0 * r))
+        return dataclasses.replace(fam, profile=prof)
+
+    monkeypatch.setattr(cli, "build_family", doctored_build)
+    out = tmp_path / "out"
+    assert run_cli(["profile", "--out", str(out)]) == 1
+    summary = json.loads((out / "profile_summary.json").read_text())
+    assert summary["max_ode_residual"] < summary["residual_tolerance"]
+    assert summary["max_g_error_over_tolerance"] > 1.0
+    assert not summary["passed"]
+
+
 def test_cmd_profile_malformed_table_exit_code(tmp_path, capsys):
     ktab = tmp_path / "k.csv"
     ktab.write_text("r,k\n0,zzz\n")

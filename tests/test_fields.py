@@ -149,7 +149,8 @@ def test_eval_pressure_radial_momentum_identity(fam1):
     assert dp == pytest.approx(v * v / r, abs=1e-8)
 
 
-@pytest.mark.parametrize("which, t", [("v", 0.25), ("vbar", 0.5 - 2.0 ** -20)])
+@pytest.mark.parametrize("which, t", [("v", 0.25), ("vbar", 0.5 - 2.0 ** -20),
+                                      ("vbar", np.array([0.4]))])
 def test_eval_pressure_rows_match_point_calls(fam2_big, which, t):
     spec = ax.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
     radii = np.array([0.0, 1e-4, 0.003, 0.2, 0.55, 1.0])
@@ -157,6 +158,17 @@ def test_eval_pressure_rows_match_point_calls(fam2_big, which, t):
     assert rows.shape == radii.shape
     for r, p in zip(radii, rows):
         point = ax.eval_pressure(fam2_big, which, float(r), t, spec)
+        assert abs(p - point) <= max(spec.abs_tol, spec.rel_tol * abs(point))
+
+
+def test_eval_pressure_rows_take_their_own_times(fam2_big):
+    # One row per (r, t) point, each against its scalar call.
+    spec = ax.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
+    radii = np.array([0.0, 0.003, 0.2, 0.55, 1.0])
+    times = np.array([0.1, 0.5 - 2.0 ** -20, 0.25, 0.4, 0.3])
+    rows = ax.eval_pressure(fam2_big, "vbar", radii, times, spec)
+    for r, t, p in zip(radii, times, rows):
+        point = ax.eval_pressure(fam2_big, "vbar", float(r), float(t), spec)
         assert abs(p - point) <= max(spec.abs_tol, spec.rel_tol * abs(point))
 
 
@@ -226,6 +238,25 @@ def test_field_slice_rows_part1_nans(fam1):
     assert rows.shape == (4, len(FIELD_SLICE_HEADER))
     assert np.all(np.isnan(rows[:, FIELD_SLICE_HEADER.index("eta")]))
     assert np.all(~np.isnan(rows[:, FIELD_SLICE_HEADER.index("u")]))
+
+
+def test_field_slice_rows_is_one_row_call(fam2, monkeypatch):
+    # The whole (time, radius) lattice, pressure included, in one pass.
+    from axiswirl import fields
+
+    real = fields.integrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "integrate", counting)
+    times = [0.1, 0.3, 0.5 - 2.0 ** -16]
+    rows = field_slice_rows(fam2, [5e-5, 0.2, 0.8, 1.0], times)
+    assert rows.shape == (12, len(FIELD_SLICE_HEADER))
+    assert calls == [(12,)]
+    np.testing.assert_array_equal(rows[:, 1], np.repeat(times, 4))
 
 
 def test_field_slice_rows_match_samples(fam2):

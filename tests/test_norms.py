@@ -149,3 +149,21 @@ def test_l1_series_rows_match_per_level_parts(fam2_big, quantity):
         main, axis = spatial_L1_parts(fam, quantity, float(t), T_minus=tm)
         point = main + axis
         assert abs(value - point) <= max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * abs(point))
+
+
+def test_nested_energy_is_one_time_row_call(fam2, monkeypatch):
+    # Every ladder step's dissipation is one row of a single outer call.
+    from axiswirl import norms
+
+    real = norms.integrate
+    time_calls = []
+
+    def counting(f, a, b, spec=ax.DEFAULT_SPEC, **kwargs):
+        if spec is norms._TIME_SPEC:
+            time_calls.append(np.shape(a))
+        return real(f, a, b, spec, **kwargs)
+
+    monkeypatch.setattr(norms, "integrate", counting)
+    ladder = ax.make_time_ladder(fam2.T, 12)
+    norms._nested_energy(fam2, "vbar", ladder, NORM_SPEC)
+    assert time_calls == [(12,)]
