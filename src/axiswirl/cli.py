@@ -23,7 +23,7 @@ from .errors import AxiswirlError, ConfigError
 from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
                     l1_series, norm_series_rows)
-from .numerics import make_radial_grid, make_time_ladder
+from .numerics import DEFAULT_SPEC, make_radial_grid, make_time_ladder
 from .oracle import (TRAJECTORY_HEADER, convergence_study, default_levels,
                      trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
@@ -201,7 +201,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     probe = radii[::40]
     g_exact = np.array([prof.g_exact(r) for r in probe])
     g_ratio = float(np.max(np.abs(prof.g(probe) - g_exact) / np.maximum(
-        prof.spec.abs_tol, prof.spec.rel_tol * np.abs(g_exact))))
+        DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * np.abs(g_exact))))
     passed = res_max < ODE_RESIDUAL_TOL and g_ratio <= 1.0
     summary = {
         "alpha": prof.alpha,

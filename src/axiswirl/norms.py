@@ -315,6 +315,7 @@ def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
 _TAIL_SHAPES = {"const": np.ones_like, "log": _log_recip,
                 "log2": lambda u: np.square(_log_recip(u))}
 _TAIL_MODELS = (*_TAIL_SHAPES, "power")
+TAIL_LEVELS = 8  # the ladder levels a tail shape is fitted on
 
 
 def _tail_fit(u: np.ndarray, v: np.ndarray):
@@ -357,13 +358,14 @@ def _tail_integral(model: str, params, q: float, u_last: float) -> tuple[bool, f
     return True, value
 
 
-def classify_LqtL1x(series: NormSeries, q: float, *, tail_points: int = 8) -> Classification:
+def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
     """Decide whether int_0^T ||.||^q dt converges.
 
     The measured part integrates the series by trapezoid; the unreachable
     tail beyond the last ladder level is extrapolated from the best-fitting
-    growth shape among {const, log, log^2, power}. A non-monotone tail is
-    reported as inconclusive rather than coerced.
+    growth shape among {const, log, log^2, power}, fitted on the last
+    TAIL_LEVELS levels. A tail non-monotone there is reported as
+    inconclusive rather than coerced.
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
@@ -373,7 +375,7 @@ def classify_LqtL1x(series: NormSeries, q: float, *, tail_points: int = 8) -> Cl
     if np.all(np.abs(v) < 1e-300):
         return Classification(finite=True, estimate=0.0, model="zero")
 
-    m = min(tail_points, v.size)
+    m = min(TAIL_LEVELS, v.size)
     v_tail = v[-m:]
     diffs = np.diff(v_tail)
     if not (np.all(diffs >= -1e-12 * np.abs(v_tail[:-1]))

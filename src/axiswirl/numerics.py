@@ -303,8 +303,8 @@ def local_radial_scale(r, T_minus_t) -> np.ndarray:
     return np.sqrt(np.square(r) + 2.0 * np.asarray(T_minus_t, dtype=float))
 
 
-def empirical_order(coarse_err: float, fine_err: float, refinement: float = 2.0) -> float:
-    """Observed convergence order from one error pair under step refinement."""
+def empirical_order(coarse_err: float, fine_err: float) -> float:
+    """Observed convergence order from one error pair under step halving."""
     if coarse_err <= 0.0 or fine_err <= 0.0:
         return float("nan")
-    return float(np.log(coarse_err / fine_err) / np.log(refinement))
+    return float(np.log(coarse_err / fine_err) / np.log(2.0))

@@ -155,8 +155,9 @@ _BLOCK_POINTS = 2**13
 
 
 def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
-           bc_wall: float, snapshots: int = 9) -> OracleSolution:
-    """Step the field ``which`` from t = 0 to T - delta and compare there."""
+           bc_wall: float) -> OracleSolution:
+    """Step the field ``which`` from t = 0 to T - delta and compare there,
+    keeping 9 evenly spaced snapshots from the initial slice to the last."""
     t_end = fam.T - cfg.delta
     n_steps = int(round(t_end / cfg.dt))
     if n_steps < 1:
@@ -171,7 +172,7 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
     tm = _T_minus(fam, np.append(np.arange(n_steps) * dt + cfg.theta * dt, t_end))
     initial = _w(fam, which, r, fam.T)
 
-    keep = set(np.linspace(0, n_steps, snapshots).astype(int).tolist())
+    keep = set(np.linspace(0, n_steps, 9).astype(int).tolist())
     times = [0.0]
     slices = [initial]
     w = initial
@@ -269,10 +270,10 @@ TRAJECTORY_HEADER = ["t", "r", "phi_numeric", "phi_exact", "abs_error"]
 
 
 def trajectory_rows(fam: SolutionFamily, sol: OracleSolution,
-                    which: str = "u", stride: int = 8) -> np.ndarray:
-    """Snapshot table comparing the discrete trajectory with the closed form."""
-    rs = sol.r[::stride]
-    num = sol.values[:, ::stride]
+                    which: str = "u") -> np.ndarray:
+    """Snapshot table comparing the discrete trajectory with the closed
+    form at every eighth grid radius."""
+    rs, num = sol.r[::8], sol.values[:, ::8]
     tm = _T_minus(fam, sol.times)
     exact = _w(fam, which, rs, tm[:, None])
     return np.column_stack([np.repeat(sol.times, rs.size), np.tile(rs, tm.size),

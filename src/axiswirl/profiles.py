@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +53,10 @@ EPS0 = 1e-4
 
 # Cache resolution for the I and g splines on [0, 1].
 _CACHE_PANELS = 2048
+
+# A forcing table's endpoint values above this are reported before they
+# are zeroed; a table is nonpositive and nontrivial up to it.
+_ENDPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,11 @@ def zero_forcing() -> ForcingProfile:
                           nonpositive=True, nontrivial=False)
 
 
-def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -> ForcingProfile:
+def forcing_from_samples(r_samples, k_samples) -> ForcingProfile:
     """Cubic interpolant through sampled (r, k) pairs on [0, 1].
 
     Endpoint values are forced to zero (with a warning when they exceed
-    ``endpoint_tol``) so the support constraint holds exactly.
+    ``_ENDPOINT_TOL``) so the support constraint holds exactly.
     """
     r = np.asarray(r_samples, dtype=float)
     k = np.asarray(k_samples, dtype=float).copy()
@@ -132,7 +136,7 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
     if r[0] != 0.0 or r[-1] != 1.0:
         raise ValueError("samples must span [0, 1] exactly")
     for idx in (0, -1):
-        if abs(k[idx]) > endpoint_tol:
+        if abs(k[idx]) > _ENDPOINT_TOL:
             warnings.warn(
                 f"forcing table endpoint k({r[idx]:g}) = {k[idx]:.3e} forced to zero",
                 stacklevel=2)
@@ -151,8 +155,8 @@ def forcing_from_samples(r_samples, k_samples, *, endpoint_tol: float = 1e-12) -
     vals = evaluate(probe)
     return ForcingProfile(
         k=evaluate,
-        nonpositive=bool(np.all(vals <= endpoint_tol)),
-        nontrivial=bool(np.any(np.abs(vals) > endpoint_tol)),
+        nonpositive=bool(np.all(vals <= _ENDPOINT_TOL)),
+        nontrivial=bool(np.any(np.abs(vals) > _ENDPOINT_TOL)),
         k_prime0=float(slopes[0]),
     )
 
@@ -187,7 +191,6 @@ class SwirlProfile:
     """
 
     k: ForcingProfile
-    spec: QuadratureSpec
     alpha: float
     I0: float
     g1: float
@@ -213,9 +216,8 @@ class SwirlProfile:
         out[mid] = self._g_spline(r_arr[mid])
         return out if r_arr.ndim else float(out)
 
-    def g_exact(self, r: float, spec: Optional[QuadratureSpec] = None) -> float:
+    def g_exact(self, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         """g by direct adaptive quadrature, inner integral re-derived per node."""
-        spec = spec or self.spec
         r = float(min(r, 1.0))
         if r <= 0.0:
             return 0.0
@@ -288,7 +290,7 @@ class SwirlProfile:
                     + 2.0 * self.g(rm) / (rm ** 3))
         return out if r_arr.ndim else float(out)
 
-    def phi0_exact(self, r: float, spec: Optional[QuadratureSpec] = None) -> float:
+    def phi0_exact(self, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
         """phi0 by direct quadrature; the independent path of the two-path check."""
         r = float(r)
         if r <= 0.0:
@@ -432,14 +434,13 @@ def _natural_slopes(x, y) -> np.ndarray:
     return np.array(b)
 
 
-def build_profile(k: ForcingProfile,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> SwirlProfile:
+def build_profile(k: ForcingProfile) -> SwirlProfile:
     """Construct the swirl profile for ``k``.
 
     The caches accumulate panel-by-panel Gauss values (each panel is exact
     to rounding at this resolution); spline slopes are the exact closed
     forms, so cached evaluation is accurate to ~1e-14 absolute, well below
-    ``spec`` tolerances.
+    the ``DEFAULT_SPEC`` tolerances of ``g_exact``.
     """
     nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
 
@@ -463,8 +464,7 @@ def build_profile(k: ForcingProfile,
     g1 = float(g_nodes[-1])
     k0 = float(np.asarray(k(np.array([0.0])), dtype=float)[0])
     return SwirlProfile(
-        k=k, spec=spec,
-        alpha=-g1, I0=i0, g1=g1,
+        k=k, alpha=-g1, I0=i0, g1=g1,
         _I_spline=i_spline, _g_spline=g_spline,
         _c1=-0.5 * i0, _c2=k0 / 3.0, _c3=(k.k_prime0 - i0) / 8.0,
     )

@@ -8,11 +8,12 @@ stencil is sized against the local solution scale
                                               at most 0.45 min(r, 1 - r))
     h_t       = min(1e-5, theta_t ell^2 / 2) (theta_t = THETA_T_CAP)
 
-and each sample's residual is normalized by the magnitude of the largest
-term entering the equation at that sample. A report passes when every
-normalized residual stays below kappa * (theta_r^2 + theta_t^2): the
-truncation of an O(h^2) stencil applied to the true solution, with kappa
-absorbing the profile's derivative-growth ratios. Halving the dimensionless
+with theta_r = 1 / (2 (n - 1)) on an n-point grid, and each sample's
+residual is normalized by the magnitude of the largest term entering the
+equation at that sample. A report passes when every normalized residual
+stays below KAPPA * (theta_r^2 + theta_t^2): the truncation of an O(h^2)
+stencil applied to the true solution, with the constant KAPPA absorbing
+the profile's derivative-growth ratios. Halving the dimensionless
 steps must shrink the measured residuals about fourfold, which the
 acceptance suite checks explicitly. Where h_t >= T - t the time stencil is
 one-sided into the past, (3 w(t) - 4 w(t - h_t) + w(t - 2 h_t)) / (2 h_t),
@@ -53,6 +54,10 @@ __all__ = [
 KAPPA = 100.0
 THETA_T_CAP = 1e-2  # h_t / (ell^2 / 2) never exceeds this
 BOUNDARY_TOL = 1e-9
+BOUND_DRIFT_TOL = 0.05  # relative change of a fitted bound constant
+EXCLUDE_NEAREST = 2  # ladder levels nearest t = T left out of the residuals
+# The momentum check's pressure-rise quadrature.
+MOMENTUM_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
 
 _EQUATION_OF_WHICH = {
     "u": "swirl_pde_part1",
@@ -134,9 +139,8 @@ def _lattice(grid: RadialGrid, ladder: TimeLadder, exclude_nearest: int,
 
 
 def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
-                    ladder: TimeLadder, *, kappa: float = KAPPA,
-                    step_scale: float = 1.0, exclude_nearest: int = 2,
-                    theta_r: Optional[float] = None) -> ResidualReport:
+                    ladder: TimeLadder, *, step_scale: float = 1.0,
+                    exclude_nearest: int = EXCLUDE_NEAREST) -> ResidualReport:
     """Verify (d_rr + d_r/r - 1/r^2 - d_t) w = RHS through FD stencils.
 
     For the plain family (``which`` in {"u", "v"}) the right side is the
@@ -146,7 +150,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     repeats it with the stationary wall term subtracted.
     """
     rhs = _rhs(fam, which)
-    theta_r0 = (0.5 / (len(grid) - 1)) if theta_r is None else theta_r
+    theta_r0 = 0.5 / (len(grid) - 1)
     r, t, tm, h, requested = _lattice(grid, ladder, exclude_nearest,
                                       step_scale * theta_r0)
     ell = local_radial_scale(r, tm)
@@ -169,7 +173,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     mag = np.maximum.reduce([
         np.ones_like(raw), np.abs(w0), np.abs(d_rr), np.abs(d_r_over_r),
         np.abs(zeroth), np.abs(d_t), np.abs(rhs_v)])
-    tolerance = kappa * ((step_scale * theta_r0) ** 2 + (step_scale * THETA_T_CAP) ** 2)
+    tolerance = KAPPA * ((step_scale * theta_r0) ** 2 + (step_scale * THETA_T_CAP) ** 2)
     return _report(_EQUATION_OF_WHICH[which],
                    list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
                    tolerance, float(np.max(np.abs(raw), initial=0.0)),
@@ -189,34 +193,30 @@ def _pressure_rise(fam: SolutionFamily, which: str, r, h, tm,
 
 
 def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
-                          ladder: TimeLadder, *, kappa: float = KAPPA,
-                          step_scale: float = 1.0, exclude_nearest: int = 2,
-                          stride: int = 3,
-                          spec: Optional[QuadratureSpec] = None) -> ResidualReport:
+                          ladder: TimeLadder, *, step_scale: float = 1.0) -> ResidualReport:
     """Verify w^2/r = dP/dr, with dP/dr the pressure rise across
-    [r - h, r + h] over 2h (``_pressure_rise``; P itself is never formed)."""
+    [r - h, r + h] over 2h (``_pressure_rise``; P itself is never formed),
+    at every third radius of the sample lattice."""
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
     if which == "vbar" and fam.part != 2:
         raise ValueError("'vbar' checks need a part-2 family")
-    spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
     theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h, requested = _lattice(grid, ladder, exclude_nearest,
-                                      step_scale * theta_r0, stride)
-    dp = _pressure_rise(fam, which, r, h, tm, spec) / (2.0 * h)
+    r, t, tm, h, requested = _lattice(grid, ladder, EXCLUDE_NEAREST,
+                                      step_scale * theta_r0, 3)
+    dp = _pressure_rise(fam, which, r, h, tm, MOMENTUM_SPEC) / (2.0 * h)
     wv = _w(fam, which, r, tm)
     lhs = wv * wv / r
     raw = lhs - dp
     mag = np.maximum.reduce([np.ones_like(raw), np.abs(lhs), np.abs(dp)])
     return _report("radial_momentum",
                    list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
-                   kappa * (step_scale * theta_r0) ** 2,
+                   KAPPA * (step_scale * theta_r0) ** 2,
                    float(np.max(np.abs(raw), initial=0.0)),
                    skipped=requested - r.size, requested=requested)
 
 
-def check_boundary(fam: SolutionFamily, ladder: TimeLadder,
-                   tol: float = BOUNDARY_TOL) -> ResidualReport:
+def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
     """No-slip at the wall plus the structural horizontal slip conditions.
 
     The wall values vanish by construction (the linear correction cancels
@@ -230,7 +230,7 @@ def check_boundary(fam: SolutionFamily, ladder: TimeLadder,
     for name in which:
         wall = np.abs(_w(fam, name, 1.0, ladder.T_minus))
         samples.extend(zip([1.0] * wall.size, ladder.levels.tolist(), wall.tolist()))
-    report = _report("boundary", samples, tol, max(s[2] for s in samples))
+    report = _report("boundary", samples, BOUNDARY_TOL, max(s[2] for s in samples))
     report.worst.append(("horizontal slip conditions", "structural", 0.0))
     return report
 
@@ -263,12 +263,13 @@ def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
 
 
 def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
-                ladder: TimeLadder, *, drift_tol: float = 0.05) -> BoundCheck:
+                ladder: TimeLadder) -> BoundCheck:
     """Fit the bound constant as the sampled max and test refinement drift.
 
     The claimed bounds have unspecified constants depending only on the
     forcing profile; they are realized by fitting C on the sample set and
-    requiring < 5% drift when the sample density is doubled.
+    requiring a drift below BOUND_DRIFT_TOL (5%) when the sample density is
+    doubled.
     """
     if bound == "phi_lower" and fam.part != 2:
         raise ValueError("the lower bound applies to part-2 families")
@@ -282,20 +283,15 @@ def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
     return BoundCheck(
         name=bound, normalizer=_BOUND_SHAPES[bound], samples=base,
         fitted_C=fitted, refinement_drift=drift,
-        passed=bool(drift < drift_tol))
+        passed=bool(drift < BOUND_DRIFT_TOL))
 
 
 def residual_order(fam: SolutionFamily, which: str, grid: RadialGrid,
-                   ladder: TimeLadder, *, checker=check_swirl_pde,
-                   scales=(1.0, 0.5), **kwargs) -> tuple[float, list]:
+                   ladder: TimeLadder, *, checker=check_swirl_pde) -> tuple[float, list]:
     """Empirical convergence order of a residual check under step halving."""
-    reports = [checker(fam, which, grid, ladder, step_scale=s, **kwargs)
-               for s in scales]
-    orders = []
-    for a, b in zip(reports[:-1], reports[1:]):
-        ratio = a.max_abs_residual / max(b.max_abs_residual, np.finfo(float).tiny)
-        orders.append(float(np.log2(ratio)))
-    return min(orders), reports
+    coarse, fine = (checker(fam, which, grid, ladder, step_scale=s) for s in (1.0, 0.5))
+    ratio = coarse.max_abs_residual / max(fine.max_abs_residual, np.finfo(float).tiny)
+    return float(np.log2(ratio)), [coarse, fine]
 
 
 def report_to_dict(report) -> dict:

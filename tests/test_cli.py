@@ -115,6 +115,19 @@ def test_cmd_oracle_default(tmp_path):
     assert study["passed"]
 
 
+def test_all_part2_runs_every_command_and_summarises_each(tmp_path, monkeypatch):
+    monkeypatch.delenv("OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    commands = ("profile", "verify", "norms", "oracle")
+    assert run_cli(["all", "--part", "2", "--out", str(out)]) == 0
+    for command in commands:
+        assert (out / f"manifest_{command}.json").is_file()
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["command"] == "all"
+    assert summary["results"] == {command: 0 for command in commands}
+    assert summary["exit_status"] == 0
+
+
 def test_bit_reproducible_reruns(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["profile", "--out", str(out)]) == 0

@@ -109,6 +109,21 @@ def test_classify_inconclusive_on_nonmonotone_tail(ladder20):
     assert result.model == "inconclusive"
 
 
+@pytest.mark.parametrize("spike, verdict", [(11, True), (12, None)],
+                         ids=["step_before_last_8_levels", "step_in_last_8_levels"])
+def test_classify_reads_monotonicity_on_the_last_8_levels_only(ladder20, spike, verdict):
+    # A rising power-law series with one spike: the falling step from level
+    # `spike` to `spike + 1` lies outside the tail window, 0-based levels 12..19,
+    # when spike = 11, and inside it when spike = 12.
+    values = 1.0 / np.sqrt(ladder20.T_minus)
+    values[spike] *= 3.0
+    series = NormSeries(quantity="L1_f", ladder=ladder20, values=values,
+                        normalizers=np.ones(20))
+    result = classify_LqtL1x(series, 1.5)
+    assert result.finite is verdict
+    assert result.model == ("power" if verdict else "inconclusive")
+
+
 def test_classify_validation(fam1, ladder20):
     series = l1_series(fam1, "f", ladder20)
     with pytest.raises(ValueError):

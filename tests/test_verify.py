@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import axiswirl as ax
+from axiswirl import verify
 from axiswirl.cli import load_k_table
 from axiswirl.verify import _pressure_rise, report_to_dict, residual_order
 
@@ -121,6 +122,22 @@ def test_bound_checks_reference(fam1, fam2):
     lower = ax.check_bound(fam2, "phi_lower", grid, ladder)
     assert lower.passed
     assert lower.fitted_C > 0.0
+
+
+def test_bound_check_fails_when_refined_samples_drift_six_percent(
+        fam1, grid64, ladder10, monkeypatch):
+    # The drift reads 0 on the bump at this sampling; scaling only the
+    # doubled-density samples by 1.06 must push it past the 5% gate.
+    real = verify._bound_samples
+
+    def doctored(fam, bound, grid, ladder):
+        samples = real(fam, bound, grid, ladder)
+        return 1.06 * samples if len(grid) > len(grid64) else samples
+
+    monkeypatch.setattr(verify, "_bound_samples", doctored)
+    check = ax.check_bound(fam1, "u_upper", grid64, ladder10)
+    assert check.passed is False
+    assert check.refinement_drift == pytest.approx(0.06, rel=1e-12)
 
 
 def test_bound_check_zero_forcing(fam1_zero):
