@@ -10,6 +10,7 @@ Exit status is 0 iff every enabled check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -101,7 +102,7 @@ def load_config(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             if key == "formats":
-                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
+                values[key] = _parse_formats(val)
                 continue
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -110,6 +111,11 @@ def load_config(path: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
+
+
+def _parse_formats(text: str) -> tuple:
+    """Comma-separated formats (key or flag); empty entries are dropped."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def load_k_table(path: str):
@@ -176,6 +182,7 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
     write_json(_out_path(cfg, f"manifest_{command}.json"), payload)
 
 
+@functools.cache
 def _installed_version(package: str):
     """The installed version of ``package``, read without importing it;
     None when it is not installed (only ``oracle`` needs scipy)."""
@@ -232,7 +239,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks.append(check_boundary(fam, make_time_ladder(cfg.T, max(cfg.ladder_J, 20))))
     bounds = [check_bound(fam, "u_upper", grid, ladder),
               check_bound(fam, "grad_u_upper", grid, ladder)]
-    if cfg.part == 2:
+    if cfg.part == 2 and fam.profile.k.nontrivial:
+        # A trivial forcing makes the lower-bound claim empty (u = 0).
         bounds.append(check_bound(fam, "phi_lower", grid, ladder))
 
     report = {"checks": [report_to_dict(c) for c in checks + bounds]}
@@ -404,7 +412,7 @@ def build_run_config(args) -> RunConfig:
         if val is not None:
             values[key] = val
     if getattr(args, "formats", None):
-        values["formats"] = tuple(v.strip() for v in args.formats.split(","))
+        values["formats"] = _parse_formats(args.formats)
     if "OUT_DIR" in os.environ:
         values["out_dir"] = os.environ["OUT_DIR"]
     return RunConfig(**values)

@@ -23,7 +23,8 @@ pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
 formed and checked once by ``_T_minus``. Only the public evaluators take t,
 for tests and export: they validate (r, t), form T - t once, call a kernel.
 The one pressure integrand, w^2/l keyed on each row's T - t, serves
-``eval_pressure`` (from the axis) and verify's rise across a stencil.
+``eval_pressure`` (from the axis, cut by ``_axis_breakpoints`` like every
+radial integral from the axis) and verify's rise across a stencil.
 """
 
 from __future__ import annotations
@@ -245,8 +246,20 @@ def eval_h(fam: SolutionFamily, r, t):
     return _shaped(_h(fam, rr, tm), r, t)
 
 
+def _axis_breakpoints(tm):
+    """Initial panel cuts for a radial integral from the axis, one row per
+    entry of tm: sqrt(2 tm) * {1/4, ..., 4}, so no first panel misses the
+    core, continued by factors of 4 out to the wall. Past the core every such
+    integrand falls like a power of r, and one panel from 4 sqrt(2 tm) to 1
+    misses that mass while both Gauss rules agree once T - t < ~1e-13."""
+    scale = np.sqrt(2.0 * tm)
+    reach = int(np.ceil(np.log(0.25 / np.min(scale, initial=0.25)) / np.log(4.0)))
+    factors = np.concatenate(([0.25, 0.5, 1.0, 2.0, 4.0], 4.0 ** np.arange(2, reach + 2)))
+    return np.multiply.outer(scale, factors)
+
+
 def _pressure_integral(fam: SolutionFamily, which: str, a, b, tm,
-                       spec: QuadratureSpec):
+                       spec: QuadratureSpec, breakpoints=None):
     """The integral of w^2/l over [a, b] at T - t = tm, one row per entry
     (a float for scalars); it extends by zero at the axis since w = O(l)."""
     tm_rows = np.asarray(tm)[..., None]
@@ -255,7 +268,7 @@ def _pressure_integral(fam: SolutionFamily, which: str, a, b, tm,
         wl = _w(fam, which, l, tm_rows)
         return wl * wl / np.where(l > 0.0, l, 1.0)
 
-    return integrate(integrand, a, b, spec)[0]
+    return integrate(integrand, a, b, spec, breakpoints=breakpoints)[0]
 
 
 def eval_pressure(fam: SolutionFamily, which: str, r, t,
@@ -269,7 +282,8 @@ def eval_pressure(fam: SolutionFamily, which: str, r, t,
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
     r, tm = np.broadcast_arrays(*_validate(fam, r, t))
-    return _pressure_integral(fam, which, np.zeros_like(r), r, tm, spec)
+    return _pressure_integral(fam, which, np.zeros_like(r), r, tm, spec,
+                              _axis_breakpoints(tm))
 
 
 def eval_Y(fam: SolutionFamily, r, t):

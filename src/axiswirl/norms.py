@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SolutionFamily, _T_minus, _jet, _w, _y_times_r
+from .fields import SolutionFamily, _axis_breakpoints, _T_minus, _jet, _w, _y_times_r
 from .numerics import QuadratureSpec, TimeLadder, integrate
 from .profiles import EPS0
 
@@ -124,27 +124,6 @@ def _gradient_density(fam: SolutionFamily, which: str):
     return density
 
 
-_BREAK_FACTORS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-
-
-def _radial_breakpoints(tm):
-    # Seed panels at the self-similar width so compactly supported or
-    # core-concentrated integrands are never missed by the first panel.
-    return np.multiply.outer(np.sqrt(2.0 * tm), _BREAK_FACTORS)
-
-
-def _wall_breakpoints(tm):
-    # One row of points per entry of tm (integrate's row mode): the
-    # self-similar points, continued by factors of 4 out to the wall. Past
-    # the core the dissipation density falls like r^-3, and one panel from
-    # 4 sqrt(2 tm) to 1 misses that mass while both Gauss rules agree once
-    # T - t is below about 1e-13.
-    scale = np.sqrt(2.0 * tm)
-    reach = max(0, int(np.ceil(np.log(0.25 / np.min(scale)) / np.log(4.0))))
-    factors = np.concatenate((_BREAK_FACTORS, 4.0 ** np.arange(2, reach + 2)))
-    return np.multiply.outer(scale, factors)
-
-
 def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
              T_minus=None):
     # An array of times is one row-batched radial quadrature.
@@ -155,18 +134,18 @@ def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
         return wv * wv * r
 
     value, _ = integrate(integrand, np.zeros_like(tm), np.ones_like(tm), spec,
-                         breakpoints=_radial_breakpoints(tm))
+                         breakpoints=_axis_breakpoints(tm))
     return 2.0 * np.pi * value
 
 
 def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
-                       spec: QuadratureSpec, sub_points: int = 8) -> np.ndarray:
+                       spec: QuadratureSpec) -> np.ndarray:
     """Dissipation over each step between successive (decreasing) T - t
     values ``tm_edges``: one row call in u = T - s, which keeps full relative
-    precision near the final time. Row j is split at points refined
-    geometrically toward its near end, where the rate grows; each panel
-    takes the radial integrals at all its (rows, 31) time nodes in one row
-    call, node i split at the width of its own u_i."""
+    precision near the final time. Each row starts as one panel, refined
+    by the adaptive engine alone; each panel takes the radial integrals at
+    all its (rows, 31) time nodes in one row call, node i seeded at the
+    width of its own u_i."""
     u_hi, u_lo = tm_edges[:-1], tm_edges[1:]
     density = _gradient_density(fam, which)
 
@@ -174,31 +153,28 @@ def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
         flat = u.ravel()
         edges = np.zeros(flat.shape)
         value, _ = integrate(lambda r: density(r, flat[:, None]), edges,
-                             edges + 1.0, spec, breakpoints=_wall_breakpoints(flat))
+                             edges + 1.0, spec, breakpoints=_axis_breakpoints(flat))
         return 2.0 * np.pi * value.reshape(u.shape)
 
-    fractions = np.power(2.0, -np.arange(sub_points - 1, 0, -1, dtype=float))
-    return integrate(rates, u_lo, u_hi, _TIME_SPEC, breakpoints=u_lo[:, None]
-                     + np.multiply.outer(u_hi - u_lo, fractions))[0]
+    return integrate(rates, u_lo, u_hi, _TIME_SPEC)[0]
 
 
 def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
-                          t_hi: float, spec: QuadratureSpec,
-                          sub_points: int = 8, *, T_minus=None) -> float:
+                          t_hi: float, spec: QuadratureSpec, *, T_minus=None) -> float:
     """Dissipation accumulated over [t_lo, t_hi], the one-row view of
     ``_dissipation_steps``; ``T_minus`` is the pair (T - t_lo, T - t_hi)
     when the caller holds it free of cancellation."""
     tm_edges = _T_minus(fam, (t_lo, t_hi), T_minus)
-    return float(_dissipation_steps(fam, which, tm_edges, spec, sub_points)[0])
+    return float(_dissipation_steps(fam, which, tm_edges, spec)[0])
 
 
 def energy(fam: SolutionFamily, which: str, t: float,
            spec: QuadratureSpec = NORM_SPEC) -> float:
     """Kinetic energy at time t plus dissipation accumulated over [0, t].
 
-    The nested numeric path for one time: the time integral is refined
-    geometrically toward ``t``, where the rate grows as the final time
-    approaches.
+    The nested numeric path for one time: the time integral over [0, t] is
+    one row that the adaptive engine refines toward ``t``, where the rate
+    grows as the final time approaches.
     """
     if t >= fam.T:
         raise ValueError("energy is defined for t < T")
@@ -271,11 +247,11 @@ def spatial_L1_parts(fam: SolutionFamily, quantity: str, t,
     def integrand(r):
         return _y_times_r(fam, quantity, r, tm[..., None])
 
-    edge = np.full_like(tm, EPS0)
+    edge, seeds = np.full_like(tm, EPS0), _axis_breakpoints(tm)
     main, _ = integrate(integrand, edge, np.ones_like(tm), spec,
-                        breakpoints=_radial_breakpoints(tm))
+                        breakpoints=seeds)
     axis, _ = integrate(integrand, np.zeros_like(tm), edge, spec,
-                        breakpoints=_radial_breakpoints(tm))
+                        breakpoints=seeds)
     return 2.0 * np.pi * main, 2.0 * np.pi * axis
 
 

@@ -126,7 +126,7 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         raise ValueError("integrate requires a <= b")
     lo, hi = a[:, None], b[:, None]
     cuts = [lo]
-    if breakpoints is not None:
+    if breakpoints is not None and a.size:  # reshape cannot size k for no rows
         inner = np.asarray(breakpoints, dtype=float).reshape(a.size, -1)
         cuts.append(np.clip(np.sort(inner, axis=1), lo, hi))
     pts = np.concatenate((*cuts, hi), axis=1)

@@ -106,6 +106,19 @@ def test_cmd_verify_part1_small(tmp_path):
     assert any(c.get("equation") == "swirl_pde_part1" for c in report["checks"])
 
 
+def test_cmd_verify_part2_zero_table_has_no_lower_bound(tmp_path):
+    # A trivial forcing is admissible and makes the lower-bound claim empty.
+    ktab = tmp_path / "k.csv"
+    ktab.write_text("r,k\n" + "".join(f"{i / 32!r},0.0\n" for i in range(33)))
+    out = tmp_path / "out"
+    rc = run_cli(["verify", "--part", "2", "--k", str(ktab), "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "run_summary.json").read_text())["exit_status"] == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["passed"]
+    assert all(c.get("name") != "phi_lower" for c in report["checks"])
+
+
 def test_cmd_oracle_default(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(["oracle", "--out", str(out)])
@@ -269,6 +282,15 @@ def test_every_run_config_field_is_a_config_key(tmp_path):
     cfg = RunConfig(**values)
     cfg.validate()
     assert cfg.formats == ("json",) and cfg.oracle_levels == 2
+
+
+def test_format_flag_and_config_key_parse_alike(tmp_path):
+    from axiswirl.cli import _parse_args, build_run_config
+    path = tmp_path / "run.cfg"
+    path.write_text("formats = csv,\n")
+    from_file = build_run_config(_parse_args(["verify", "--config", str(path)]))
+    from_flag = build_run_config(_parse_args(["verify", "--format", "csv,"]))
+    assert from_file.formats == from_flag.formats == ("csv",)
 
 
 def test_verify_console_lines_carry_headroom(tmp_path, capsys):

@@ -137,6 +137,10 @@ def test_eval_pressure_at_axis(fam1):
     assert ax.eval_pressure(fam1, "v", 0.0, 0.2) == 0.0
 
 
+def test_eval_pressure_of_no_points_is_empty(fam1):
+    assert ax.eval_pressure(fam1, "v", np.array([]), 0.2).shape == (0,)
+
+
 def test_eval_pressure_zero_forcing(fam1_zero):
     assert ax.eval_pressure(fam1_zero, "v", 0.8, 0.2) == 0.0
 

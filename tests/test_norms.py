@@ -3,9 +3,9 @@ import pytest
 
 import axiswirl as ax
 from axiswirl.norms import (NORM_SERIES_HEADER, NormSeries, classify_LqtL1x,
-                            energy, l1_series, norm_series_rows,
-                            spatial_L1, spatial_L1_parts,
-                            _dissipation_integral, NORM_SPEC)
+                            energy, energy_series, l1_series,
+                            norm_series_rows, spatial_L1, spatial_L1_parts,
+                            NORM_SPEC)
 
 from reference_values import ABS_K_MOMENT_STAR, Y_RATIO_CAPS
 
@@ -29,10 +29,18 @@ def test_kinetic_energy_against_dense_trapezoid(fam1):
     assert _kinetic(fam1, "v", t, NORM_SPEC) == pytest.approx(reference, rel=1e-6)
 
 
-def test_dissipation_subladder_refinement_consistent(fam1):
-    coarse = _dissipation_integral(fam1, "v", 0.25, 0.375, NORM_SPEC, sub_points=8)
-    fine = _dissipation_integral(fam1, "v", 0.25, 0.375, NORM_SPEC, sub_points=16)
-    assert coarse == pytest.approx(fine, rel=1e-5)
+@pytest.mark.parametrize("amplitude", [1.0, 100.0])
+@pytest.mark.parametrize("J", [1, 10, 40, 50])
+def test_one_row_energy_matches_closed_form(amplitude, J):
+    # energy() integrates the rate over all of [0, t_J] as one row that
+    # starts from a single panel; the adaptive engine alone must resolve
+    # the rate's growth toward t_J, down to T - t_J = 2^-51.
+    fam = ax.SolutionFamily(profile=ax.build_profile(ax.bump_forcing(amplitude)),
+                            T=0.5, part=1)
+    ladder = ax.make_time_ladder(0.5, J)
+    closed = energy_series(fam, "v", ladder).values[-1]
+    assert energy(fam, "v", float(ladder.levels[-1])) == pytest.approx(
+        closed, rel=1e-9)
 
 
 def test_spatial_l1_zero_forcing(fam1_zero):
