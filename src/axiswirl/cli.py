@@ -57,8 +57,8 @@ class RunConfig:
             raise ConfigError("part must be 1 or 2")
         if self.ladder_J < 4:
             raise ConfigError("ladder_J must be at least 4")
-        try:  # the deepest ladder any command builds (check_bound's J + 2)
-            make_time_ladder(self.T, max(self.ladder_J + 2, 20))
+        try:  # the deepest ladder any command builds
+            make_time_ladder(self.T, max(self.ladder_J, 20))
         except ValueError as exc:
             raise ConfigError(f"ladder_J = {self.ladder_J} is too deep for "
                               f"T = {self.T!r}: {exc}") from exc
@@ -253,9 +253,12 @@ def cmd_verify(cfg: RunConfig) -> int:
                   field_slice_rows(fam, slice_r, slice_t))
     for c in report["checks"]:
         name = c.get("equation", c.get("name"))
-        headroom = (f"refinement_drift = {c['refinement_drift']:.3g}" if "name" in c
-                    else "max_abs_residual/tolerance = "
-                    f"{c['max_abs_residual'] / c['tolerance']:.3g}")
+        if "name" in c:  # C* = 0 only for a zero field, whose samples are 0
+            ratio = c["fitted_C"] / c["C_star"] if c["C_star"] else float("nan")
+            headroom = f"fitted_C/C_star = {ratio:.6g}"
+        else:
+            headroom = ("max_abs_residual/tolerance = "
+                        f"{c['max_abs_residual'] / c['tolerance']:.3g}")
         print(f"verify: {name}: {'pass' if c['passed'] else 'FAIL'} ({headroom})")
     return 0 if report["passed"] else 1
 

@@ -307,4 +307,4 @@ def empirical_order(coarse_err: float, fine_err: float) -> float:
     """Observed convergence order from one error pair under step halving."""
     if coarse_err <= 0.0 or fine_err <= 0.0:
         return float("nan")
-    return float(np.log(coarse_err / fine_err) / np.log(2.0))
+    return float(np.log2(coarse_err / fine_err))

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import SolutionFamily, _rhs, _T_minus, _w
+from .numerics import empirical_order
 
 __all__ = [
     "OracleConfig",
@@ -252,7 +253,7 @@ def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
             valid = False
             orders.append(float("nan"))
         else:
-            orders.append(float(np.log2(coarse / fine)))
+            orders.append(empirical_order(coarse, fine))
     finite_orders = [o for o in orders if np.isfinite(o)]
     return OracleRun(
         config=levels[-1],

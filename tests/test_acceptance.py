@@ -180,4 +180,4 @@ def test_criterion_8_blowup(fam1_big, fam2_big):
     ok = growth_ok and lower.passed
     _report(8, ok, elapsed,
             f"{', '.join(details)} by j=20 (> 10x), nondecreasing; lower-bound "
-            f"check C = {lower.fitted_C:.3e}, drift {100 * lower.refinement_drift:.2f}%")
+            f"check C = {lower.fitted_C:.3e}, C* = {lower.C_star:.3e}")

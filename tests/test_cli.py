@@ -305,7 +305,8 @@ def test_verify_console_lines_carry_headroom(tmp_path, capsys):
             ratio = c["max_abs_residual"] / c["tolerance"]
             expected = f"{c['equation']}: pass (max_abs_residual/tolerance = {ratio:.3g})"
         else:
-            expected = f"{c['name']}: pass (refinement_drift = {c['refinement_drift']:.3g})"
+            ratio = c["fitted_C"] / c["C_star"]
+            expected = f"{c['name']}: pass (fitted_C/C_star = {ratio:.6g})"
         assert line == "verify: " + expected
 
 
@@ -336,11 +337,11 @@ def test_k_table_header_after_leading_comments(tmp_path):
 
 @pytest.mark.parametrize("part", ["1", "2"])
 def test_verify_passes_at_the_deepest_accepted_ladder(tmp_path, part):
-    # J = 51 is the deepest ladder the CLI accepts at T = 1/2 (J = 52 exits 2);
-    # its last levels sit at T - t ~ 1e-15.
+    # J = 53 is the deepest ladder the CLI accepts at T = 1/2 (J = 54 exits 2);
+    # its last levels sit at T - t ~ 1e-16.
     out = tmp_path / "out"
-    assert run_cli(["verify", "--part", part, "--ladder-J", "51", "--out", str(out)]) == 0
+    assert run_cli(["verify", "--part", part, "--ladder-J", "53", "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"]
-    assert run_cli(["verify", "--part", part, "--ladder-J", "52",
+    assert run_cli(["verify", "--part", part, "--ladder-J", "54",
                     "--out", str(tmp_path / "too-deep")]) == 2

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import axiswirl as ax
 from axiswirl import verify
-from axiswirl.cli import load_k_table
+from axiswirl.cli import RunConfig, load_k_table
+from axiswirl.errors import ConfigError
 from axiswirl.verify import _pressure_rise, report_to_dict, residual_order
 
 
@@ -116,7 +118,7 @@ def test_bound_checks_reference(fam1, fam2):
     grid = ax.make_radial_grid(64)
     ladder = ax.make_time_ladder(0.5, 12)
     upper = ax.check_bound(fam1, "u_upper", grid, ladder)
-    assert upper.passed and upper.refinement_drift < 0.05
+    assert upper.passed and 0.99 < upper.fitted_C / upper.C_star <= 1.0
     grad = ax.check_bound(fam1, "grad_u_upper", grid, ladder)
     assert grad.passed
     lower = ax.check_bound(fam2, "phi_lower", grid, ladder)
@@ -124,20 +126,54 @@ def test_bound_checks_reference(fam1, fam2):
     assert lower.fitted_C > 0.0
 
 
-def test_bound_check_fails_when_refined_samples_drift_six_percent(
+def test_bound_check_fails_when_one_sample_exceeds_the_supremum_margin(
         fam1, grid64, ladder10, monkeypatch):
-    # The drift reads 0 on the bump at this sampling; scaling only the
-    # doubled-density samples by 1.06 must push it past the 5% gate.
+    # One sample lifted to twice the rounding margin above C* fails the gate.
     real = verify._bound_samples
+    c_star = verify.bound_constant(fam1.profile, "u_upper")
 
     def doctored(fam, bound, grid, ladder):
-        samples = real(fam, bound, grid, ladder)
-        return 1.06 * samples if len(grid) > len(grid64) else samples
+        samples = real(fam, bound, grid, ladder).copy()
+        samples[samples.size // 2] = c_star * (1.0 + 2.0 * verify.BOUND_SUP_RTOL)
+        return samples
 
     monkeypatch.setattr(verify, "_bound_samples", doctored)
     check = ax.check_bound(fam1, "u_upper", grid64, ladder10)
+    assert check.C_star == c_star
     assert check.passed is False
-    assert check.refinement_drift == pytest.approx(0.06, rel=1e-12)
+
+
+def test_phi_lower_supremum_on_the_bump_is_the_larger_limit(ref_profile):
+    # The axis limit 2/c1 = -4/I0 against the unattained exterior limit 1/g1.
+    expected = max(-4.0 / ref_profile.I0, 1.0 / ref_profile.g1)
+    assert verify.bound_constant(ref_profile, "phi_lower") == expected
+
+
+@pytest.mark.parametrize("part, bound", [(1, "u_upper"), (1, "grad_u_upper"),
+                                         (2, "phi_lower")])
+def test_bound_supremum_does_not_depend_on_T(ref_profile, grid64, part, bound):
+    checks = [ax.check_bound(ax.SolutionFamily(profile=ref_profile, T=T, part=part),
+                             bound, grid64, ax.make_time_ladder(T, 12))
+              for T in (0.5, 0.3)]
+    assert checks[0].C_star == checks[1].C_star
+    assert all(c.passed for c in checks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+       J=st.integers(min_value=4, max_value=60))
+def test_bound_samples_stay_within_the_gate_at_every_accepted_T_and_J(ref_profile, T, J):
+    try:
+        RunConfig(T=T, ladder_J=J).validate()
+    except ConfigError:
+        assume(False)
+    grid = ax.make_radial_grid(32)
+    ladder = ax.make_time_ladder(T, J)
+    for part, bound in ((1, "u_upper"), (1, "grad_u_upper"), (2, "phi_lower")):
+        fam = ax.SolutionFamily(profile=ref_profile, T=T, part=part)
+        check = ax.check_bound(fam, bound, grid, ladder)
+        assert np.all(check.samples <= check.C_star * (1.0 + verify.BOUND_SUP_RTOL))
+        assert check.passed
 
 
 def test_bound_check_zero_forcing(fam1_zero):
@@ -161,7 +197,7 @@ def test_report_serialization(fam1, grid64, ladder10):
     pde = report_to_dict(ax.check_swirl_pde(fam1, "v", grid64, ladder10))
     assert {"equation", "tolerance", "max_abs_residual", "passed"} <= set(pde)
     bound = report_to_dict(ax.check_bound(fam1, "u_upper", grid64, ladder10))
-    assert {"name", "fitted_C", "refinement_drift", "passed"} <= set(bound)
+    assert {"name", "fitted_C", "C_star", "passed"} <= set(bound)
     with pytest.raises(TypeError):
         report_to_dict(object())
 
