@@ -23,7 +23,7 @@ from ._csvio import write_csv, write_json
 from .errors import AxiswirlError, ConfigError
 from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
-                    l1_series, norm_series_rows)
+                    l1_series, norm_series_rows, y_series)
 from .numerics import DEFAULT_SPEC, make_radial_grid, make_time_ladder
 from .oracle import (TRAJECTORY_HEADER, convergence_study, default_levels,
                      trajectory_rows)
@@ -280,15 +280,11 @@ def cmd_norms(cfg: RunConfig) -> int:
     series = [energy_series(fam, "v", ladder)]
     if cfg.part == 2:
         series.append(energy_series(fam, "vbar", ladder))
-    f_deep = l1_series(fam, "f", deep)
-    series.append(f_deep)
-    classify_targets = {"L1_f": f_deep}
+    series.append(l1_series(fam, "f", deep))
     if cfg.part == 2:
-        for q in ("Y1", "Y2", "Y3", "Y4", "Y"):
-            s = l1_series(fam, q, deep)
-            series.append(s)
-            if q == "Y":
-                classify_targets["L1_Y"] = s
+        series.extend(y_series(fam, deep))
+    classify_targets = {s.quantity: s for s in series
+                        if s.quantity in ("L1_f", "L1_Y")}
 
     if "csv" in cfg.formats:
         for s in series:

@@ -295,8 +295,8 @@ def eval_Y(fam: SolutionFamily, r, t):
         Y3 = h / (1 + u),           Y4 = -(du/dr / (1 + u))^2,
 
     and Y their sum. The first two are 0/0 at the axis; evaluation is
-    restricted to r >= 1e-4 and the norm integrals handle the remaining
-    sliver through the series form.
+    restricted to r >= 1e-4, and the L^1 norms integrate the remaining
+    sliver (0, 1e-4] as a separate part.
     """
     if fam.part != 2:
         raise ValueError("Y is defined for part-2 families")
@@ -305,13 +305,6 @@ def eval_Y(fam: SolutionFamily, r, t):
         raise DomainError(f"Y components are served for r >= {EPS0:g}")
     rr, tm = _validate(fam, r_arr, t)
     return tuple(_shaped(v, r, t) for v in _y(fam, rr, tm))
-
-
-def _y_times_r(fam: SolutionFamily, quantity: str, r, tm):
-    """|quantity| * r against the radial measure; finite down to r = 0."""
-    if quantity == "f":
-        return np.abs(_h(fam, r, tm)) * r
-    return np.abs(_y(fam, r, tm)[_Y_NAMES.index(quantity)]) * r
 
 
 def _fields_at(fam: SolutionFamily, r, t):

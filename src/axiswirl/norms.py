@@ -27,9 +27,12 @@ panel one radial row call at all its time nodes) is the production path
 for vbar, which has no closed form, and the independent check of the
 closed form.
 
-The forcing norms are L^1 in space; the time integrability exponent is
-classified by fitting the tail growth shape on the last ladder levels and
-extrapolating.
+The forcing norms are L^1 in space. h = k(sigma) / tau^{3/2} lives in
+r < sqrt(tau) <= 1, so ||h||_{L^1} = 2 pi K1 / sqrt(tau), K1 = int_0^1 |k|
+sigma d sigma (``l1_series(fam, "f", ...)``; ``spatial_L1_parts`` checks
+it). ``y_series`` takes the five Y series in one stacked quadrature. The
+time integrability exponent is classified by fitting the tail growth
+shape on the last ladder levels and extrapolating.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SolutionFamily, _axis_breakpoints, _T_minus, _jet, _w, _y_times_r
+from .fields import _Y_NAMES, SolutionFamily, _axis_breakpoints, _h, _jet, _T_minus, _w, _y
 from .numerics import QuadratureSpec, TimeLadder, integrate
 from .profiles import EPS0
 
@@ -53,6 +56,7 @@ __all__ = [
     "spatial_L1",
     "spatial_L1_parts",
     "l1_series",
+    "y_series",
     "classify_LqtL1x",
     "norm_series_rows",
     "NORM_SERIES_HEADER",
@@ -61,8 +65,8 @@ __all__ = [
 NORM_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=2000)
 # The outer time integral of the dissipation rate.
 _TIME_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64)
-
-_L1_QUANTITIES = ("f", "Y1", "Y2", "Y3", "Y4", "Y")
+# The extrapolated L^q_t tail of a fitted growth shape.
+_TAIL_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=400)
 
 
 @dataclass(frozen=True)
@@ -227,32 +231,43 @@ def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
         normalizers=_ENERGY_NORMALIZER[quantity](ladder.T_minus))
 
 
+def _l1_parts(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
+    """(main, axis) L^1 parts of ``quantities`` at the 1-d ``tm``, each
+    (quantities, times): one call per part on rows stacked quantity-major,
+    whose blocks share every node, so a panel evaluates one kernel once."""
+    if quantities != ("f",) and fam.part != 2:
+        raise ValueError("Y quantities need a part-2 family")
+    rows = tm.size
+
+    def integrand(r):
+        r, tm_rows = r[:rows], tm[:, None]
+        ys = ({"f": _h(fam, r, tm_rows)} if quantities == ("f",)
+              else dict(zip(_Y_NAMES, _y(fam, r, tm_rows))))
+        return np.concatenate([np.abs(ys[q]) * r for q in quantities])
+
+    tms = np.tile(tm, len(quantities))
+    edge, seeds = np.full_like(tms, EPS0), _axis_breakpoints(tms)
+    main, _ = integrate(integrand, edge, np.ones_like(tms), spec, breakpoints=seeds)
+    axis, _ = integrate(integrand, np.zeros_like(tms), edge, spec, breakpoints=seeds)
+    return 2.0 * np.pi * np.stack((main, axis)).reshape(2, -1, rows)
+
+
 def spatial_L1_parts(fam: SolutionFamily, quantity: str, t,
                      spec: QuadratureSpec = NORM_SPEC, *, T_minus=None):
     """(main, axis) split of the spatial L^1 norm at time t.
 
     ``main`` integrates over [1e-4, 1]; ``axis`` covers the remaining
-    sliver (0, 1e-4], where the integrand runs through the profile's series
-    form, and is reported separately so it is never silently dropped.
-    ``T_minus`` is T - t when the caller holds it free of cancellation
+    sliver (0, 1e-4], reported separately so it is never silently dropped.
+    Only sigma < 1e-4 runs the series form; deep on the ladder the sliver
+    holds the whole core. ``T_minus`` is T - t free of cancellation
     (``TimeLadder.T_minus``); by default it is formed from t. An array of
-    times gives arrays, each part one row-batched quadrature.
+    times gives arrays: the one-quantity view of ``_l1_parts``.
     """
-    if quantity not in _L1_QUANTITIES:
+    if quantity not in ("f", *_Y_NAMES):
         raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity != "f" and fam.part != 2:
-        raise ValueError("Y quantities need a part-2 family")
     tm = _T_minus(fam, t, T_minus)
-
-    def integrand(r):
-        return _y_times_r(fam, quantity, r, tm[..., None])
-
-    edge, seeds = np.full_like(tm, EPS0), _axis_breakpoints(tm)
-    main, _ = integrate(integrand, edge, np.ones_like(tm), spec,
-                        breakpoints=seeds)
-    axis, _ = integrate(integrand, np.zeros_like(tm), edge, spec,
-                        breakpoints=seeds)
-    return 2.0 * np.pi * main, 2.0 * np.pi * axis
+    main, axis = _l1_parts(fam, (quantity,), tm.ravel(), spec)
+    return main.reshape(tm.shape)[()], axis.reshape(tm.shape)[()]
 
 
 def spatial_L1(fam: SolutionFamily, quantity: str, t: float,
@@ -276,14 +291,27 @@ _L1_NORMALIZER = {
 }
 
 
+def y_series(fam: SolutionFamily, ladder: TimeLadder,
+             spec: QuadratureSpec = NORM_SPEC) -> list:
+    """The L^1 series of Y1..Y4 and Y from one stacked call per split part."""
+    main, axis = _l1_parts(fam, _Y_NAMES, _T_minus(fam, ladder.levels, ladder.T_minus),
+                           spec)
+    return [NormSeries(quantity=f"L1_{q}", ladder=ladder, values=m + a,
+                       normalizers=_L1_NORMALIZER[q](ladder.T_minus))
+            for q, m, a in zip(_Y_NAMES, main, axis)]
+
+
 def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
               spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
-    main, axis = spatial_L1_parts(fam, quantity, ladder.levels, spec,
-                                  T_minus=ladder.T_minus)
-    values = main + axis
-    return NormSeries(
-        quantity=f"L1_{quantity}", ladder=ladder, values=values,
-        normalizers=_L1_NORMALIZER[quantity](ladder.T_minus))
+    """The L^1 series of f in closed form, or one view of ``y_series``."""
+    if quantity == "f":
+        tm = _T_minus(fam, ladder.levels, ladder.T_minus)
+        return NormSeries(quantity="L1_f", ladder=ladder,
+                          values=2.0 * np.pi * fam.profile.K1 / np.sqrt(2.0 * tm),
+                          normalizers=_L1_NORMALIZER["f"](ladder.T_minus))
+    if quantity not in _Y_NAMES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    return y_series(fam, ladder, spec)[_Y_NAMES.index(quantity)]
 
 
 # --- L^q_t classification ----------------------------------------------------
@@ -328,9 +356,7 @@ def _tail_integral(model: str, params, q: float, u_last: float) -> tuple[bool, f
     def integrand(u):
         return np.abs(a0 + a1 * _TAIL_SHAPES[model](u)) ** q
 
-    value, _ = integrate(integrand, 0.0, u_last,
-                         QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6,
-                                        max_subdivisions=400))
+    value, _ = integrate(integrand, 0.0, u_last, _TAIL_SPEC)
     return True, value
 
 

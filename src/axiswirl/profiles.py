@@ -186,8 +186,8 @@ class SwirlProfile:
     closed forms; interpolation error sits near rounding, far below the
     requested quadrature tolerance. ``g_exact`` and ``phi0_exact`` re-derive
     values by direct adaptive quadrature, independently of the caches.
-    ``M0``, ``M1`` and ``A`` are the moments of the closed-form energy (see
-    ``norms``), each computed once from the cached profile on first use.
+    ``M0``, ``M1``, ``A`` and ``K1`` are the moments of the closed forms in
+    ``norms``, each computed once from the cached profile on first use.
     """
 
     k: ForcingProfile
@@ -315,6 +315,11 @@ class SwirlProfile:
             _, over, prime = self.jet(s)
             return (np.square(prime) + np.square(over)) * s
         return _unit_moment(density)
+
+    @cached_property
+    def K1(self) -> float:
+        """int_0^1 |k(sigma)| sigma d sigma."""
+        return _unit_moment(lambda s: np.abs(self.k(s)) * s)
 
 
 def _unit_moment(f) -> float:

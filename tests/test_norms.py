@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import axiswirl as ax
 from axiswirl.norms import (NORM_SERIES_HEADER, NormSeries, classify_LqtL1x,
                             energy, energy_series, l1_series,
                             norm_series_rows, spatial_L1, spatial_L1_parts,
-                            NORM_SPEC)
+                            y_series, NORM_SPEC)
 
 from reference_values import ABS_K_MOMENT_STAR, Y_RATIO_CAPS
 
@@ -190,3 +193,66 @@ def test_nested_energy_is_one_time_row_call(fam2, monkeypatch):
     ladder = ax.make_time_ladder(fam2.T, 12)
     norms._nested_energy(fam2, "vbar", ladder, NORM_SPEC)
     assert time_calls == [(12,)]
+
+
+def _seeded_family(seed, part):
+    """The benchmark's seeded nonpositive table at its seeded T."""
+    make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
+        "make_inputs"]
+    inputs = make_inputs(seed)
+    rows = np.loadtxt(inputs.table_text.splitlines()[1:], delimiter=",")
+    profile = ax.build_profile(ax.forcing_from_samples(rows[:, 0], rows[:, 1]))
+    return ax.SolutionFamily(profile=profile, T=inputs.T, part=part)
+
+
+def test_y_series_meet_norm_spec_on_the_seed_6_table():
+    # Y4's axis sliver at T - t ~ 3e-9 is where separate per-quantity
+    # panels stopped early; the shared panels refine to what all five need.
+    fam = _seeded_family(6, part=2)
+    assert fam.T == 0.3651
+    ladder = ax.make_time_ladder(fam.T, 28)
+    tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
+    for series, quantity in zip(y_series(fam, ladder), ("Y1", "Y2", "Y3", "Y4", "Y")):
+        assert series.quantity == f"L1_{quantity}"
+        main, axis = spatial_L1_parts(fam, quantity, ladder.levels, tight,
+                                      T_minus=ladder.T_minus)
+        reference = main + axis
+        assert np.all(np.abs(series.values - reference)
+                      <= NORM_SPEC.rel_tol * np.abs(reference)), quantity
+
+
+def test_norms_part2_makes_two_stacked_l1_calls(tmp_path, monkeypatch):
+    # Main part and axis sliver of all five Y series, 5 J rows each; the
+    # forcing norm is a closed form and makes none.
+    from axiswirl import norms
+    from axiswirl.cli import main
+
+    real = norms.integrate
+    l1_calls = []
+
+    def counting(f, a, b, spec=ax.DEFAULT_SPEC, **kwargs):
+        if spec is NORM_SPEC and (np.all(a == ax.EPS0) or np.all(b == ax.EPS0)):
+            l1_calls.append(np.shape(a))
+        return real(f, a, b, spec, **kwargs)
+
+    monkeypatch.setattr(norms, "integrate", counting)
+    out = tmp_path / "out"
+    assert main(["norms", "--part", "2", "--out", str(out)]) == 0
+    J = len((out / "norms_L1_Y.csv").read_text().splitlines()) - 1
+    assert l1_calls == [(5 * J,), (5 * J,)]
+    l1_calls.clear()
+    fam = _seeded_family(103, part=1)
+    l1_series(fam, "f", ax.make_time_ladder(fam.T, 40))
+    assert l1_calls == []
+
+
+def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
+    fam = _seeded_family(103, part=1)
+    assert fam.T == 0.3617
+    ladder = ax.make_time_ladder(fam.T, 40)
+    series = l1_series(fam, "f", ladder)
+    main, axis = spatial_L1_parts(fam, "f", ladder.levels, T_minus=ladder.T_minus)
+    numeric = main + axis
+    assert np.all(np.abs(series.values - numeric)
+                  <= np.maximum(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * numeric))
+    assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-12)
