@@ -249,7 +249,7 @@ def _l1_parts(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
     edge, seeds = np.full_like(tms, EPS0), _axis_breakpoints(tms)
     main, _ = integrate(integrand, edge, np.ones_like(tms), spec, breakpoints=seeds)
     axis, _ = integrate(integrand, np.zeros_like(tms), edge, spec, breakpoints=seeds)
-    return 2.0 * np.pi * np.stack((main, axis)).reshape(2, -1, rows)
+    return 2.0 * np.pi * np.stack((main, axis)).reshape(2, len(quantities), rows)
 
 
 def spatial_L1_parts(fam: SolutionFamily, quantity: str, t,
@@ -291,18 +291,16 @@ _L1_NORMALIZER = {
 }
 
 
-def y_series(fam: SolutionFamily, ladder: TimeLadder,
-             spec: QuadratureSpec = NORM_SPEC) -> list:
+def y_series(fam: SolutionFamily, ladder: TimeLadder) -> list:
     """The L^1 series of Y1..Y4 and Y from one stacked call per split part."""
     main, axis = _l1_parts(fam, _Y_NAMES, _T_minus(fam, ladder.levels, ladder.T_minus),
-                           spec)
+                           NORM_SPEC)
     return [NormSeries(quantity=f"L1_{q}", ladder=ladder, values=m + a,
                        normalizers=_L1_NORMALIZER[q](ladder.T_minus))
             for q, m, a in zip(_Y_NAMES, main, axis)]
 
 
-def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
-              spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
+def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder) -> NormSeries:
     """The L^1 series of f in closed form, or one view of ``y_series``."""
     if quantity == "f":
         tm = _T_minus(fam, ladder.levels, ladder.T_minus)
@@ -311,7 +309,7 @@ def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder,
                           normalizers=_L1_NORMALIZER["f"](ladder.T_minus))
     if quantity not in _Y_NAMES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    return y_series(fam, ladder, spec)[_Y_NAMES.index(quantity)]
+    return y_series(fam, ladder)[_Y_NAMES.index(quantity)]
 
 
 # --- L^q_t classification ----------------------------------------------------

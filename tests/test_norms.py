@@ -64,6 +64,11 @@ def test_spatial_l1_parts_accounts_for_axis(fam2):
     assert spatial_L1(fam2, "Y1", 0.5 - 2.0 ** -20) == main + axis
 
 
+def test_spatial_l1_parts_of_no_times_is_empty(fam2):
+    main, axis = spatial_L1_parts(fam2, "Y4", np.array([]))
+    assert main.shape == axis.shape == (0,)
+
+
 def test_spatial_l1_validation(fam1):
     with pytest.raises(ValueError):
         spatial_L1(fam1, "Y1", 0.2)  # Y needs part 2
