@@ -42,13 +42,11 @@ class RunConfig:
     part: int = 1
     k_spec: str = "bump"
     grid_n: int = 128
-    grading: str = "uniform"
     ladder_J: int = 12
     out_dir: str = "axiswirl-out"
     formats: tuple = ("csv", "json")
     oracle_n_r: int = 128
     oracle_theta: float = 0.5
-    oracle_levels: int = 3
 
     def validate(self):
         if not (0.0 < self.T <= 0.5):
@@ -57,26 +55,29 @@ class RunConfig:
             raise ConfigError("part must be 1 or 2")
         if self.ladder_J < 4:
             raise ConfigError("ladder_J must be at least 4")
-        try:  # the deepest ladder any command builds
-            make_time_ladder(self.T, max(self.ladder_J, 20))
+        try:
+            _floor_ladder(self)
         except ValueError as exc:
             raise ConfigError(f"ladder_J = {self.ladder_J} is too deep for "
                               f"T = {self.T!r}: {exc}") from exc
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
-        if self.oracle_levels < 2:
-            raise ConfigError("oracle_levels must be at least 2")
         try:  # the constructors' own checks, on what the commands build
-            make_radial_grid(self.grid_n, self.grading)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
             _oracle_levels(self, self)
         except ValueError as exc:
             raise ConfigError(f"oracle settings: {exc}") from exc
         bad = set(self.formats) - {"csv", "json"}
         if bad:
             raise ConfigError(f"unknown formats: {sorted(bad)}")
+
+
+LADDER_FLOOR = 20  # the least depth of the boundary-check and energy ladders
+
+
+def _floor_ladder(cfg: RunConfig):
+    """The boundary-check and energy ladder. ``validate`` builds it too, so a
+    ladder_J too deep for T exits 2 before any command runs."""
+    return make_time_ladder(cfg.T, max(cfg.ladder_J, LADDER_FLOOR))
 
 
 # Every RunConfig field is a key (and a flag, where the parser has one).
@@ -227,7 +228,7 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    grid = make_radial_grid(cfg.grid_n, cfg.grading)
+    grid = make_radial_grid(cfg.grid_n)
     ladder = make_time_ladder(cfg.T, cfg.ladder_J)
     checks = []
     fields_to_check = ["v"] if cfg.part == 1 else ["eta", "vbar"]
@@ -236,7 +237,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks.append(check_radial_momentum(fam, "v", grid, ladder))
     if cfg.part == 2:
         checks.append(check_radial_momentum(fam, "vbar", grid, ladder))
-    checks.append(check_boundary(fam, make_time_ladder(cfg.T, max(cfg.ladder_J, 20))))
+    checks.append(check_boundary(fam, _floor_ladder(cfg)))
     bounds = [check_bound(fam, "u_upper", grid, ladder),
               check_bound(fam, "grad_u_upper", grid, ladder)]
     if cfg.part == 2 and fam.profile.k.nontrivial:
@@ -275,12 +276,12 @@ def _classification_depth(fam: SolutionFamily, floor: int) -> int:
 
 def cmd_norms(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    ladder = make_time_ladder(cfg.T, max(cfg.ladder_J, 20))
+    ladder = _floor_ladder(cfg)
     deep = make_time_ladder(cfg.T, _classification_depth(fam, cfg.ladder_J))
     series = [energy_series(fam, "v", ladder)]
     if cfg.part == 2:
         series.append(energy_series(fam, "vbar", ladder))
-    series.append(l1_series(fam, "f", deep))
+    series.append(l1_series(fam, deep))
     if cfg.part == 2:
         series.extend(y_series(fam, deep))
     classify_targets = {s.quantity: s for s in series
@@ -337,8 +338,7 @@ def _oracle_levels(cfg: RunConfig, fam) -> list:
     """The refinement levels ``cmd_oracle`` runs. Only ``fam.T`` is read:
     ``RunConfig.validate`` passes the config."""
     return default_levels(fam, theta=cfg.oracle_theta, base_n=cfg.oracle_n_r,
-                          base_steps=cfg.oracle_n_r * 8,
-                          n_levels=cfg.oracle_levels)
+                          base_steps=cfg.oracle_n_r * 8)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

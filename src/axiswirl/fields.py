@@ -119,6 +119,14 @@ def _T_minus(fam: SolutionFamily, t, T_minus=None):
     return fam.T - t if T_minus is None else np.asarray(T_minus, dtype=float)
 
 
+def _ladder_T_minus(fam: SolutionFamily, ladder) -> np.ndarray:
+    """The ladder's cancellation-free T - t, the one way a ladder consumer
+    reads it: a ladder built for another final time is rejected."""
+    if ladder.T != fam.T:
+        raise ValueError(f"ladder built for T = {ladder.T!r}, not T = {fam.T!r}")
+    return ladder.T_minus
+
+
 def _validate(fam: SolutionFamily, r, t):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0) or np.any(r > 1.0):

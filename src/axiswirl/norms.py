@@ -29,10 +29,10 @@ closed form.
 
 The forcing norms are L^1 in space. h = k(sigma) / tau^{3/2} lives in
 r < sqrt(tau) <= 1, so ||h||_{L^1} = 2 pi K1 / sqrt(tau), K1 = int_0^1 |k|
-sigma d sigma (``l1_series(fam, "f", ...)``; ``spatial_L1_parts`` checks
-it). ``y_series`` takes the five Y series in one stacked quadrature. The
-time integrability exponent is classified by fitting the tail growth
-shape on the last ladder levels and extrapolating.
+sigma d sigma (``l1_series``; ``spatial_L1_parts`` checks it). The five Y
+series have no closed form: ``y_series`` takes them in one stacked
+quadrature. The time integrability exponent is classified by fitting the
+tail growth shape on the last ladder levels and extrapolating.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import _Y_NAMES, SolutionFamily, _axis_breakpoints, _h, _jet, _T_minus, _w, _y
+from .fields import (_Y_NAMES, SolutionFamily, _axis_breakpoints, _h, _jet,
+                     _ladder_T_minus, _T_minus, _w, _y)
 from .numerics import QuadratureSpec, TimeLadder, integrate
 from .profiles import EPS0
 
@@ -172,18 +173,15 @@ def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
     return float(_dissipation_steps(fam, which, tm_edges, spec)[0])
 
 
-def energy(fam: SolutionFamily, which: str, t: float,
-           spec: QuadratureSpec = NORM_SPEC) -> float:
-    """Kinetic energy at time t plus dissipation accumulated over [0, t].
+def energy(fam: SolutionFamily, which: str, t: float) -> float:
+    """Kinetic energy at time t < T plus dissipation accumulated over [0, t].
 
     The nested numeric path for one time: the time integral over [0, t] is
     one row that the adaptive engine refines toward ``t``, where the rate
     grows as the final time approaches.
     """
-    if t >= fam.T:
-        raise ValueError("energy is defined for t < T")
-    return (_kinetic(fam, which, float(t), spec)
-            + _dissipation_integral(fam, which, 0.0, float(t), spec))
+    return (_kinetic(fam, which, float(t), NORM_SPEC)
+            + _dissipation_integral(fam, which, 0.0, float(t), NORM_SPEC))
 
 
 _ENERGY_NORMALIZER = {
@@ -196,7 +194,7 @@ def _energy_v(fam: SolutionFamily, ladder: TimeLadder) -> np.ndarray:
     """The closed-form energy of v at every ladder level (module docstring)."""
     prof = fam.profile
     alpha, g1 = fam.alpha, prof.g1
-    tm = ladder.T_minus
+    tm = _ladder_T_minus(fam, ladder)
     tau = 2.0 * tm
     kinetic = (prof.M0 - 0.5 * g1 * g1 * np.log(tau) + 2.0 * alpha * tau * prof.M1
                + alpha * g1 * (1.0 - tau) + 0.25 * alpha * alpha)
@@ -210,13 +208,13 @@ def _nested_energy(fam: SolutionFamily, which: str, ladder: TimeLadder,
     """The nested numeric path at every ladder level: the kinetic term in
     one radial row call, and the dissipation of every step in one
     ``_dissipation_steps`` call between the ladder's exact ``T_minus``."""
-    kinetic = _kinetic(fam, which, ladder.levels, spec, T_minus=ladder.T_minus)
-    tm_edges = np.concatenate(([fam.T], ladder.T_minus))
+    tm = _ladder_T_minus(fam, ladder)
+    kinetic = _kinetic(fam, which, ladder.levels, spec, T_minus=tm)
+    tm_edges = np.concatenate(([fam.T], tm))
     return kinetic + np.cumsum(_dissipation_steps(fam, which, tm_edges, spec))
 
 
-def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
-                  spec: QuadratureSpec = NORM_SPEC) -> NormSeries:
+def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder) -> NormSeries:
     """Energy at every ladder level.
 
     ``v`` takes the closed form; ``vbar`` the nested numeric path.
@@ -224,7 +222,7 @@ def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder,
     if which == "v":
         values = _energy_v(fam, ladder)
     else:
-        values = _nested_energy(fam, which, ladder, spec)
+        values = _nested_energy(fam, which, ladder, NORM_SPEC)
     quantity = f"energy_{which}"
     return NormSeries(
         quantity=quantity, ladder=ladder, values=np.asarray(values),
@@ -293,23 +291,18 @@ _L1_NORMALIZER = {
 
 def y_series(fam: SolutionFamily, ladder: TimeLadder) -> list:
     """The L^1 series of Y1..Y4 and Y from one stacked call per split part."""
-    main, axis = _l1_parts(fam, _Y_NAMES, _T_minus(fam, ladder.levels, ladder.T_minus),
-                           NORM_SPEC)
+    main, axis = _l1_parts(fam, _Y_NAMES, _ladder_T_minus(fam, ladder), NORM_SPEC)
     return [NormSeries(quantity=f"L1_{q}", ladder=ladder, values=m + a,
                        normalizers=_L1_NORMALIZER[q](ladder.T_minus))
             for q, m, a in zip(_Y_NAMES, main, axis)]
 
 
-def l1_series(fam: SolutionFamily, quantity: str, ladder: TimeLadder) -> NormSeries:
-    """The L^1 series of f in closed form, or one view of ``y_series``."""
-    if quantity == "f":
-        tm = _T_minus(fam, ladder.levels, ladder.T_minus)
-        return NormSeries(quantity="L1_f", ladder=ladder,
-                          values=2.0 * np.pi * fam.profile.K1 / np.sqrt(2.0 * tm),
-                          normalizers=_L1_NORMALIZER["f"](ladder.T_minus))
-    if quantity not in _Y_NAMES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return y_series(fam, ladder)[_Y_NAMES.index(quantity)]
+def l1_series(fam: SolutionFamily, ladder: TimeLadder) -> NormSeries:
+    """The L^1 series of the forcing f, 2 pi K1 / sqrt(2 (T - t)) in closed form."""
+    tm = _ladder_T_minus(fam, ladder)
+    return NormSeries(quantity="L1_f", ladder=ladder,
+                      values=2.0 * np.pi * fam.profile.K1 / np.sqrt(2.0 * tm),
+                      normalizers=_L1_NORMALIZER["f"](tm))
 
 
 # --- L^q_t classification ----------------------------------------------------

@@ -207,7 +207,6 @@ class RadialGrid:
     """Ordered radii in [0, 1]; the outer wall is always the last node."""
 
     nodes: np.ndarray
-    grading: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -218,8 +217,6 @@ class RadialGrid:
             raise ValueError("grid nodes must be strictly increasing")
         if nodes[0] < 0.0 or nodes[-1] != 1.0:
             raise ValueError("grid must start at r >= 0 and end exactly at r = 1")
-        if self.grading not in ("uniform", "geometric"):
-            raise ValueError(f"unknown grading {self.grading!r}")
 
     def __len__(self):
         return self.nodes.size
@@ -228,27 +225,11 @@ class RadialGrid:
         return self.nodes[1:-1]
 
 
-def make_radial_grid(n: int, grading: str = "uniform", ratio: float = 0.85) -> RadialGrid:
-    """Build an ``n``-node grid on [0, 1].
-
-    ``geometric`` grading shrinks the spacing toward r = 0 by ``ratio`` per
-    interval, clustering nodes where integrands carry 1/r^2 weights.
-    """
+def make_radial_grid(n: int) -> RadialGrid:
+    """The uniform ``n``-node grid on [0, 1]."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if grading == "uniform":
-        nodes = np.linspace(0.0, 1.0, n)
-    elif grading == "geometric":
-        if not (0.0 < ratio < 1.0):
-            raise ValueError("geometric ratio must lie in (0, 1)")
-        # Interval j (counted from the axis) has width A * ratio**(n-2-j),
-        # so each spacing is `ratio` times the next one going outward.
-        widths = ratio ** np.arange(n - 2, -1, -1, dtype=float)
-        nodes = np.concatenate(([0.0], np.cumsum(widths / fsum(widths))))
-        nodes[-1] = 1.0
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-    return RadialGrid(nodes=nodes, grading=grading)
+    return RadialGrid(nodes=np.linspace(0.0, 1.0, n))
 
 
 @dataclass(frozen=True)
@@ -278,10 +259,6 @@ class TimeLadder:
             raise ValueError("ladder levels must lie in [0, T)")
 
     def __len__(self):
-        return self.levels.size
-
-    @property
-    def J(self) -> int:
         return self.levels.size
 
 

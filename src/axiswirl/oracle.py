@@ -100,14 +100,12 @@ class SwirlStepper:
     standard central coefficients, well-defined because r > 0 there.
     """
 
-    def __init__(self, n_r: int, dt: float, theta: float,
-                 bc_axis: float, bc_wall: float):
+    def __init__(self, n_r: int, dt: float, theta: float, bc_wall: float):
         from scipy.linalg.lapack import dgttrf, dgttrs
 
         self.n_r = n_r
         self.dt = dt
         self.theta = theta
-        self.bc_axis = bc_axis
         self.bc_wall = bc_wall
         self.r = np.linspace(0.0, 1.0, n_r)
         dr = self.r[1] - self.r[0]
@@ -137,14 +135,12 @@ class SwirlStepper:
         dt = self.dt
         explicit = w[1:-1] + (1.0 - self.theta) * dt * self.apply_operator(w) \
             - dt * rhs_mid
-        # Dirichlet values are constant in time: move their implicit
-        # couplings to the right-hand side.
-        lower, _, upper = self._L
-        explicit[0] += self.theta * dt * lower[0] * self.bc_axis
-        explicit[-1] += self.theta * dt * upper[-1] * self.bc_wall
+        # The wall value is constant in time: move its implicit coupling to
+        # the right-hand side (the axis value is zero and couples nothing).
+        explicit[-1] += self.theta * dt * self._L[2][-1] * self.bc_wall
         interior, _ = self._gttrs(*self._lu, explicit, overwrite_b=True)
         out = np.empty_like(w)
-        out[0] = self.bc_axis
+        out[0] = 0.0
         out[-1] = self.bc_wall
         out[1:-1] = interior
         return out
@@ -165,7 +161,7 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
         raise ValueError(f"T - delta = {fam.T!r} - {cfg.delta!r} is under half a "
                          f"step dt = {cfg.dt!r}: no step to take")
     dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, 0.0, bc_wall)
+    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, bc_wall)
     r = stepper.r
     ri = r[1:-1]
     rhs = _rhs(fam, which)

@@ -30,11 +30,10 @@ per sample, all samples in one ``integrate`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
-from .fields import SolutionFamily, _jet, _pressure_integral, _rhs, _w
+from .fields import (SolutionFamily, _jet, _ladder_T_minus, _pressure_integral,
+                     _rhs, _w)
 from .numerics import (QuadratureSpec, RadialGrid, TimeLadder, empirical_order,
                        local_radial_scale)
 from .profiles import EPS0, SwirlProfile
@@ -76,10 +75,9 @@ _EQUATION_OF_WHICH = {
 class ResidualReport:
     """Outcome of one residual check over a sample set.
 
-    ``samples`` holds (r, t, normalized residual); ``max_abs_residual`` is
-    the largest normalized residual and the report passes iff it stays at
-    or below ``tolerance`` and at least 95% of requested samples were
-    evaluable.
+    ``samples`` holds (r, t, normalized residual), one per lattice sample;
+    ``max_abs_residual`` is the largest normalized residual and the report
+    passes iff it stays at or below ``tolerance``.
     """
 
     equation: str
@@ -87,17 +85,9 @@ class ResidualReport:
     tolerance: float
     max_abs_residual: float
     passed: bool
-    skipped: int = 0
-    requested: int = 0
     max_raw_residual: float = 0.0
     worst: list = field(default_factory=list)
     raw_samples: list = field(default_factory=list)
-
-    @property
-    def sampling_valid(self) -> bool:
-        if self.requested == 0:
-            return True
-        return (self.requested - self.skipped) >= 0.95 * self.requested
 
 
 @dataclass
@@ -113,34 +103,29 @@ class BoundCheck:
 
 
 def _report(equation: str, samples: list, tolerance: float, raw_max: float, *,
-            skipped: int = 0, requested: Optional[int] = None,
             raw_samples=()) -> ResidualReport:
     """The report of normalized samples (r, t, residual) against tolerance."""
     max_norm = max((s[2] for s in samples), default=0.0)
-    report = ResidualReport(
+    return ResidualReport(
         equation=equation, samples=samples, tolerance=tolerance,
-        max_abs_residual=max_norm, passed=False, skipped=skipped,
-        requested=len(samples) if requested is None else requested,
+        max_abs_residual=max_norm, passed=bool(max_norm <= tolerance),
         max_raw_residual=raw_max, worst=sorted(samples, key=lambda s: -s[2])[:5],
         raw_samples=list(raw_samples))
-    report.passed = bool(max_norm <= tolerance and report.sampling_valid)
-    return report
 
 
-def _lattice(grid: RadialGrid, ladder: TimeLadder, exclude_nearest: int,
-             theta: float, stride: int = 1):
-    """Level-major (level, radius) samples r, t, tm = T - t with a usable
-    radial step h = min(theta * ell, 0.45 min(r, 1 - r)) > 0, and the
-    number of samples requested."""
+def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder,
+             exclude_nearest: int, theta: float, stride: int = 1):
+    """Level-major samples r, t, tm = T - t of every ``stride``-th interior
+    radius >= EPS0 at all but the ``exclude_nearest`` levels nearest t = T,
+    and the step h = min(theta * ell, 0.45 min(r, 1 - r)), > 0 as EPS0 <= r < 1."""
+    keep = len(ladder) - exclude_nearest
+    times, tminus = ladder.levels[:keep], _ladder_T_minus(fam, ladder)[:keep]
     radii = grid.interior()
     radii = radii[radii >= EPS0][::stride]
-    keep = len(ladder) - exclude_nearest
-    times, tminus = ladder.levels[:keep], ladder.T_minus[:keep]
     r = np.tile(radii, times.size)
     t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
     h = np.minimum(theta * local_radial_scale(r, tm), 0.45 * np.minimum(r, 1.0 - r))
-    usable = h > 0.0
-    return r[usable], t[usable], tm[usable], h[usable], r.size
+    return r, t, tm, h
 
 
 def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
@@ -156,8 +141,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     """
     rhs = _rhs(fam, which)
     theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h, requested = _lattice(grid, ladder, exclude_nearest,
-                                      step_scale * theta_r0)
+    r, t, tm, h = _lattice(fam, grid, ladder, exclude_nearest, step_scale * theta_r0)
     ell = local_radial_scale(r, tm)
     h_t = step_scale * np.minimum(1e-5, THETA_T_CAP * ell * ell / 2.0)
     # Where the step reaches t = T, the stencil is one-sided into the past.
@@ -182,7 +166,6 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     return _report(_EQUATION_OF_WHICH[which],
                    list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
                    tolerance, float(np.max(np.abs(raw), initial=0.0)),
-                   skipped=requested - r.size, requested=requested,
                    raw_samples=zip(r.tolist(), t.tolist(), raw.tolist()))
 
 
@@ -207,8 +190,7 @@ def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
     if which == "vbar" and fam.part != 2:
         raise ValueError("'vbar' checks need a part-2 family")
     theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h, requested = _lattice(grid, ladder, EXCLUDE_NEAREST,
-                                      step_scale * theta_r0, 3)
+    r, t, tm, h = _lattice(fam, grid, ladder, EXCLUDE_NEAREST, step_scale * theta_r0, 3)
     dp = _pressure_rise(fam, which, r, h, tm, MOMENTUM_SPEC) / (2.0 * h)
     wv = _w(fam, which, r, tm)
     lhs = wv * wv / r
@@ -217,8 +199,7 @@ def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
     return _report("radial_momentum",
                    list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
                    KAPPA * (step_scale * theta_r0) ** 2,
-                   float(np.max(np.abs(raw), initial=0.0)),
-                   skipped=requested - r.size, requested=requested)
+                   float(np.max(np.abs(raw), initial=0.0)))
 
 
 def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
@@ -231,9 +212,10 @@ def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
     the report records as exact.
     """
     which = ("v",) if fam.part == 1 else ("v", "vbar")
+    tm = _ladder_T_minus(fam, ladder)
     samples = []
     for name in which:
-        wall = np.abs(_w(fam, name, 1.0, ladder.T_minus))
+        wall = np.abs(_w(fam, name, 1.0, tm))
         samples.extend(zip([1.0] * wall.size, ladder.levels.tolist(), wall.tolist()))
     report = _report("boundary", samples, BOUNDARY_TOL, max(s[2] for s in samples))
     report.worst.append(("horizontal slip conditions", "structural", 0.0))
@@ -290,7 +272,7 @@ def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
         raise ValueError(f"unknown bound {bound!r}")
     radii = grid.interior()
     radii = radii[radii >= EPS0]
-    tm = ladder.T_minus[:, None]
+    tm = _ladder_T_minus(fam, ladder)[:, None]
     shape = radii * radii + tm
     if bound == "grad_u_upper":
         _, uor, du = _jet(fam, radii, tm)
@@ -342,7 +324,6 @@ def report_to_dict(report) -> dict:
             "max_abs_residual": report.max_abs_residual,
             "max_raw_residual": report.max_raw_residual,
             "sample_count": len(report.samples),
-            "skipped": report.skipped,
             "passed": report.passed,
             "worst": [list(w) for w in report.worst],
         }

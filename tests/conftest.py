@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import axiswirl as ax
+from axiswirl.norms import y_series
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +49,14 @@ def fam1_big(big_profile):
 @pytest.fixture(scope="session")
 def fam2_big(big_profile):
     return ax.SolutionFamily(profile=big_profile, T=0.5, part=2)
+
+
+@pytest.fixture(scope="session")
+def y_deep(fam2_big):
+    """The five Y series of the amplitude-100 bump on the J = 28 ladder, by
+    name: one ``y_series`` call for every test that reads a Y series."""
+    return {s.quantity.removeprefix("L1_"): s
+            for s in y_series(fam2_big, ax.make_time_ladder(0.5, 28))}
 
 
 @pytest.fixture(scope="session")

@@ -108,17 +108,17 @@ def test_criterion_5_energy_contrast(fam1_big, fam2_big):
             f"{100 * drift:.1f}% (< 5%); vbar/v slope ratio {contrast:.3f} (< 0.1)")
 
 
-def test_criterion_6_forcing_classification(fam1, fam2_big):
+def test_criterion_6_forcing_classification(fam1, y_deep):
     start = time.monotonic()
     ladder = ax.make_time_ladder(0.5, 20)
     deep = ax.make_time_ladder(0.5, 28)
 
-    f_series = l1_series(fam1, "f", ladder)
+    f_series = l1_series(fam1, ladder)
     expected = 2.0 * np.pi * ABS_K_MOMENT_STAR / np.sqrt(2.0)
     f_products = f_series.values * np.sqrt(ladder.T_minus)
     f_bounded = bool(np.max(np.abs(f_products - expected)) < 1e-8 * expected)
 
-    f_deep = l1_series(fam1, "f", deep)
+    f_deep = l1_series(fam1, deep)
     f_scan = {q: classify_LqtL1x(f_deep, q).finite for q in (1.5, 1.9, 2.1, 3.0)}
     f_flips = (f_scan[1.5] is True and f_scan[1.9] is True
                and f_scan[2.1] is False and f_scan[3.0] is False)
@@ -126,13 +126,12 @@ def test_criterion_6_forcing_classification(fam1, fam2_big):
     ratio_ok = True
     ratio_detail = []
     for quantity in ("Y1", "Y2", "Y3", "Y4"):
-        series = l1_series(fam2_big, quantity, deep)
+        series = y_deep[quantity]
         peak = float(np.max(series.ratios))
         ratio_ok = ratio_ok and peak <= Y_RATIO_CAPS[quantity]
         ratio_detail.append(f"{quantity}:{peak:.2f}")
 
-    y_series = l1_series(fam2_big, "Y", deep)
-    y_scan = {q: classify_LqtL1x(y_series, q).finite for q in (1.5, 2.0, 4.0)}
+    y_scan = {q: classify_LqtL1x(y_deep["Y"], q).finite for q in (1.5, 2.0, 4.0)}
     y_finite = all(v is True for v in y_scan.values())
 
     elapsed = time.monotonic() - start

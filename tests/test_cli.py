@@ -252,8 +252,8 @@ def test_manifest_records_scipy_version(tmp_path):
     (["--oracle-n-r", "8"], "", "n_r must be at least 16"),
     (["--oracle-n-r", "16", "--oracle-theta", "1.0"], "",
      "dt must satisfy 0 < dt < delta / 10"),
-    ([], "oracle_levels = 1\n", "oracle_levels must be at least 2"),
-    ([], "grading = spiral\n", "unknown grading 'spiral'"),
+    ([], "oracle_levels = 3\n", "unknown key 'oracle_levels'"),
+    ([], "grading = uniform\n", "unknown key 'grading'"),
     ([], "bogus = 1\n", "unknown key 'bogus'"),
     ([], "T = abc\n", "could not convert string to float: 'abc'"),
 ], ids=["oracle-theta", "oracle-n-r", "oracle-dt", "oracle-levels", "grading",
@@ -274,14 +274,13 @@ def test_every_run_config_field_is_a_config_key(tmp_path):
     from axiswirl.cli import RunConfig
     path = tmp_path / "run.cfg"
     path.write_text("T = 0.25\npart = 2\nk_spec = bump\ngrid_n = 64\n"
-                    "grading = geometric\nladder_J = 10\nout_dir = o\n"
-                    "formats = json\noracle_n_r = 64\noracle_theta = 1.0\n"
-                    "oracle_levels = 2\n")
+                    "ladder_J = 10\nout_dir = o\n"
+                    "formats = json\noracle_n_r = 64\noracle_theta = 1.0\n")
     values = load_config(str(path))
     assert set(values) == {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**values)
     cfg.validate()
-    assert cfg.formats == ("json",) and cfg.oracle_levels == 2
+    assert cfg.formats == ("json",) and cfg.oracle_theta == 1.0
 
 
 def test_format_flag_and_config_key_parse_alike(tmp_path):

@@ -5,6 +5,7 @@ import axiswirl as ax
 from axiswirl.errors import BlowupTimeError, DomainError
 from axiswirl.fields import (FIELD_SLICE_HEADER, eval_u_over_r,
                              field_slice_rows)
+from axiswirl.norms import y_series
 
 
 def test_family_validation(ref_profile):
@@ -329,3 +330,26 @@ def test_value_path_never_touches_the_I_spline(fam2):
     assert _kinetic(fam, "vbar", 0.3, NORM_SPEC) == _kinetic(fam2, "vbar", 0.3, NORM_SPEC)
     with pytest.raises(AssertionError, match="I-spline"):
         ax.eval_du_dr(fam, r, 0.3)
+
+
+_GRID16 = ax.make_radial_grid(16)
+_LADDER_CONSUMERS = {
+    "check_swirl_pde": lambda fam, ladder: ax.check_swirl_pde(fam, "v", _GRID16, ladder),
+    "check_radial_momentum": lambda fam, ladder: ax.check_radial_momentum(
+        fam, "v", _GRID16, ladder),
+    "check_boundary": ax.check_boundary,
+    "check_bound": lambda fam, ladder: ax.check_bound(fam, "u_upper", _GRID16, ladder),
+    "energy_series_v": lambda fam, ladder: ax.energy_series(fam, "v", ladder),
+    "energy_series_vbar": lambda fam, ladder: ax.energy_series(fam, "vbar", ladder),
+    "l1_series": ax.l1_series,
+    "y_series": y_series,
+}
+
+
+@pytest.mark.parametrize("consumer", list(_LADDER_CONSUMERS))
+def test_a_ladder_built_for_another_T_is_rejected(ref_profile, consumer):
+    # Its levels all lie in [0, 0.3), so only the ladder's own T can tell
+    # that its T_minus is not T - t of this family.
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=2)
+    with pytest.raises(ValueError, match="ladder built for T = 0.25"):
+        _LADDER_CONSUMERS[consumer](fam, ax.make_time_ladder(0.25, 12))

@@ -23,6 +23,11 @@ def test_energy_nondecreasing_in_time(fam1):
     assert e2 > e1 > 0.0
 
 
+def test_energy_at_the_final_time_is_rejected(fam1):
+    with pytest.raises(ax.BlowupTimeError):
+        energy(fam1, "v", fam1.T)
+
+
 def test_kinetic_energy_against_dense_trapezoid(fam1):
     t = 0.25
     r = np.linspace(0.0, 1.0, 200001)
@@ -51,7 +56,7 @@ def test_spatial_l1_zero_forcing(fam1_zero):
 
 
 def test_forcing_norm_exact_scale(fam1, ladder20):
-    series = l1_series(fam1, "f", ladder20)
+    series = l1_series(fam1, ladder20)
     expected = 2.0 * np.pi * ABS_K_MOMENT_STAR / np.sqrt(2.0)
     products = series.values * np.sqrt(ladder20.T_minus)
     assert np.max(np.abs(products - expected)) < 1e-10 * expected
@@ -76,29 +81,27 @@ def test_spatial_l1_validation(fam1):
         spatial_L1(fam1, "g", 0.2)
 
 
-def test_y3_bounded_along_ladder(fam2_big):
-    deep = ax.make_time_ladder(0.5, 28)
-    series = l1_series(fam2_big, "Y3", deep)
+def test_y3_bounded_along_ladder(y_deep):
+    series = y_deep["Y3"]
     assert np.max(series.ratios) <= Y_RATIO_CAPS["Y3"]
 
 
 @pytest.mark.parametrize("quantity", ["Y1", "Y2", "Y4", "Y"])
-def test_y_ratios_bounded_along_ladder(fam2_big, quantity):
-    deep = ax.make_time_ladder(0.5, 28)
-    series = l1_series(fam2_big, quantity, deep)
+def test_y_ratios_bounded_along_ladder(y_deep, quantity):
+    series = y_deep[quantity]
     assert np.all(np.isfinite(series.ratios))
     assert np.max(series.ratios) <= Y_RATIO_CAPS[quantity]
 
 
 def test_classify_zero_series(fam1_zero, ladder20):
-    series = l1_series(fam1_zero, "f", ladder20)
+    series = l1_series(fam1_zero, ladder20)
     result = classify_LqtL1x(series, 2.0)
     assert result.finite is True
     assert result.estimate == 0.0
 
 
 def test_classify_forcing_flips_at_two(fam1, ladder20):
-    series = l1_series(fam1, "f", ladder20)
+    series = l1_series(fam1, ladder20)
     verdicts = {q: classify_LqtL1x(series, q) for q in (1.5, 1.9, 2.1, 3.0)}
     assert verdicts[1.5].finite is True
     assert verdicts[1.9].finite is True
@@ -107,9 +110,8 @@ def test_classify_forcing_flips_at_two(fam1, ladder20):
     assert verdicts[3.0].tail_exponent == pytest.approx(0.5, abs=1e-3)
 
 
-def test_classify_y_finite_for_all_scanned_q(fam2_big):
-    deep = ax.make_time_ladder(0.5, 28)
-    series = l1_series(fam2_big, "Y", deep)
+def test_classify_y_finite_for_all_scanned_q(y_deep):
+    series = y_deep["Y"]
     for q in (1.5, 2.0, 4.0):
         result = classify_LqtL1x(series, q)
         assert result.finite is True, f"q={q} gave {result}"
@@ -141,13 +143,13 @@ def test_classify_reads_monotonicity_on_the_last_8_levels_only(ladder20, spike, 
 
 
 def test_classify_validation(fam1, ladder20):
-    series = l1_series(fam1, "f", ladder20)
+    series = l1_series(fam1, ladder20)
     with pytest.raises(ValueError):
         classify_LqtL1x(series, 0.0)
 
 
 def test_norm_series_rows_layout(fam1, ladder20):
-    series = l1_series(fam1, "f", ladder20)
+    series = l1_series(fam1, ladder20)
     rows = norm_series_rows(series)
     assert rows.shape == (20, len(NORM_SERIES_HEADER))
     assert np.allclose(rows[:, 1], ladder20.levels)
@@ -165,7 +167,7 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
     # levels; the series must use the ladder's exact T * 2^-j instead.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=1)
     ladder = ax.make_time_ladder(0.3, 40)
-    series = l1_series(fam, "f", ladder)
+    series = l1_series(fam, ladder)
     scaled = series.values * np.sqrt(ladder.T_minus)
     assert np.ptp(scaled) / np.mean(scaled) < 1e-10
     assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-9)
@@ -175,7 +177,8 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
 def test_l1_series_rows_match_per_level_parts(fam2_big, quantity):
     ladder = ax.make_time_ladder(0.3, 30)
     fam = ax.SolutionFamily(profile=fam2_big.profile, T=0.3, part=2)
-    series = l1_series(fam, quantity, ladder)
+    series = (l1_series(fam, ladder) if quantity == "f" else
+              {s.quantity: s for s in y_series(fam, ladder)}[f"L1_{quantity}"])
     for value, t, tm in zip(series.values, ladder.levels, ladder.T_minus):
         main, axis = spatial_L1_parts(fam, quantity, float(t), T_minus=tm)
         point = main + axis
@@ -247,7 +250,7 @@ def test_norms_part2_makes_two_stacked_l1_calls(tmp_path, monkeypatch):
     assert l1_calls == [(5 * J,), (5 * J,)]
     l1_calls.clear()
     fam = _seeded_family(103, part=1)
-    l1_series(fam, "f", ax.make_time_ladder(fam.T, 40))
+    l1_series(fam, ax.make_time_ladder(fam.T, 40))
     assert l1_calls == []
 
 
@@ -255,7 +258,7 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     fam = _seeded_family(103, part=1)
     assert fam.T == 0.3617
     ladder = ax.make_time_ladder(fam.T, 40)
-    series = l1_series(fam, "f", ladder)
+    series = l1_series(fam, ladder)
     main, axis = spatial_L1_parts(fam, "f", ladder.levels, T_minus=ladder.T_minus)
     numeric = main + axis
     assert np.all(np.abs(series.values - numeric)

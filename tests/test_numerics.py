@@ -125,22 +125,9 @@ def test_radial_grid_uniform_five():
     assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def test_radial_grid_geometric_spacing_ratio():
-    grid = ax.make_radial_grid(64, "geometric", ratio=0.85)
-    spacings = np.diff(grid.nodes)
-    ratios = spacings[:-1] / spacings[1:]
-    assert np.all(np.diff(grid.nodes) > 0.0)
-    assert grid.nodes[-1] == 1.0
-    assert np.allclose(ratios, 0.85, atol=1e-12)
-
-
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
         ax.make_radial_grid(1)
-    with pytest.raises(ValueError):
-        ax.make_radial_grid(8, "geometric", ratio=1.0)
-    with pytest.raises(ValueError):
-        ax.make_radial_grid(8, "sinh")
 
 
 def test_time_ladder_structure():

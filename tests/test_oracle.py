@@ -27,7 +27,7 @@ def test_zero_forcing_zero_trajectory(fam1_zero):
 
 
 def test_stepper_annihilates_linear_profile():
-    stepper = SwirlStepper(n_r=128, dt=1e-3, theta=0.5, bc_axis=0.0, bc_wall=0.7)
+    stepper = SwirlStepper(n_r=128, dt=1e-3, theta=0.5, bc_wall=0.7)
     w = 0.7 * stepper.r
     advanced = stepper.step(w.copy(), np.zeros(126))
     assert np.max(np.abs(advanced - w)) < 1e-12
@@ -128,7 +128,7 @@ def _reference_march(fam, cfg, which, bc_wall):
     t_end = fam.T - cfg.delta
     n_steps = int(round(t_end / cfg.dt))
     dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, 0.0, bc_wall)
+    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, bc_wall)
     ri = stepper.r[1:-1]
     rhs = _rhs(fam, which)
     tm = _T_minus(fam, np.arange(n_steps) * dt + cfg.theta * dt)
@@ -163,7 +163,7 @@ def test_step_matches_a_dense_solve(n_r, theta, log10_dt, seed):
     rng = np.random.default_rng(seed)
     dt = 10.0**log10_dt
     bc_wall = rng.uniform(-2.0, 2.0)
-    stepper = SwirlStepper(n_r, dt, theta, bc_axis=0.0, bc_wall=bc_wall)
+    stepper = SwirlStepper(n_r, dt, theta, bc_wall=bc_wall)
     w = np.concatenate([[0.0], rng.standard_normal(n_r - 2), [bc_wall]])
     rhs_mid = rng.standard_normal(n_r - 2)
 
