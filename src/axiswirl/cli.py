@@ -13,6 +13,7 @@ import argparse
 import functools
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
@@ -46,7 +47,6 @@ class RunConfig:
     out_dir: str = "axiswirl-out"
     formats: tuple = ("csv", "json")
     oracle_n_r: int = 128
-    oracle_theta: float = 0.5
 
     def validate(self):
         if not (0.0 < self.T <= 0.5):
@@ -332,33 +332,33 @@ def norms_verdict_failures(classification: list, nontrivial: bool) -> list:
 
 
 ORACLE_ERROR_BUDGET = 1e-5
+ORACLE_ORDER_BAND = (1.7, 2.3)  # Crank-Nicolson is second order
 
 
 def _oracle_levels(cfg: RunConfig, fam) -> list:
     """The refinement levels ``cmd_oracle`` runs. Only ``fam.T`` is read:
     ``RunConfig.validate`` passes the config."""
-    return default_levels(fam, theta=cfg.oracle_theta, base_n=cfg.oracle_n_r,
-                          base_steps=cfg.oracle_n_r * 8)
+    return default_levels(fam, base_n=cfg.oracle_n_r, base_steps=cfg.oracle_n_r * 8)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
     fam = build_family(cfg)
     levels = _oracle_levels(cfg, fam)
     run = convergence_study(fam, levels)
-    band = (1.7, 2.3) if cfg.oracle_theta == 0.5 else (0.7, 1.3)
-    order_ok = band[0] <= run.convergence_order <= band[1]
+    low, high = ORACLE_ORDER_BAND
+    order_ok = low <= run.convergence_order <= high
     passed = (run.study_valid and order_ok
               and run.final_error_Linf < ORACLE_ERROR_BUDGET)
 
     payload = {
-        "theta": cfg.oracle_theta,
+        "theta": 0.5,  # the Crank-Nicolson weight
         "levels": [{"n_r": l.n_r, "dt": l.dt, "delta": l.delta} for l in levels],
         "errors_Linf": run.errors_per_level,
         "orders": run.orders_per_pair,
         "convergence_order": run.convergence_order,
         "final_error_Linf": run.final_error_Linf,
         "final_error_L2": run.final_error_L2,
-        "order_band": band,
+        "order_band": ORACLE_ORDER_BAND,
         "error_budget": ORACLE_ERROR_BUDGET,
         "study_valid": run.study_valid,
         "passed": passed,
@@ -368,7 +368,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         write_csv(_out_path(cfg, "oracle_trajectory.csv"), TRAJECTORY_HEADER,
                   trajectory_rows(fam, run.finest))
     print(f"oracle: order = {run.convergence_order:.2f} "
-          f"(band {band}), final Linf = {run.final_error_Linf:.3e} "
+          f"(band {ORACLE_ORDER_BAND}), final Linf = {run.final_error_Linf:.3e} "
           f"-> {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -398,7 +398,6 @@ def _parse_args(argv):
     parser.add_argument("--format", dest="formats",
                         help="comma-separated subset of csv,json")
     parser.add_argument("--oracle-n-r", type=int, dest="oracle_n_r")
-    parser.add_argument("--oracle-theta", type=float, dest="oracle_theta")
     return parser.parse_args(argv)
 
 
@@ -446,6 +445,11 @@ def main(argv=None) -> int:
         print(f"axiswirl: i/o failure: {exc}", file=sys.stderr)
         summary["error"] = str(exc)
         status = 2
+    except Exception as exc:  # any other failure is a failed run, summarised
+        traceback.print_exc()
+        summary["error"] = f"{type(exc).__name__}: {exc}"
+        print(f"axiswirl: {summary['error']}", file=sys.stderr)
+        status = 1
     summary["exit_status"] = status
     try:
         write_json(_out_path(cfg, "run_summary.json"), summary)

@@ -56,14 +56,14 @@ DEFAULT_SPEC = QuadratureSpec()
 def gauss_panel_sums(f, nodes) -> np.ndarray:
     """21-point Gauss value of ``f`` on every panel [nodes[i], nodes[i+1]].
 
-    ``f`` is called once on the (panels, 21) node matrix. Each row gets its
-    own dot product: one matrix-vector product would reorder the sums.
+    ``f`` is called once on the (panels, 21) node matrix. ``vecdot`` sums
+    each row as ``_W21 @ row`` does; a matrix-vector product may reorder.
     """
     nodes = np.asarray(nodes, dtype=float)
     half = 0.5 * (nodes[1:] - nodes[:-1])
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     ys = np.asarray(f(mid[:, None] + half[:, None] * _X21), dtype=float)
-    return half * np.array([_W21 @ row for row in ys])
+    return half * np.vecdot(ys, _W21)
 
 
 def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,

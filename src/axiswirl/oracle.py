@@ -1,4 +1,4 @@
-"""Independent 1-D theta-scheme solver cross-validating the closed forms.
+"""Independent 1-D Crank-Nicolson solver cross-validating the closed forms.
 
 The linear swirl equation
 
@@ -6,8 +6,8 @@ The linear swirl equation
 
 is stepped on a uniform radial grid with Dirichlet data at both ends
 (w(0) = 0 by axis regularity; the wall value is constant in time). Time
-stepping uses the one-parameter theta scheme: trapezoidal at theta = 1/2
-(second order), backward Euler at theta = 1. The constant tridiagonal
+stepping is Crank-Nicolson (trapezoidal, second order in dt and dr), with
+the forcing taken at each step's midpoint. The constant tridiagonal
 matrix is factored once per stepper (LAPACK gttrf), and each step is one
 gttrs solve against that factorisation. numpy has no banded solver, so
 this module is the one user of scipy: it imports ``scipy.linalg.lapack``
@@ -45,12 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid, step, terminal cutoff and scheme weight for one solver run."""
+    """Grid, step and terminal cutoff for one solver run."""
 
     n_r: int
     dt: float
     delta: float
-    theta: float = 0.5
 
     def __post_init__(self):
         if self.n_r < 16:
@@ -59,8 +58,6 @@ class OracleConfig:
             raise ValueError("terminal cutoff delta must be positive")
         if not (self.dt > 0.0 and self.dt < self.delta / 10.0):
             raise ValueError("dt must satisfy 0 < dt < delta / 10")
-        if not (0.5 <= self.theta <= 1.0):
-            raise ValueError("theta must lie in [1/2, 1]")
 
 
 @dataclass
@@ -90,9 +87,9 @@ class OracleSolution:
 
 
 class SwirlStepper:
-    """theta-scheme stepper for the radial operator with Dirichlet ends.
+    """Crank-Nicolson stepper for the radial operator with Dirichlet ends.
 
-    The operator matrix is time-independent, so ``I - theta dt L`` on the
+    The operator matrix is time-independent, so ``I - dt L / 2`` on the
     interior nodes is LU-factored once here, and each ``step`` makes one
     triangular solve. The matrix is strictly diagonally dominant, so the
     factorisation makes no row swaps. The axis node carries Dirichlet zero
@@ -100,12 +97,11 @@ class SwirlStepper:
     standard central coefficients, well-defined because r > 0 there.
     """
 
-    def __init__(self, n_r: int, dt: float, theta: float, bc_wall: float):
+    def __init__(self, n_r: int, dt: float, bc_wall: float):
         from scipy.linalg.lapack import dgttrf, dgttrs
 
         self.n_r = n_r
         self.dt = dt
-        self.theta = theta
         self.bc_wall = bc_wall
         self.r = np.linspace(0.0, 1.0, n_r)
         dr = self.r[1] - self.r[0]
@@ -115,13 +111,13 @@ class SwirlStepper:
         upper = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
         self._L = (lower, diag, upper)
 
-        # LU factors of (I - theta dt L) on interior nodes; boundary rows
+        # LU factors of (I - dt L / 2) on interior nodes; boundary rows
         # are substituted directly into the right-hand side.
-        *lu, info = dgttrf(-theta * dt * lower[1:], 1.0 - theta * dt * diag,
-                           -theta * dt * upper[:-1])
+        *lu, info = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
+                           -0.5 * dt * upper[:-1])
         if info != 0:
             raise np.linalg.LinAlgError(
-                f"theta-scheme matrix is singular (gttrf info {info})")
+                f"Crank-Nicolson matrix is singular (gttrf info {info})")
         self._lu = lu
         self._gttrs = dgttrs
 
@@ -131,13 +127,12 @@ class SwirlStepper:
         return lower * w[:-2] + diag * w[1:-1] + upper * w[2:]
 
     def step(self, w: np.ndarray, rhs_mid: np.ndarray) -> np.ndarray:
-        """Advance one step; ``rhs_mid`` is RHS at the theta-midpoint time."""
+        """Advance one step; ``rhs_mid`` is RHS at the step's midpoint time."""
         dt = self.dt
-        explicit = w[1:-1] + (1.0 - self.theta) * dt * self.apply_operator(w) \
-            - dt * rhs_mid
+        explicit = w[1:-1] + 0.5 * dt * self.apply_operator(w) - dt * rhs_mid
         # The wall value is constant in time: move its implicit coupling to
         # the right-hand side (the axis value is zero and couples nothing).
-        explicit[-1] += self.theta * dt * self._L[2][-1] * self.bc_wall
+        explicit[-1] += 0.5 * dt * self._L[2][-1] * self.bc_wall
         interior, _ = self._gttrs(*self._lu, explicit, overwrite_b=True)
         out = np.empty_like(w)
         out[0] = 0.0
@@ -161,12 +156,12 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
         raise ValueError(f"T - delta = {fam.T!r} - {cfg.delta!r} is under half a "
                          f"step dt = {cfg.dt!r}: no step to take")
     dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, bc_wall)
+    stepper = SwirlStepper(cfg.n_r, dt, bc_wall)
     r = stepper.r
     ri = r[1:-1]
     rhs = _rhs(fam, which)
-    # T - t of every step's theta-midpoint and of t_end, checked once.
-    tm = _T_minus(fam, np.append(np.arange(n_steps) * dt + cfg.theta * dt, t_end))
+    # T - t of every step's midpoint and of t_end, checked once.
+    tm = _T_minus(fam, np.append(np.arange(n_steps) * dt + 0.5 * dt, t_end))
     initial = _w(fam, which, r, fam.T)
 
     keep = set(np.linspace(0, n_steps, 9).astype(int).tolist())
@@ -209,25 +204,14 @@ def solve_eta(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
     return _march(fam, cfg, "eta", fam.log_wall)
 
 
-def default_levels(fam: SolutionFamily, *, theta: float = 0.5,
-                   base_n: int = 128, base_steps: int = 1024,
-                   n_levels: int = 3) -> list[OracleConfig]:
-    """Nested refinement ladder.
-
-    At theta = 1/2 both steps halve between levels (the scheme is second
-    order in each). Away from 1/2 the scheme is first order in dt only, so
-    the ladder holds a fine fixed grid and halves dt alone; otherwise the
-    second-order spatial error would contaminate the measured order.
-    """
+def default_levels(fam: SolutionFamily, *, base_n: int = 128,
+                   base_steps: int = 1024, n_levels: int = 3) -> list[OracleConfig]:
+    """Nested refinement ladder: both steps halve between levels, as the
+    scheme is second order in each."""
     delta = fam.T / 8.0
     t_end = fam.T - delta
-    if theta == 0.5:
-        return [OracleConfig(n_r=base_n * 2**m, dt=t_end / (base_steps * 2**m),
-                             delta=delta, theta=theta)
-                for m in range(n_levels)]
-    n_fixed = base_n * 2 ** (n_levels - 1)
-    return [OracleConfig(n_r=n_fixed, dt=t_end / (base_steps // 2 * 2**m),
-                         delta=delta, theta=theta)
+    return [OracleConfig(n_r=base_n * 2**m, dt=t_end / (base_steps * 2**m),
+                         delta=delta)
             for m in range(n_levels)]
 
 

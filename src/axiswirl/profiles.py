@@ -255,7 +255,8 @@ class SwirlProfile:
         phi, over, prime = (np.empty(r_arr.shape) for _ in range(3))
         rt = r_arr[tail]
         phi[tail] = self.g1 / rt
-        over[tail] = self.g1 / (rt * rt)
+        with np.errstate(over="ignore"):  # sigma^2 = inf gives the exact limit 0
+            over[tail] = self.g1 / (rt * rt)
         prime[tail] = -over[tail]
         rs = r_arr[series]
         over[series] = self._c1 + rs * (self._c2 + rs * self._c3)

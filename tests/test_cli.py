@@ -209,6 +209,21 @@ def test_run_summary_always_emitted(tmp_path):
     assert summary["results"]["profile"] == 0
 
 
+def test_an_unexpected_exception_exits_1_with_a_summary(tmp_path, monkeypatch, capsys):
+    from axiswirl import cli
+
+    def broken(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "profile", broken)
+    out = tmp_path / "out"
+    assert run_cli(["profile", "--out", str(out)]) == 1
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 1
+    assert summary["error"] == "ValueError: boom"
+    assert "axiswirl: ValueError: boom" in capsys.readouterr().err
+
+
 def _rows(series, verdicts):
     return [{"series": series, "q": q, "finite": f}
             for q, f in zip((1.5, 1.9, 2.1, 3.0, 4.0), verdicts)]
@@ -248,15 +263,13 @@ def test_manifest_records_scipy_version(tmp_path):
 
 
 @pytest.mark.parametrize("flags, config, message", [
-    (["--oracle-theta", "0.3"], "", "theta must lie in [1/2, 1]"),
+    ([], "oracle_theta = 0.5\n", "unknown key 'oracle_theta'"),
     (["--oracle-n-r", "8"], "", "n_r must be at least 16"),
-    (["--oracle-n-r", "16", "--oracle-theta", "1.0"], "",
-     "dt must satisfy 0 < dt < delta / 10"),
     ([], "oracle_levels = 3\n", "unknown key 'oracle_levels'"),
     ([], "grading = uniform\n", "unknown key 'grading'"),
     ([], "bogus = 1\n", "unknown key 'bogus'"),
     ([], "T = abc\n", "could not convert string to float: 'abc'"),
-], ids=["oracle-theta", "oracle-n-r", "oracle-dt", "oracle-levels", "grading",
+], ids=["oracle-theta", "oracle-n-r", "oracle-levels", "grading",
         "config-unknown-key", "config-bad-value"])
 def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, message):
     cfg = tmp_path / "run.cfg"
@@ -275,12 +288,12 @@ def test_every_run_config_field_is_a_config_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("T = 0.25\npart = 2\nk_spec = bump\ngrid_n = 64\n"
                     "ladder_J = 10\nout_dir = o\n"
-                    "formats = json\noracle_n_r = 64\noracle_theta = 1.0\n")
+                    "formats = json\noracle_n_r = 64\n")
     values = load_config(str(path))
     assert set(values) == {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**values)
     cfg.validate()
-    assert cfg.formats == ("json",) and cfg.oracle_theta == 1.0
+    assert cfg.formats == ("json",)
 
 
 def test_format_flag_and_config_key_parse_alike(tmp_path):

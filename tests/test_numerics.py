@@ -3,7 +3,8 @@ import pytest
 
 import axiswirl as ax
 from axiswirl.errors import QuadratureConvergenceError
-from axiswirl.numerics import empirical_order
+from axiswirl.numerics import _W21, _X21, empirical_order, gauss_panel_sums
+from axiswirl.profiles import _CACHE_PANELS
 
 from oracles import bump, simpson_richardson
 from reference_values import I0_STAR
@@ -113,6 +114,29 @@ def test_differentiate_validation():
         ax.differentiate(np.sin, 0.0, -1e-3)
     with pytest.raises(ValueError):
         ax.differentiate(np.sin, 0.0, 1e-3, order=3)
+
+
+@pytest.mark.parametrize("matrix", ["bump", "random"])
+def test_gauss_panel_sums_keep_the_per_row_dot_bits(matrix):
+    # The (2048, 21) cache-node matrix of the bump's I kernel, and a random one.
+    nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
+    if matrix == "bump":
+        k = ax.reference_k()
+
+        def f(x):
+            return np.exp(-0.5 * x * x) * np.asarray(k(x), dtype=float)
+    else:
+        rng = np.random.default_rng(11)
+        shape = (_CACHE_PANELS, 21)
+        values = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+
+        def f(x):
+            return values
+    half = 0.5 * (nodes[1:] - nodes[:-1])
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    ys = f(mid[:, None] + half[:, None] * _X21)
+    expected = half * np.array([_W21 @ row for row in ys])
+    assert np.array_equal(gauss_panel_sums(f, nodes), expected)
 
 
 def test_radial_grid_two_nodes():

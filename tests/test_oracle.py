@@ -15,8 +15,6 @@ def test_config_validation():
         ax.OracleConfig(n_r=64, dt=1e-2, delta=0.05)  # dt >= delta/10
     with pytest.raises(ValueError):
         ax.OracleConfig(n_r=64, dt=1e-4, delta=0.0)
-    with pytest.raises(ValueError):
-        ax.OracleConfig(n_r=64, dt=1e-4, delta=0.05, theta=0.3)
 
 
 def test_zero_forcing_zero_trajectory(fam1_zero):
@@ -27,7 +25,7 @@ def test_zero_forcing_zero_trajectory(fam1_zero):
 
 
 def test_stepper_annihilates_linear_profile():
-    stepper = SwirlStepper(n_r=128, dt=1e-3, theta=0.5, bc_wall=0.7)
+    stepper = SwirlStepper(n_r=128, dt=1e-3, bc_wall=0.7)
     w = 0.7 * stepper.r
     advanced = stepper.step(w.copy(), np.zeros(126))
     assert np.max(np.abs(advanced - w)) < 1e-12
@@ -54,12 +52,6 @@ def test_convergence_study_eta(fam2):
     run = ax.convergence_study(fam2, default_levels(fam2), equation="eta")
     assert run.study_valid
     assert 1.7 <= run.convergence_order <= 2.3
-
-
-def test_backward_euler_first_order_in_dt(fam1):
-    run = ax.convergence_study(fam1, default_levels(fam1, theta=1.0))
-    assert run.study_valid
-    assert 0.7 <= run.convergence_order <= 1.3
 
 
 def test_degenerate_errors_flagged(fam1_zero):
@@ -128,10 +120,10 @@ def _reference_march(fam, cfg, which, bc_wall):
     t_end = fam.T - cfg.delta
     n_steps = int(round(t_end / cfg.dt))
     dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, cfg.theta, bc_wall)
+    stepper = SwirlStepper(cfg.n_r, dt, bc_wall)
     ri = stepper.r[1:-1]
     rhs = _rhs(fam, which)
-    tm = _T_minus(fam, np.arange(n_steps) * dt + cfg.theta * dt)
+    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
     w = _w(fam, which, stepper.r, fam.T)
     for n in range(n_steps):
         w = stepper.step(w, rhs(ri, tm[n]))
@@ -156,18 +148,17 @@ def test_march_equals_the_per_step_loop(fam2, which, steps):
 
 @settings(max_examples=30, deadline=None)
 @given(n_r=st.integers(min_value=16, max_value=300),
-       theta=st.floats(min_value=0.5, max_value=1.0),
        log10_dt=st.floats(min_value=-6.0, max_value=-2.5),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_step_matches_a_dense_solve(n_r, theta, log10_dt, seed):
+def test_step_matches_a_dense_solve(n_r, log10_dt, seed):
     rng = np.random.default_rng(seed)
     dt = 10.0**log10_dt
     bc_wall = rng.uniform(-2.0, 2.0)
-    stepper = SwirlStepper(n_r, dt, theta, bc_wall=bc_wall)
+    stepper = SwirlStepper(n_r, dt, bc_wall=bc_wall)
     w = np.concatenate([[0.0], rng.standard_normal(n_r - 2), [bc_wall]])
     rhs_mid = rng.standard_normal(n_r - 2)
 
-    # The full n_r x n_r theta system, Dirichlet rows included.
+    # The full n_r x n_r Crank-Nicolson system, Dirichlet rows included.
     r = np.linspace(0.0, 1.0, n_r)
     dr, ri = r[1], r[1:-1]
     rows = np.arange(1, n_r - 1)
@@ -175,8 +166,8 @@ def test_step_matches_a_dense_solve(n_r, theta, log10_dt, seed):
     L[rows, rows - 1] = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
     L[rows, rows] = -2.0 / dr**2 - 1.0 / ri**2
     L[rows, rows + 1] = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
-    A = np.eye(n_r) - theta * dt * L
-    b = w + (1.0 - theta) * dt * (L @ w)
+    A = np.eye(n_r) - 0.5 * dt * L
+    b = w + 0.5 * dt * (L @ w)
     b[1:-1] -= dt * rhs_mid
     exact = np.linalg.solve(A, b)
 

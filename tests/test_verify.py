@@ -1,5 +1,6 @@
 import hashlib
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,17 @@ def test_bound_samples_stay_within_the_gate_at_every_accepted_T_and_J(ref_profil
         check = ax.check_bound(fam, bound, grid, ladder)
         assert np.all(check.samples <= check.C_star * (1.0 + verify.BOUND_SUP_RTOL))
         assert check.passed
+
+
+def test_gradient_bound_at_a_tiny_T_raises_no_overflow_warning(ref_profile):
+    # sigma = r / sqrt(2 (T - t)) passes 1e154 here, so sigma^2 overflows in
+    # the profile jet's exterior branch, whose quotient 0 is the exact limit.
+    fam = ax.SolutionFamily(profile=ref_profile, T=1e-300, part=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = ax.check_bound(fam, "grad_u_upper", ax.make_radial_grid(32),
+                               ax.make_time_ladder(1e-300, 40))
+    assert check.passed
 
 
 def test_bound_check_zero_forcing(fam1_zero):
