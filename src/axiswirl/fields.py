@@ -303,8 +303,8 @@ def eval_Y(fam: SolutionFamily, r, t):
         Y3 = h / (1 + u),           Y4 = -(du/dr / (1 + u))^2,
 
     and Y their sum. The first two are 0/0 at the axis; evaluation is
-    restricted to r >= 1e-4, and the L^1 norms integrate the remaining
-    sliver (0, 1e-4] as a separate part.
+    restricted to r >= 1e-4. The L^1 norms integrate the kernel from the
+    axis, whose Gauss nodes never reach r = 0.
     """
     if fam.part != 2:
         raise ValueError("Y is defined for part-2 families")

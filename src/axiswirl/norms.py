@@ -29,10 +29,11 @@ closed form.
 
 The forcing norms are L^1 in space. h = k(sigma) / tau^{3/2} lives in
 r < sqrt(tau) <= 1, so ||h||_{L^1} = 2 pi K1 / sqrt(tau), K1 = int_0^1 |k|
-sigma d sigma (``l1_series``; ``spatial_L1_parts`` checks it). The five Y
+sigma d sigma (``l1_series``; ``spatial_L1`` checks it). The five Y
 series have no closed form: ``y_series`` takes them in one stacked
-quadrature. The time integrability exponent is classified by fitting the
-tail growth shape on the last ladder levels and extrapolating.
+quadrature from the axis to the wall, like every L^1 norm. The time
+integrability exponent is classified by fitting the tail growth shape on
+the last ladder levels and extrapolating.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 from .fields import (_Y_NAMES, SolutionFamily, _axis_breakpoints, _h, _jet,
                      _ladder_T_minus, _T_minus, _w, _y)
 from .numerics import QuadratureSpec, TimeLadder, integrate
-from .profiles import EPS0
 
 __all__ = [
     "NormSeries",
@@ -55,7 +55,6 @@ __all__ = [
     "energy",
     "energy_series",
     "spatial_L1",
-    "spatial_L1_parts",
     "l1_series",
     "y_series",
     "classify_LqtL1x",
@@ -229,9 +228,9 @@ def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder) -> NormSe
         normalizers=_ENERGY_NORMALIZER[quantity](ladder.T_minus))
 
 
-def _l1_parts(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
-    """(main, axis) L^1 parts of ``quantities`` at the 1-d ``tm``, each
-    (quantities, times): one call per part on rows stacked quantity-major,
+def _l1(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
+    """L^1 norms of ``quantities`` at the 1-d ``tm``, (quantities, times):
+    one call from the axis to the wall on rows stacked quantity-major,
     whose blocks share every node, so a panel evaluates one kernel once."""
     if quantities != ("f",) and fam.part != 2:
         raise ValueError("Y quantities need a part-2 family")
@@ -244,39 +243,26 @@ def _l1_parts(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
         return np.concatenate([np.abs(ys[q]) * r for q in quantities])
 
     tms = np.tile(tm, len(quantities))
-    edge, seeds = np.full_like(tms, EPS0), _axis_breakpoints(tms)
-    main, _ = integrate(integrand, edge, np.ones_like(tms), spec, breakpoints=seeds)
-    axis, _ = integrate(integrand, np.zeros_like(tms), edge, spec, breakpoints=seeds)
-    return 2.0 * np.pi * np.stack((main, axis)).reshape(2, len(quantities), rows)
+    value, _ = integrate(integrand, np.zeros_like(tms), np.ones_like(tms), spec,
+                         breakpoints=_axis_breakpoints(tms))
+    return 2.0 * np.pi * value.reshape(len(quantities), rows)
 
 
-def spatial_L1_parts(fam: SolutionFamily, quantity: str, t,
-                     spec: QuadratureSpec = NORM_SPEC, *, T_minus=None):
-    """(main, axis) split of the spatial L^1 norm at time t.
+def spatial_L1(fam: SolutionFamily, quantity: str, t,
+               spec: QuadratureSpec = NORM_SPEC, *, T_minus=None):
+    """Spatial L^1 norm at time t, the one-quantity view of ``_l1``.
 
-    ``main`` integrates over [1e-4, 1]; ``axis`` covers the remaining
-    sliver (0, 1e-4], reported separately so it is never silently dropped.
-    Only sigma < 1e-4 runs the series form; deep on the ladder the sliver
-    holds the whole core. ``T_minus`` is T - t free of cancellation
-    (``TimeLadder.T_minus``); by default it is formed from t. An array of
-    times gives arrays: the one-quantity view of ``_l1_parts``.
+    ``T_minus`` is T - t free of cancellation (``TimeLadder.T_minus``); by
+    default it is formed from t. An array of times gives an array.
     """
     if quantity not in ("f", *_Y_NAMES):
         raise ValueError(f"unknown quantity {quantity!r}")
     tm = _T_minus(fam, t, T_minus)
-    main, axis = _l1_parts(fam, (quantity,), tm.ravel(), spec)
-    return main.reshape(tm.shape)[()], axis.reshape(tm.shape)[()]
-
-
-def spatial_L1(fam: SolutionFamily, quantity: str, t: float,
-               spec: QuadratureSpec = NORM_SPEC) -> float:
-    """Spatial L^1 norm including the axis contribution."""
-    main, axis = spatial_L1_parts(fam, quantity, t, spec)
-    return main + axis
+    return _l1(fam, (quantity,), tm.ravel(), spec).reshape(tm.shape)[()]
 
 
 def _log_recip(tm):
-    return np.log(1.0 / tm)
+    return -np.log(tm)
 
 
 _L1_NORMALIZER = {
@@ -290,11 +276,11 @@ _L1_NORMALIZER = {
 
 
 def y_series(fam: SolutionFamily, ladder: TimeLadder) -> list:
-    """The L^1 series of Y1..Y4 and Y from one stacked call per split part."""
-    main, axis = _l1_parts(fam, _Y_NAMES, _ladder_T_minus(fam, ladder), NORM_SPEC)
-    return [NormSeries(quantity=f"L1_{q}", ladder=ladder, values=m + a,
+    """The L^1 series of Y1..Y4 and Y from one stacked call."""
+    values = _l1(fam, _Y_NAMES, _ladder_T_minus(fam, ladder), NORM_SPEC)
+    return [NormSeries(quantity=f"L1_{q}", ladder=ladder, values=v,
                        normalizers=_L1_NORMALIZER[q](ladder.T_minus))
-            for q, m, a in zip(_Y_NAMES, main, axis)]
+            for q, v in zip(_Y_NAMES, values)]
 
 
 def l1_series(fam: SolutionFamily, ladder: TimeLadder) -> NormSeries:

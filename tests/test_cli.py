@@ -254,6 +254,17 @@ def test_norms_inconclusive_verdict_fails_even_for_trivial_forcing():
     assert len(norms_verdict_failures(rows, nontrivial=True)) == 4
 
 
+# |v|^q of the measured part overflows to inf for q > 2, the verdict's own value.
+@pytest.mark.filterwarnings("ignore:overflow encountered in:RuntimeWarning")
+def test_norms_part1_at_a_tiny_T_reads_the_paper_verdicts(tmp_path):
+    # Deep on the ladder T - t is subnormal; the log tail shapes stay finite.
+    out = tmp_path / "out"
+    assert run_cli(["norms", "--part", "1", "--T", "1e-300", "--out", str(out)]) == 0
+    rows = json.loads((out / "norms_summary.json").read_text())["classification"]
+    assert [(row["q"], row["finite"]) for row in rows if row["series"] == "L1_f"] == [
+        (1.5, True), (1.9, True), (2.1, False), (3.0, False), (4.0, False)]
+
+
 def test_manifest_records_scipy_version(tmp_path):
     import scipy
     out = tmp_path / "out"

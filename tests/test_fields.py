@@ -306,9 +306,9 @@ def test_tiny_negative_time_raises_although_T_minus_t_rounds_to_T(fam1, fam2):
             evaluator(fam1, 0.5, t)
     with pytest.raises(DomainError):
         ax.eval_Y(fam2, 0.5, t)
-    from axiswirl.norms import spatial_L1_parts
+    from axiswirl.norms import spatial_L1
     with pytest.raises(DomainError):
-        spatial_L1_parts(fam1, "f", t, T_minus=fam1.T)
+        spatial_L1(fam1, "f", t, T_minus=fam1.T)
 
 
 def test_value_path_never_touches_the_I_spline(fam2):

@@ -7,7 +7,7 @@ import pytest
 import axiswirl as ax
 from axiswirl.norms import (NORM_SERIES_HEADER, NormSeries, classify_LqtL1x,
                             energy, energy_series, l1_series,
-                            norm_series_rows, spatial_L1, spatial_L1_parts,
+                            norm_series_rows, spatial_L1,
                             y_series, NORM_SPEC)
 
 from reference_values import ABS_K_MOMENT_STAR, Y_RATIO_CAPS
@@ -62,16 +62,8 @@ def test_forcing_norm_exact_scale(fam1, ladder20):
     assert np.max(np.abs(products - expected)) < 1e-10 * expected
 
 
-def test_spatial_l1_parts_accounts_for_axis(fam2):
-    main, axis = spatial_L1_parts(fam2, "Y1", 0.5 - 2.0 ** -20)
-    assert main > 0.0
-    assert axis >= 0.0
-    assert spatial_L1(fam2, "Y1", 0.5 - 2.0 ** -20) == main + axis
-
-
-def test_spatial_l1_parts_of_no_times_is_empty(fam2):
-    main, axis = spatial_L1_parts(fam2, "Y4", np.array([]))
-    assert main.shape == axis.shape == (0,)
+def test_spatial_l1_of_no_times_is_empty(fam2):
+    assert spatial_L1(fam2, "Y4", np.array([])).shape == (0,)
 
 
 def test_spatial_l1_validation(fam1):
@@ -180,8 +172,7 @@ def test_l1_series_rows_match_per_level_parts(fam2_big, quantity):
     series = (l1_series(fam, ladder) if quantity == "f" else
               {s.quantity: s for s in y_series(fam, ladder)}[f"L1_{quantity}"])
     for value, t, tm in zip(series.values, ladder.levels, ladder.T_minus):
-        main, axis = spatial_L1_parts(fam, quantity, float(t), T_minus=tm)
-        point = main + axis
+        point = spatial_L1(fam, quantity, float(t), T_minus=tm)
         assert abs(value - point) <= max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * abs(point))
 
 
@@ -214,7 +205,7 @@ def _seeded_family(seed, part):
 
 
 def test_y_series_meet_norm_spec_on_the_seed_6_table():
-    # Y4's axis sliver at T - t ~ 3e-9 is where separate per-quantity
+    # Y4 near the axis at T - t ~ 3e-9 is where separate per-quantity
     # panels stopped early; the shared panels refine to what all five need.
     fam = _seeded_family(6, part=2)
     assert fam.T == 0.3651
@@ -222,16 +213,32 @@ def test_y_series_meet_norm_spec_on_the_seed_6_table():
     tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
     for series, quantity in zip(y_series(fam, ladder), ("Y1", "Y2", "Y3", "Y4", "Y")):
         assert series.quantity == f"L1_{quantity}"
-        main, axis = spatial_L1_parts(fam, quantity, ladder.levels, tight,
-                                      T_minus=ladder.T_minus)
-        reference = main + axis
+        reference = spatial_L1(fam, quantity, ladder.levels, tight,
+                               T_minus=ladder.T_minus)
         assert np.all(np.abs(series.values - reference)
                       <= NORM_SPEC.rel_tol * np.abs(reference)), quantity
 
 
-def test_norms_part2_makes_two_stacked_l1_calls(tmp_path, monkeypatch):
-    # Main part and axis sliver of all five Y series, 5 J rows each; the
-    # forcing norm is a closed form and makes none.
+@pytest.mark.parametrize("seed", [6, 128, 142, pytest.param(2, marks=pytest.mark.xfail(
+    strict=True, reason="Y4 misses NORM_SPEC at levels 1-18 (4.76e-8), away from "
+    "the axis: the seed-2 FOUND line in CHANGES.md"))])
+def test_spatial_l1_meets_norm_spec_on_seeded_tables(seed):
+    # The one-quantity check path alone, without the panels the other four
+    # quantities share in production, down to T - t ~ 1e-9 near the axis.
+    fam = _seeded_family(seed, part=2)
+    ladder = ax.make_time_ladder(fam.T, 28)
+    tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
+    for quantity in ("Y1", "Y2", "Y3", "Y4", "Y"):
+        value, reference = (spatial_L1(fam, quantity, ladder.levels, spec,
+                                       T_minus=ladder.T_minus)
+                            for spec in (NORM_SPEC, tight))
+        assert np.all(np.abs(value - reference)
+                      <= NORM_SPEC.rel_tol * np.abs(reference)), quantity
+
+
+def test_norms_part2_makes_one_stacked_l1_call(tmp_path, monkeypatch):
+    # All five Y series from the axis to the wall, 5 J rows; the forcing
+    # norm is a closed form and makes none.
     from axiswirl import norms
     from axiswirl.cli import main
 
@@ -239,7 +246,7 @@ def test_norms_part2_makes_two_stacked_l1_calls(tmp_path, monkeypatch):
     l1_calls = []
 
     def counting(f, a, b, spec=ax.DEFAULT_SPEC, **kwargs):
-        if spec is NORM_SPEC and (np.all(a == ax.EPS0) or np.all(b == ax.EPS0)):
+        if f.__qualname__.startswith("_l1."):
             l1_calls.append(np.shape(a))
         return real(f, a, b, spec, **kwargs)
 
@@ -247,7 +254,7 @@ def test_norms_part2_makes_two_stacked_l1_calls(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["norms", "--part", "2", "--out", str(out)]) == 0
     J = len((out / "norms_L1_Y.csv").read_text().splitlines()) - 1
-    assert l1_calls == [(5 * J,), (5 * J,)]
+    assert l1_calls == [(5 * J,)]
     l1_calls.clear()
     fam = _seeded_family(103, part=1)
     l1_series(fam, ax.make_time_ladder(fam.T, 40))
@@ -259,8 +266,7 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     assert fam.T == 0.3617
     ladder = ax.make_time_ladder(fam.T, 40)
     series = l1_series(fam, ladder)
-    main, axis = spatial_L1_parts(fam, "f", ladder.levels, T_minus=ladder.T_minus)
-    numeric = main + axis
+    numeric = spatial_L1(fam, "f", ladder.levels, T_minus=ladder.T_minus)
     assert np.all(np.abs(series.values - numeric)
                   <= np.maximum(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * numeric))
     assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-12)
