@@ -7,10 +7,10 @@ from .errors import (AxiswirlError, BlowupTimeError, ConfigError, DomainError,
 from .numerics import (DEFAULT_SPEC, QuadratureSpec, RadialGrid, TimeLadder,
                        differentiate, integrate, make_radial_grid,
                        make_time_ladder)
-from .profiles import (EPS0, ForcingProfile, SwirlProfile, build_profile,
+from .profiles import (ForcingProfile, SwirlProfile, build_profile,
                        bump_forcing, forcing_from_samples, inner_integral,
                        ode_residual, reference_k, zero_forcing)
-from .fields import (FieldSample, SolutionFamily, VectorFieldValue, eval_Y,
+from .fields import (EPS0, FieldSample, SolutionFamily, VectorFieldValue, eval_Y,
                      eval_du_dr, eval_eta, eval_h, eval_pressure, eval_u,
                      eval_v, eval_vbar, sample, velocity)
 from .verify import (BoundCheck, ResidualReport, check_bound, check_boundary,

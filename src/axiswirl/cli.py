@@ -203,8 +203,8 @@ def cmd_profile(cfg: RunConfig) -> int:
     if "csv" in cfg.formats:
         write_csv(_out_path(cfg, "profile.csv"), PROFILE_HEADER, table)
     res_max = float(np.max(np.abs(table[:, 4])))
-    # The residual cannot see the g cache: its g/r^3 and g/r terms cancel.
-    # So g is also held against the direct quadrature, within the
+    # The residual cannot see the h = g/r^2 cache: its terms in h cancel.
+    # So g = r^2 h is also held against the direct quadrature, within the
     # quadrature's own contract.
     probe = radii[::40]
     g_exact = np.array([prof.g_exact(r) for r in probe])

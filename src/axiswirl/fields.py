@@ -35,9 +35,10 @@ import numpy as np
 
 from .errors import BlowupTimeError, DomainError, InvariantViolation
 from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate
-from .profiles import EPS0, SwirlProfile
+from .profiles import SwirlProfile
 
 __all__ = [
+    "EPS0",
     "SolutionFamily",
     "FieldSample",
     "VectorFieldValue",
@@ -54,6 +55,11 @@ __all__ = [
     "field_slice_rows",
     "FIELD_SLICE_HEADER",
 ]
+
+
+# Pointwise floor of the Y components: Y1 and Y2 each grow like 1/r at the
+# axis, so they are served for r >= EPS0. The profile itself needs no floor.
+EPS0 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -302,9 +308,9 @@ def eval_Y(fam: SolutionFamily, r, t):
         Y1 = -eta / r^2,            Y2 = u / (r^2 (1 + u)),
         Y3 = h / (1 + u),           Y4 = -(du/dr / (1 + u))^2,
 
-    and Y their sum. The first two are 0/0 at the axis; evaluation is
-    restricted to r >= 1e-4. The L^1 norms integrate the kernel from the
-    axis, whose Gauss nodes never reach r = 0.
+    and Y their sum. The first two each grow like 1/r at the axis, so
+    evaluation is restricted to r >= EPS0. The L^1 norms integrate the
+    kernel from the axis, whose Gauss nodes never reach r = 0.
     """
     if fam.part != 2:
         raise ValueError("Y is defined for part-2 families")
@@ -317,7 +323,7 @@ def eval_Y(fam: SolutionFamily, r, t):
 
 def _fields_at(fam: SolutionFamily, r, t):
     """(sigma, every field as an array) at the points (r, t) broadcast; the
-    Y components are served for r >= 1e-4 only (NaN below)."""
+    Y components grow like 1/r at the axis: NaN below r = EPS0."""
     r, tm = np.broadcast_arrays(*_validate(fam, r, t))
     values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
               "h": _h(fam, r, tm), "P": eval_pressure(fam, "v", r, t)}

@@ -327,7 +327,7 @@ def _tail_integral(model: str, params, q: float, u_last: float) -> tuple[bool, f
         amp, p = params
         if p * q >= 1.0:
             return False, inf
-        return True, (amp ** q) * u_last ** (1.0 - p * q) / (1.0 - p * q)
+        return True, float(np.power(amp, q) * u_last ** (1.0 - p * q) / (1.0 - p * q))
     a0, a1 = params
 
     def integrand(u):
@@ -361,9 +361,10 @@ def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
             or np.all(diffs <= 1e-12 * np.abs(v_tail[:-1]))):
         return Classification(finite=None, estimate=float("nan"), model="inconclusive")
 
-    main = float(np.trapezoid(np.abs(v) ** q, t)) + (abs(v[0]) ** q) * float(t[0])
     model, params = _tail_fit(tm[-m:], v_tail)
-    tail_ok, tail = _tail_integral(model, params, q, float(tm[-1]))
+    with np.errstate(over="ignore"):  # a power sum too large to hold is inf, the verdict
+        main = float(np.trapezoid(np.abs(v) ** q, t)) + (abs(v[0]) ** q) * float(t[0])
+        tail_ok, tail = _tail_integral(model, params, q, float(tm[-1]))
     exponent = params[1] if model == "power" else 0.0
     if not tail_ok:
         return Classification(finite=False, estimate=inf, model=model,

@@ -9,11 +9,12 @@ which integrates in closed form through g = r p:
 
     g(r) = -int_0^r s e^{s^2/2} I(s) ds,    I(s) = int_s^1 e^{-l^2/2} k(l) dl.
 
-Bulk evaluation runs off cached splines of I and g through two paths:
-``phi0`` (value only, one g-spline call) and ``jet`` (phi0, phi0/r and
-phi0' from one g-spline and one I-spline call). ``phi0_exact``, ``g_exact``
-and ``inner_integral`` re-derive values by direct adaptive quadrature and
-are the independent reference path.
+Bulk evaluation runs off cached splines of I and of h = g/r^2 = phi0/r,
+one representation from the axis (where h = -I(0)/2) to r = 1, through two
+paths: ``phi0`` (value only, one h-spline call) and ``jet`` (phi0, phi0/r
+and phi0' from one h-spline and one I-spline call), neither dividing by r.
+``phi0_exact``, ``g_exact`` and ``inner_integral`` re-derive values by
+direct adaptive quadrature and are the independent reference path.
 
 The splines are numpy only: one private cubic Hermite interpolant serves
 the two caches and, with slopes from one tridiagonal solve, the natural
@@ -35,7 +36,6 @@ import numpy as np
 from .numerics import DEFAULT_SPEC, QuadratureSpec, gauss_panel_sums, integrate
 
 __all__ = [
-    "EPS0",
     "ForcingProfile",
     "SwirlProfile",
     "reference_k",
@@ -47,11 +47,7 @@ __all__ = [
     "profile_table",
 ]
 
-# Axis cutoff: below this value of the profile variable the closed form is
-# 0/0 and evaluation switches to the convergent power series.
-EPS0 = 1e-4
-
-# Cache resolution for the I and g splines on [0, 1].
+# Cache resolution for the I and h splines on [0, 1].
 _CACHE_PANELS = 2048
 
 # A forcing table's endpoint values above this are reported before they
@@ -65,14 +61,13 @@ class ForcingProfile:
 
     ``nonpositive``/``nontrivial`` carry the admissibility facts needed by
     the log-transformed solution family (k <= 0 everywhere, k not
-    identically zero). ``k_prime0`` is dk/dr at r = 0, used only by the
-    axis series (third-order term); zero is a safe default.
+    identically zero). The profile needs k alone: its axis value k(0) fixes
+    the slope of the h cache there, h'(0) = k(0)/3.
     """
 
     k: Callable[[np.ndarray], np.ndarray]
     nonpositive: bool
     nontrivial: bool
-    k_prime0: float = 0.0
 
     def __call__(self, r):
         return self.k(r)
@@ -141,8 +136,7 @@ def forcing_from_samples(r_samples, k_samples) -> ForcingProfile:
                 f"forcing table endpoint k({r[idx]:g}) = {k[idx]:.3e} forced to zero",
                 stacklevel=2)
         k[idx] = 0.0
-    slopes = _natural_slopes(r, k)
-    spline = _Hermite(r, k, slopes)
+    spline = _Hermite(r, k, _natural_slopes(r, k))
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -157,7 +151,6 @@ def forcing_from_samples(r_samples, k_samples) -> ForcingProfile:
         k=evaluate,
         nonpositive=bool(np.all(vals <= _ENDPOINT_TOL)),
         nontrivial=bool(np.any(np.abs(vals) > _ENDPOINT_TOL)),
-        k_prime0=float(slopes[0]),
     )
 
 
@@ -181,13 +174,15 @@ def inner_integral(k: ForcingProfile, s, spec: QuadratureSpec = DEFAULT_SPEC):
 class SwirlProfile:
     """Profile bundle: I, g = r*phi0, phi0 and two derivatives, alpha.
 
-    Bulk evaluation runs off cubic Hermite caches whose nodal values come
-    from panel-by-panel Gauss sweeps and whose nodal slopes are the exact
-    closed forms; interpolation error sits near rounding, far below the
-    requested quadrature tolerance. ``g_exact`` and ``phi0_exact`` re-derive
-    values by direct adaptive quadrature, independently of the caches.
-    ``M0``, ``M1``, ``A`` and ``K1`` are the moments of the closed forms in
-    ``norms``, each computed once from the cached profile on first use.
+    Bulk evaluation runs off cubic Hermite caches of I and of the smooth
+    h = g/sigma^2 = p/sigma (p = phi0) on [0, 1], with nodal values from
+    panel-by-panel Gauss sweeps and exact closed-form nodal slopes. p/sigma
+    is h itself, to rounding relative down to the axis, where h = -I0/2;
+    p = sigma h, g = sigma^2 h and p' = -e^{sigma^2/2} I - h divide by
+    nothing. For sigma >= 1, g = g1. ``g_exact`` and ``phi0_exact``
+    re-derive values by direct adaptive quadrature, independently of the
+    caches. ``M0``, ``M1``, ``A`` and ``K1`` are the moments of the closed
+    forms in ``norms``, each computed once from the cached profile.
     """
 
     k: ForcingProfile
@@ -195,10 +190,7 @@ class SwirlProfile:
     I0: float
     g1: float
     _I_spline: _Hermite = field(repr=False)
-    _g_spline: _Hermite = field(repr=False)
-    _c1: float = field(repr=False)
-    _c2: float = field(repr=False)
-    _c3: float = field(repr=False)
+    _h_spline: _Hermite = field(repr=False)
 
     # -- inner integral ----------------------------------------------------
     def I(self, s):
@@ -208,12 +200,10 @@ class SwirlProfile:
 
     # -- g and its closed-form derivatives ---------------------------------
     def g(self, r):
-        r_arr, tail, series, mid = _regions(r)
-        out = np.empty(r_arr.shape)
-        out[tail] = self.g1
-        rs = r_arr[series]
-        out[series] = rs * rs * (self._c1 + rs * (self._c2 + rs * self._c3))
-        out[mid] = self._g_spline(r_arr[mid])
+        r_arr, inside = _inside(r)
+        out = np.full(r_arr.shape, self.g1)
+        ri = r_arr[inside]
+        out[inside] = ri * ri * self._h_spline(ri)
         return out if r_arr.ndim else float(out)
 
     def g_exact(self, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -238,36 +228,29 @@ class SwirlProfile:
 
     # -- phi0 family --------------------------------------------------------
     def phi0(self, r):
-        """phi0 alone: the value path, one g-spline call and nothing else."""
-        r_arr, tail, series, mid = _regions(r)
+        """phi0 alone: the value path, one h-spline call and nothing else."""
+        r_arr, inside = _inside(r)
         out = np.empty(r_arr.shape)
-        out[tail] = self.g1 / r_arr[tail]
-        rs = r_arr[series]
-        out[series] = rs * (self._c1 + rs * (self._c2 + rs * self._c3))
-        rm = r_arr[mid]
-        out[mid] = self._g_spline(rm) / rm
+        ri = r_arr[inside]
+        out[inside] = ri * self._h_spline(ri)
+        out[~inside] = self.g1 / r_arr[~inside]
         return out if r_arr.ndim else float(out)
 
     def jet(self, r):
-        """(phi0, phi0/r, phi0'): the gradient path, one g-spline and one
-        I-spline call. phi0/r has the finite axis limit -I(0)/2."""
-        r_arr, tail, series, mid = _regions(r)
+        """(phi0, phi0/r, phi0'): the gradient path, one h-spline and one
+        I-spline call. phi0/r is h, with the finite axis limit -I(0)/2."""
+        r_arr, inside = _inside(r)
         phi, over, prime = (np.empty(r_arr.shape) for _ in range(3))
-        rt = r_arr[tail]
-        phi[tail] = self.g1 / rt
+        ri = r_arr[inside]
+        hi = self._h_spline(ri)
+        phi[inside] = ri * hi
+        over[inside] = hi
+        prime[inside] = -np.exp(0.5 * ri * ri) * self._I_spline(ri) - hi
+        rt = r_arr[~inside]
+        phi[~inside] = self.g1 / rt
         with np.errstate(over="ignore"):  # sigma^2 = inf gives the exact limit 0
-            over[tail] = self.g1 / (rt * rt)
-        prime[tail] = -over[tail]
-        rs = r_arr[series]
-        over[series] = self._c1 + rs * (self._c2 + rs * self._c3)
-        phi[series] = rs * over[series]
-        prime[series] = self._c1 + rs * (2.0 * self._c2 + 3.0 * self._c3 * rs)
-        rm = r_arr[mid]
-        gm = self._g_spline(rm)
-        phi[mid] = gm / rm
-        over[mid] = gm / (rm * rm)
-        gpm = -rm * np.exp(0.5 * rm * rm) * self._I_spline(rm)
-        prime[mid] = gpm / rm - over[mid]
+            over[~inside] = self.g1 / (rt * rt)
+        prime[~inside] = -over[~inside]
         if r_arr.ndim:
             return phi, over, prime
         return float(phi), float(over), float(prime)
@@ -280,15 +263,9 @@ class SwirlProfile:
         return self.jet(r)[2]
 
     def phi0_second(self, r):
-        r_arr, tail, series, mid = _regions(r)
-        out = np.empty(r_arr.shape)
-        rt = r_arr[tail]
-        out[tail] = 2.0 * self.g1 / (rt ** 3)
-        rs = r_arr[series]
-        out[series] = 2.0 * self._c2 + 6.0 * self._c3 * rs
-        rm = r_arr[mid]
-        out[mid] = (self.g_second(rm) / rm - 2.0 * self.g_prime(rm) / (rm * rm)
-                    + 2.0 * self.g(rm) / (rm ** 3))
+        """phi0'' = (g'' - 2 phi0')/r for r > 0; at the axis the form is 0/0."""
+        r_arr = np.asarray(r, dtype=float)
+        out = (self.g_second(r_arr) - 2.0 * self.jet(r_arr)[2]) / r_arr
         return out if r_arr.ndim else float(out)
 
     def phi0_exact(self, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -336,19 +313,16 @@ def _unit_moment(f) -> float:
 
 def _below_one(r, f):
     """f on r < 1, zero on the rest: the support of I and g' and g''."""
-    r_arr = np.asarray(r, dtype=float)
+    r_arr, inside = _inside(r)
     out = np.zeros(r_arr.shape)
-    inside = r_arr < 1.0
     out[inside] = f(r_arr[inside])
     return out if r_arr.ndim else float(out)
 
 
-def _regions(r):
-    """r as an array, and its tail (r >= 1), axis-series and spline masks."""
+def _inside(r):
+    """r as an array, and its mask r < 1, where the h cache serves."""
     r_arr = np.asarray(r, dtype=float)
-    tail = r_arr >= 1.0
-    series = r_arr < EPS0
-    return r_arr, tail, series, ~(tail | series)
+    return r_arr, r_arr < 1.0
 
 
 class _Hermite:
@@ -445,8 +419,11 @@ def build_profile(k: ForcingProfile) -> SwirlProfile:
 
     The caches accumulate panel-by-panel Gauss values (each panel is exact
     to rounding at this resolution); spline slopes are the exact closed
-    forms, so cached evaluation is accurate to ~1e-14 absolute, well below
-    the ``DEFAULT_SPEC`` tolerances of ``g_exact``.
+    forms. The h cache takes h_i = g_i/sigma_i^2 with slopes
+    -(e^{sigma^2/2} I + 2h)/sigma, and on the axis node the limits
+    h(0) = -I0/2 and h'(0) = k(0)/3, so p/sigma is accurate to ~1e-14
+    relative from the axis on, well below the ``DEFAULT_SPEC`` tolerances
+    of ``g_exact``.
     """
     nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
 
@@ -462,18 +439,18 @@ def build_profile(k: ForcingProfile) -> SwirlProfile:
         return -s * np.exp(0.5 * s * s) * i_spline(s)
 
     gseg = gauss_panel_sums(g_kernel, nodes)
-    g_nodes = np.concatenate(([0.0], np.cumsum(gseg)))
-    g_slope = -nodes * np.exp(0.5 * nodes * nodes) * i_nodes
-    g_spline = _Hermite(nodes, g_nodes, g_slope)
+    g_nodes = np.cumsum(gseg)
+    s = nodes[1:]
+    h_nodes = g_nodes / (s * s)
+    h_slope = -(np.exp(0.5 * s * s) * i_nodes[1:] + 2.0 * h_nodes) / s
 
     i0 = float(i_nodes[0])
     g1 = float(g_nodes[-1])
     k0 = float(np.asarray(k(np.array([0.0])), dtype=float)[0])
-    return SwirlProfile(
-        k=k, alpha=-g1, I0=i0, g1=g1,
-        _I_spline=i_spline, _g_spline=g_spline,
-        _c1=-0.5 * i0, _c2=k0 / 3.0, _c3=(k.k_prime0 - i0) / 8.0,
-    )
+    h_spline = _Hermite(nodes, np.concatenate(([-0.5 * i0], h_nodes)),
+                        np.concatenate(([k0 / 3.0], h_slope)))
+    return SwirlProfile(k=k, alpha=-g1, I0=i0, g1=g1,
+                        _I_spline=i_spline, _h_spline=h_spline)
 
 
 def ode_residual(profile: SwirlProfile, r):

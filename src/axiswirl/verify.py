@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .fields import (SolutionFamily, _jet, _ladder_T_minus, _pressure_integral,
-                     _rhs, _w)
+from .fields import (EPS0, SolutionFamily, _jet, _ladder_T_minus,
+                     _pressure_integral, _rhs, _w)
 from .numerics import (QuadratureSpec, RadialGrid, TimeLadder, empirical_order,
                        local_radial_scale)
-from .profiles import EPS0, SwirlProfile
+from .profiles import SwirlProfile
 
 __all__ = [
     "ResidualReport",
@@ -230,8 +230,8 @@ _BOUND_SHAPES = {
 
 # Each shape as F(p/sigma, p', sigma^2 + 1/2) of sigma = r / sqrt(2 (T - t))
 # alone, p = phi0, since r^2 + T - t = 2 (T - t) (sigma^2 + 1/2). At sigma = 0
-# the axis series gives p/sigma = p' = c1 = -I0/2: the limits |c1|/2,
-# sqrt(2) |c1|/2 and 2/c1.
+# the h cache gives p/sigma = h(0) = c1 = -I0/2 and p' = -I0 - h(0) = c1:
+# the limits |c1|/2, sqrt(2) |c1|/2 and 2/c1.
 _BOUND_PROFILES = {
     "u_upper": lambda over, prime, s2: np.abs(over) * s2,
     "grad_u_upper": lambda over, prime, s2: np.hypot(prime, over) * s2,

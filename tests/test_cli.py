@@ -64,8 +64,8 @@ def test_cmd_profile_reference(tmp_path):
 
 
 def test_cmd_profile_gate_sees_the_g_cache(tmp_path, monkeypatch):
-    # A perturbed g cache leaves the ODE residual at rounding (its g/r^3
-    # and g/r terms cancel); the comparison with g_exact must catch it.
+    # A perturbed h = g/r^2 cache leaves the ODE residual at rounding (its
+    # terms in h cancel); the comparison with g_exact must catch it.
     import dataclasses
 
     from axiswirl import cli
@@ -74,9 +74,9 @@ def test_cmd_profile_gate_sees_the_g_cache(tmp_path, monkeypatch):
 
     def doctored_build(cfg):
         fam = real_build(cfg)
-        spline = fam.profile._g_spline
+        spline = fam.profile._h_spline
         prof = dataclasses.replace(
-            fam.profile, _g_spline=lambda r: spline(r) + 1e-3 * np.sin(7.0 * r))
+            fam.profile, _h_spline=lambda r: spline(r) + 1e-3 * np.sin(7.0 * r))
         return dataclasses.replace(fam, profile=prof)
 
     monkeypatch.setattr(cli, "build_family", doctored_build)
@@ -254,8 +254,9 @@ def test_norms_inconclusive_verdict_fails_even_for_trivial_forcing():
     assert len(norms_verdict_failures(rows, nontrivial=True)) == 4
 
 
-# |v|^q of the measured part overflows to inf for q > 2, the verdict's own value.
-@pytest.mark.filterwarnings("ignore:overflow encountered in:RuntimeWarning")
+# |v|^q of the measured part overflows to inf for q > 2, the verdict's own
+# value, with no warning.
+@pytest.mark.filterwarnings("error")
 def test_norms_part1_at_a_tiny_T_reads_the_paper_verdicts(tmp_path):
     # Deep on the ladder T - t is subnormal; the log tail shapes stay finite.
     out = tmp_path / "out"

@@ -1,4 +1,6 @@
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,27 @@ def test_small_r_series_consistency(ref_profile):
     r_fine = np.geomspace(1e-4, 0.05, 240)
     defect_fine = np.abs(prof.phi0(r_fine) + prof.I0 * r_fine / 2.0)
     assert np.all(defect_fine <= 1.05 * c_fit * r_fine ** 3)
+
+
+def _seeded_profile(seed):
+    """The profile of the benchmark's seeded table ``seed``; None is the bump."""
+    if seed is None:
+        return ax.build_profile(ax.reference_k())
+    make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
+        "make_inputs"]
+    rows = np.loadtxt(make_inputs(seed).table_text.splitlines()[1:], delimiter=",")
+    return ax.build_profile(ax.forcing_from_samples(rows[:, 0], rows[:, 1]))
+
+
+@pytest.mark.parametrize("seed", [None, 103, 106], ids=["bump", "seed103", "seed106"])
+def test_phi0_over_r_is_exact_to_rounding_near_the_axis(seed):
+    # One h = g/r^2 cache from the axis on: no seam at r = 1e-4, where a g
+    # cache divided by r^2 lost seven digits (2.75e-7 on seed 106).
+    prof = _seeded_profile(seed)
+    tight = ax.QuadratureSpec(1e-18, 1e-14, 20000)
+    for r in (3e-5, np.nextafter(1e-4, 0.0), 1e-4, 1.2e-4, 1e-3):
+        exact = prof.g_exact(r, tight) / (r * r)
+        assert prof.jet(r)[1] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_profile_table_columns(ref_profile):
