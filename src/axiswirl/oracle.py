@@ -7,16 +7,20 @@ The linear swirl equation
 is stepped on a uniform radial grid with Dirichlet data at both ends
 (w(0) = 0 by axis regularity; the wall value is constant in time). Time
 stepping is Crank-Nicolson (trapezoidal, second order in dt and dr), with
-the forcing taken at each step's midpoint. The constant tridiagonal
-matrix is factored once per stepper (LAPACK gttrf), and each step is one
-gttrs solve against that factorisation. numpy has no banded solver, so
-this module is the one user of scipy: it imports ``scipy.linalg.lapack``
-when a stepper is built, and the other commands never load scipy. The
-forcing is evaluated for blocks of step midpoints at a time, each block
-bounded in grid points so memory stays flat at any resolution. Nothing
-here shares a code path with the closed-form construction beyond the
-problem data itself (initial slice, wall constant, forcing), read from
-the T - t kernels.
+the forcing taken at each step's midpoint. On the interior nodes the
+constant matrix A = I - dt L / 2 is factored once per stepper (LAPACK
+gttrf). As I + dt L / 2 = 2 I - A, each step is
+
+    w' = 2 A^-1 (w + c) - w,    c = (dt / 2) (wall coupling - RHS_mid),
+
+one add, one gttrs solve and one in-place update. numpy has no banded
+solver, so this module is the one user of scipy: it imports
+``scipy.linalg.lapack`` when a stepper is built, and the other commands
+never load scipy. The forcing is evaluated, and scaled into c in place,
+for blocks of step midpoints at a time, each block bounded in grid points
+so memory stays flat at any resolution. Nothing here shares a code path
+with the closed-form construction beyond the problem data itself (initial
+slice, wall constant, forcing), read from the T - t kernels.
 """
 
 from __future__ import annotations
@@ -89,12 +93,15 @@ class OracleSolution:
 class SwirlStepper:
     """Crank-Nicolson stepper for the radial operator with Dirichlet ends.
 
-    The operator matrix is time-independent, so ``I - dt L / 2`` on the
-    interior nodes is LU-factored once here, and each ``step`` makes one
-    triangular solve. The matrix is strictly diagonally dominant, so the
-    factorisation makes no row swaps. The axis node carries Dirichlet zero
-    (the swirl extends oddly through the axis); interior nodes use the
-    standard central coefficients, well-defined because r > 0 there.
+    The operator matrix is time-independent, so A = I - dt L / 2 on the
+    interior nodes is LU-factored once here. The matrix is strictly
+    diagonally dominant, so the factorisation makes no row swaps. With
+    I + dt L / 2 = 2 I - A a step is w' = 2 A^-1 (w + c) - w, where
+    c = (dt / 2) (wall coupling - RHS_mid): ``advance`` scales a block of
+    forcing rows into c in place and makes one gttrs solve per row. The
+    axis node carries Dirichlet zero (the swirl extends oddly through the
+    axis); interior nodes use the standard central coefficients,
+    well-defined because r > 0 there.
     """
 
     def __init__(self, n_r: int, dt: float, bc_wall: float):
@@ -109,10 +116,9 @@ class SwirlStepper:
         lower = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
         diag = -2.0 / dr**2 - 1.0 / ri**2
         upper = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
-        self._L = (lower, diag, upper)
-
-        # LU factors of (I - dt L / 2) on interior nodes; boundary rows
-        # are substituted directly into the right-hand side.
+        # The constant wall value couples into the last interior row, once
+        # from each side of the scheme: dt * upper[-1] * bc_wall, halved in c.
+        self._wall = 0.5 * dt * upper[-1] * bc_wall
         *lu, info = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
                            -0.5 * dt * upper[:-1])
         if info != 0:
@@ -121,24 +127,29 @@ class SwirlStepper:
         self._lu = lu
         self._gttrs = dgttrs
 
-    def apply_operator(self, w: np.ndarray) -> np.ndarray:
-        """L w on interior nodes, using the current boundary entries of w."""
-        lower, diag, upper = self._L
-        return lower * w[:-2] + diag * w[1:-1] + upper * w[2:]
+    def advance(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Take one step per forcing row (RHS at the step midpoints) from the
+        interior values ``w``. ``rows`` is scaled in place, and ``w`` may be
+        reused as a buffer after the first step."""
+        rows *= -0.5 * self.dt
+        rows[:, -1] += self._wall
+        gttrs, (dl, d, du, du2, ipiv) = self._gttrs, self._lu
+        b = np.empty_like(w)
+        for c in rows:
+            np.add(w, c, out=b)
+            y, _ = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)
+            y *= 2.0
+            y -= w
+            w, b = y, w
+        return w
+
+    def full(self, interior: np.ndarray) -> np.ndarray:
+        """The whole slice: axis zero, ``interior``, the wall value."""
+        return np.concatenate(([0.0], interior, [self.bc_wall]))
 
     def step(self, w: np.ndarray, rhs_mid: np.ndarray) -> np.ndarray:
         """Advance one step; ``rhs_mid`` is RHS at the step's midpoint time."""
-        dt = self.dt
-        explicit = w[1:-1] + 0.5 * dt * self.apply_operator(w) - dt * rhs_mid
-        # The wall value is constant in time: move its implicit coupling to
-        # the right-hand side (the axis value is zero and couples nothing).
-        explicit[-1] += 0.5 * dt * self._L[2][-1] * self.bc_wall
-        interior, _ = self._gttrs(*self._lu, explicit, overwrite_b=True)
-        out = np.empty_like(w)
-        out[0] = 0.0
-        out[-1] = self.bc_wall
-        out[1:-1] = interior
-        return out
+        return self.full(self.advance(w[1:-1], np.array(rhs_mid, float, ndmin=2)))
 
 
 # Grid points of forcing evaluated per block of step midpoints: large
@@ -164,18 +175,17 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
     tm = _T_minus(fam, np.append(np.arange(n_steps) * dt + 0.5 * dt, t_end))
     initial = _w(fam, which, r, fam.T)
 
+    # Forcing blocks, cut again at the kept steps.
     keep = set(np.linspace(0, n_steps, 9).astype(int).tolist())
-    times = [0.0]
-    slices = [initial]
-    w = initial
-    block = max(1, _BLOCK_POINTS // ri.size)
-    for b0 in range(0, n_steps, block):
-        rows = rhs(ri, tm[b0:min(b0 + block, n_steps), None])
-        for n, row in enumerate(rows, start=b0 + 1):
-            w = stepper.step(w, row)  # a fresh array: safe to keep as a slice
-            if n in keep:
-                times.append(n * dt)
-                slices.append(w)
+    cuts = sorted(keep.union(range(0, n_steps, max(1, _BLOCK_POINTS // ri.size))))
+    times, slices = [0.0], [initial]
+    w = initial[1:-1].copy()
+    for n0, n1 in zip(cuts[:-1], cuts[1:]):
+        w = stepper.advance(w, rhs(ri, tm[n0:n1, None]))
+        if n1 in keep:
+            times.append(n1 * dt)
+            slices.append(stepper.full(w))
+    w = slices[-1]
     if not np.all(np.isfinite(w)):
         raise ValueError(f"the {which!r} march produced non-finite values")
 

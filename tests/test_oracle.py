@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,3 +176,104 @@ def test_step_matches_a_dense_solve(n_r, log10_dt, seed):
 
     got = stepper.step(w, rhs_mid)
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def _reference_snapshots(fam, cfg, which, bc_wall):
+    """Times and slices of a per-step ``stepper.step`` loop at the nine kept
+    steps, evenly spaced from the initial slice to the last."""
+    t_end = fam.T - cfg.delta
+    n_steps = int(round(t_end / cfg.dt))
+    dt = t_end / n_steps
+    stepper = SwirlStepper(cfg.n_r, dt, bc_wall)
+    ri = stepper.r[1:-1]
+    rhs = _rhs(fam, which)
+    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
+    keep = np.linspace(0, n_steps, 9).astype(int)
+    w = _w(fam, which, stepper.r, fam.T)
+    slices = [w]
+    for n in range(n_steps):
+        w = stepper.step(w, rhs(ri, tm[n]))
+        if n + 1 in keep:
+            slices.append(w)
+    return keep * dt, np.array(slices)
+
+
+@pytest.mark.parametrize("steps", [300, 1100])
+@pytest.mark.parametrize("which", ["u", "eta"])
+def test_march_snapshots_equal_the_per_step_loop(fam2, which, steps):
+    # The snapshot steps cut the march inside and across forcing blocks.
+    delta = fam2.T / 8.0
+    cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
+    if which == "eta":
+        sol, bc_wall = ax.solve_eta(fam2, cfg), fam2.log_wall
+    else:
+        sol, bc_wall = ax.solve_swirl(fam2, cfg), -fam2.alpha
+    times, slices = _reference_snapshots(fam2, cfg, which, bc_wall)
+    assert sol.times.shape == (9,) and sol.values.shape == (9, cfg.n_r)
+    assert np.array_equal(sol.times, times)
+    assert np.array_equal(sol.values, slices)
+
+
+def _seeded_family(seed, part):
+    """The benchmark's seeded nonpositive table at its seeded T."""
+    make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
+        "make_inputs"]
+    inputs = make_inputs(seed)
+    rows = np.loadtxt(inputs.table_text.splitlines()[1:], delimiter=",")
+    profile = ax.build_profile(ax.forcing_from_samples(rows[:, 0], rows[:, 1]))
+    return ax.SolutionFamily(profile=profile, T=inputs.T, part=part)
+
+
+def _textbook_march(fam, cfg, which, bc_wall):
+    """Crank-Nicolson as written: (I - dt L/2) w' = (I + dt L/2) w - dt f
+    plus the wall coupling of both sides, one banded solve per step."""
+    from scipy.linalg import solve_banded
+
+    t_end = fam.T - cfg.delta
+    n_steps = int(round(t_end / cfg.dt))
+    dt = t_end / n_steps
+    r = np.linspace(0.0, 1.0, cfg.n_r)
+    dr, ri = r[1], r[1:-1]
+    lower = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
+    diag = -2.0 / dr**2 - 1.0 / ri**2
+    upper = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
+    ab = np.zeros((3, ri.size))
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+    rhs = _rhs(fam, which)
+    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
+    w = _w(fam, which, r, fam.T)
+    for n in range(n_steps):
+        b = w[1:-1] + 0.5 * dt * (lower * w[:-2] + diag * w[1:-1] + upper * w[2:])
+        b -= dt * rhs(ri, tm[n])
+        b[-1] += 0.5 * dt * upper[-1] * bc_wall
+        w = np.concatenate([[0.0], solve_banded((1, 1), ab, b), [bc_wall]])
+    return w
+
+
+@pytest.mark.parametrize("seed, part, which", [(None, 1, "u"), (103, 2, "u"),
+                                               (103, 2, "eta")],
+                         ids=["bump-u", "seed103-u", "seed103-eta"])
+def test_march_stays_within_rounding_of_textbook_crank_nicolson(request, seed, part, which):
+    # The middle level of the default ladder: n_r = 256, 2,048 steps.
+    fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
+    cfg = default_levels(fam)[1]
+    assert (cfg.n_r, int(round((fam.T - cfg.delta) / cfg.dt))) == (256, 2048)
+    if which == "eta":
+        sol, bc_wall = ax.solve_eta(fam, cfg), fam.log_wall
+    else:
+        sol, bc_wall = ax.solve_swirl(fam, cfg), -fam.alpha
+    expected = _textbook_march(fam, cfg, which, bc_wall)
+    assert np.max(np.abs(sol.values[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_step_leaves_a_read_only_forcing_unchanged():
+    stepper = SwirlStepper(n_r=64, dt=1e-3, bc_wall=0.7)
+    w = 0.7 * stepper.r**2
+    rhs_mid = np.linspace(-1.0, 1.0, 62)
+    kept = rhs_mid.copy()
+    rhs_mid.setflags(write=False)
+    advanced = stepper.step(w, rhs_mid)
+    assert np.array_equal(rhs_mid, kept)
+    assert np.array_equal(advanced, stepper.step(w, kept))
