@@ -7,20 +7,22 @@ The linear swirl equation
 is stepped on a uniform radial grid with Dirichlet data at both ends
 (w(0) = 0 by axis regularity; the wall value is constant in time). Time
 stepping is Crank-Nicolson (trapezoidal, second order in dt and dr), with
-the forcing taken at each step's midpoint. On the interior nodes the
-constant matrix A = I - dt L / 2 is factored once per stepper (LAPACK
-gttrf). As I + dt L / 2 = 2 I - A, each step is
+the forcing taken at each step's midpoint. On the interior nodes, with
+A = I - dt L / 2 and R = diag(r), M = R A is symmetric positive definite
+(r_i L[i, i+1] = r_{i+1} L[i+1, i] = r_{i+1/2} / dr^2), and M / 2 is
+LDL^T-factored once per stepper (LAPACK pttrf). As I + dt L / 2 = 2 I - A,
 
-    w' = 2 A^-1 (w + c) - w,    c = (dt / 2) (wall coupling - RHS_mid),
+    w' = 2 A^-1 (w + c) - w = (M / 2)^-1 (R w + R c) - w,
 
-one add, one gttrs solve and one in-place update. numpy has no banded
-solver, so this module is the one user of scipy: it imports
-``scipy.linalg.lapack`` when a stepper is built, and the other commands
-never load scipy. The forcing is evaluated, and scaled into c in place,
-for blocks of step midpoints at a time, each block bounded in grid points
-so memory stays flat at any resolution. Nothing here shares a code path
-with the closed-form construction beyond the problem data itself (initial
-slice, wall constant, forcing), read from the T - t kernels.
+with c = (dt / 2) (wall coupling - RHS_mid): per step one multiply, one
+add, one pttrs solve and one subtract. numpy has no banded solver, so
+this module is the one user of scipy: it imports ``scipy.linalg.lapack``
+when a stepper is built, and the other commands never load scipy. The
+forcing is evaluated, and scaled into R c in place, for blocks of step
+midpoints at a time, each block bounded in grid points so memory stays
+flat at any resolution. Nothing here shares a code path with the
+closed-form construction beyond the problem data itself (initial slice,
+wall constant, forcing), read from the T - t kernels.
 """
 
 from __future__ import annotations
@@ -93,52 +95,54 @@ class OracleSolution:
 class SwirlStepper:
     """Crank-Nicolson stepper for the radial operator with Dirichlet ends.
 
-    The operator matrix is time-independent, so A = I - dt L / 2 on the
-    interior nodes is LU-factored once here. The matrix is strictly
-    diagonally dominant, so the factorisation makes no row swaps. With
-    I + dt L / 2 = 2 I - A a step is w' = 2 A^-1 (w + c) - w, where
-    c = (dt / 2) (wall coupling - RHS_mid): ``advance`` scales a block of
-    forcing rows into c in place and makes one gttrs solve per row. The
-    axis node carries Dirichlet zero (the swirl extends oddly through the
-    axis); interior nodes use the standard central coefficients,
-    well-defined because r > 0 there.
+    The operator matrix is time-independent, so M / 2, with M = R A,
+    A = I - dt L / 2 and R = diag(r) on the interior nodes, is factored
+    once here. M is symmetric, as r_i L[i, i+1] = r_{i+1/2} / dr^2 =
+    r_{i+1} L[i+1, i], and positive definite for dt > 0. Halving is exact,
+    so (M / 2)^-1 R b = 2 A^-1 b: ``advance`` scales a block of forcing rows
+    into R c in place, and per row forms R w + R c, makes one pttrs solve
+    and subtracts w. The axis node carries Dirichlet zero (the swirl
+    extends oddly through the axis); interior nodes use the standard
+    central coefficients, well-defined because r > 0 there.
     """
 
     def __init__(self, n_r: int, dt: float, bc_wall: float):
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        from scipy.linalg.lapack import dpttrf, dpttrs
 
         self.n_r = n_r
         self.dt = dt
         self.bc_wall = bc_wall
         self.r = np.linspace(0.0, 1.0, n_r)
         dr = self.r[1] - self.r[0]
-        ri = self.r[1:-1]
-        lower = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
+        ri = self._ri = self.r[1:-1]
         diag = -2.0 / dr**2 - 1.0 / ri**2
         upper = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
         # The constant wall value couples into the last interior row, once
-        # from each side of the scheme: dt * upper[-1] * bc_wall, halved in c.
-        self._wall = 0.5 * dt * upper[-1] * bc_wall
-        *lu, info = dgttrf(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
-                           -0.5 * dt * upper[:-1])
+        # from each side of the scheme: dt * upper[-1] * bc_wall, halved in c
+        # and scaled by r in R c.
+        self._wall = ri[-1] * (0.5 * dt * upper[-1] * bc_wall)
+        # M from A's own coefficients: r_{i+1/2} / dr^2 formed directly drifted
+        # up to 7x further from textbook Crank-Nicolson at n_r = 512.
+        *ldl, info = dpttrf(0.5 * ri * (1.0 - 0.5 * dt * diag),
+                            0.5 * ri[:-1] * (-0.5 * dt * upper[:-1]))
         if info != 0:
             raise np.linalg.LinAlgError(
-                f"Crank-Nicolson matrix is singular (gttrf info {info})")
-        self._lu = lu
-        self._gttrs = dgttrs
+                f"Crank-Nicolson matrix is not positive definite (pttrf info {info})")
+        self._ldl = ldl
+        self._pttrs = dpttrs
 
     def advance(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Take one step per forcing row (RHS at the step midpoints) from the
         interior values ``w``. ``rows`` is scaled in place, and ``w`` may be
         reused as a buffer after the first step."""
-        rows *= -0.5 * self.dt
+        rows *= -0.5 * self.dt * self._ri
         rows[:, -1] += self._wall
-        gttrs, (dl, d, du, du2, ipiv) = self._gttrs, self._lu
+        pttrs, (d, e), ri = self._pttrs, self._ldl, self._ri
         b = np.empty_like(w)
-        for c in rows:
-            np.add(w, c, out=b)
-            y, _ = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)
-            y *= 2.0
+        for rc in rows:
+            np.multiply(w, ri, out=b)
+            b += rc
+            y, _ = pttrs(d, e, b, overwrite_b=True)
             y -= w
             w, b = y, w
         return w

@@ -277,3 +277,26 @@ def test_step_leaves_a_read_only_forcing_unchanged():
     advanced = stepper.step(w, rhs_mid)
     assert np.array_equal(rhs_mid, kept)
     assert np.array_equal(advanced, stepper.step(w, kept))
+
+
+@pytest.mark.parametrize("seed, part, which", [(None, 1, "u"), (103, 2, "eta")],
+                         ids=["bump-u", "seed103-eta"])
+def test_finest_level_march_stays_within_rounding_of_textbook_crank_nicolson(
+        request, seed, part, which):
+    # The finest level of the default ladder, n_r = 512 and 4,096 steps, where
+    # the operator's conditioning magnifies coefficient rounding the most.
+    fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
+    cfg = default_levels(fam)[2]
+    assert (cfg.n_r, int(round((fam.T - cfg.delta) / cfg.dt))) == (512, 4096)
+    if which == "eta":
+        sol, bc_wall = ax.solve_eta(fam, cfg), fam.log_wall
+    else:
+        sol, bc_wall = ax.solve_swirl(fam, cfg), -fam.alpha
+    expected = _textbook_march(fam, cfg, which, bc_wall)
+    assert np.max(np.abs(sol.values[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_stepper_rejects_a_backward_step():
+    # dt < 0 makes I - dt L / 2 indefinite: the factorisation must say so.
+    with pytest.raises(np.linalg.LinAlgError, match="pttrf"):
+        SwirlStepper(64, -1e-3, 0.0)
