@@ -266,7 +266,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _classification_depth(fam: SolutionFamily, floor: int) -> int:
     # The log-transformed family saturates once sqrt(T - t) falls below the
-    # wall constant; the tail fit needs a window of saturated levels.
+    # wall constant; the growth laws are checked on a window of saturated levels.
     alpha = abs(fam.alpha)
     if alpha == 0.0:
         return max(floor, 28)
@@ -300,6 +300,7 @@ def cmd_norms(cfg: RunConfig) -> int:
                 "series": name, "q": q, "finite": c.finite,
                 "estimate": c.estimate if np.isfinite(c.estimate) else None,
                 "model": c.model, "tail_exponent": c.tail_exponent,
+                "law_headroom": c.law_headroom,
             })
     summary = {
         "ratios": {s.quantity: float(np.max(np.abs(s.ratios))) for s in series},
@@ -308,7 +309,8 @@ def cmd_norms(cfg: RunConfig) -> int:
     write_json(_out_path(cfg, "norms_summary.json"), summary)
     for row in classification:
         verdict = {True: "finite", False: "infinite", None: "inconclusive"}[row["finite"]]
-        print(f"norms: {row['series']} q={row['q']}: {verdict} ({row['model']})")
+        print(f"norms: {row['series']} q={row['q']}: {verdict} ({row['model']}, "
+              f"|measured - law|/tolerance = {row['law_headroom']:.3g})")
     failures = norms_verdict_failures(classification, fam.profile.k.nontrivial)
     for failure in failures:
         print(f"norms: FAIL: {failure}")

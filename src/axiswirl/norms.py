@@ -31,9 +31,14 @@ The forcing norms are L^1 in space. h = k(sigma) / tau^{3/2} lives in
 r < sqrt(tau) <= 1, so ||h||_{L^1} = 2 pi K1 / sqrt(tau), K1 = int_0^1 |k|
 sigma d sigma (``l1_series``; ``spatial_L1`` checks it). The five Y
 series have no closed form: ``y_series`` takes them in one stacked
-quadrature from the axis to the wall, like every L^1 norm. The time
-integrability exponent is classified by fitting the tail growth shape on
-the last ladder levels and extrapolating.
+quadrature from the axis to the wall, like every L^1 norm.
+
+Each L^q_t verdict is its series' growth law in u = T - t, checked on the
+last ladder levels. ||f||_{L^1} ~ u^{-1/2}: each step's exponent
+log2(v_{j+1}/v_j) is 1/2 to within rounding; f lies in L^q_t iff q < 2.
+||Y||_{L^1} ~ (pi/2) ln^2(1/u): its second differences over pi ln^2 2 tend
+to 1 once Richardson steps remove the deficit's sqrt(u) and u terms; Y
+lies in L^q_t for every q.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ __all__ = [
 NORM_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=2000)
 # The outer time integral of the dissipation rate.
 _TIME_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64)
-# The extrapolated L^q_t tail of a fitted growth shape.
+# The L^q_t tail of the ln^2 growth law beyond the last ladder level.
 _TAIL_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=400)
 
 
@@ -95,14 +100,17 @@ class NormSeries:
 class Classification:
     """Outcome of an L^q_t integrability scan.
 
-    ``finite`` is None when the tail fit was inconclusive (non-monotone
-    data); that outcome is deliberately distinct from finite/infinite.
+    ``model`` names the growth law that gave the verdict. ``finite`` is
+    None, and ``model`` "inconclusive", when the series breaks its law on
+    the checked window; that outcome is deliberately distinct from
+    finite/infinite. ``law_headroom`` is |measured - law|/tolerance there.
     """
 
     finite: Optional[bool]
     estimate: float
     model: str
     tail_exponent: float = 0.0
+    law_headroom: float = 0.0
 
 
 def _gradient_density(fam: SolutionFamily, which: str):
@@ -273,6 +281,9 @@ _L1_NORMALIZER = {
     "Y4": _log_recip,
     "Y": lambda tm: np.square(_log_recip(tm)),
 }
+# The claimed growth law of each classified series in u = T - t: the
+# forcing norm as u^(-1/2), the part-2 right side as (pi/2) ln^2(1/u).
+_GROWTH_LAW = {"L1_f": ("power", 0.5), "L1_Y": ("log2", np.pi / 2.0)}
 
 
 def y_series(fam: SolutionFamily, ladder: TimeLadder) -> list:
@@ -293,85 +304,66 @@ def l1_series(fam: SolutionFamily, ladder: TimeLadder) -> NormSeries:
 
 # --- L^q_t classification ----------------------------------------------------
 
-_TAIL_SHAPES = {"const": np.ones_like, "log": _log_recip,
-                "log2": lambda u: np.square(_log_recip(u))}
-_TAIL_MODELS = (*_TAIL_SHAPES, "power")
-TAIL_LEVELS = 8  # the ladder levels a tail shape is fitted on
+TAIL_LEVELS = 8  # the ladder levels a growth law is checked on
+_RATIO_ROUNDING = 16.0 * np.finfo(float).eps  # in the ratio of two closed forms
 
 
-def _tail_fit(u: np.ndarray, v: np.ndarray):
-    """Fit v(u) on the last ladder levels; u = T - t decreasing."""
-    best = None
-    for model in _TAIL_MODELS:
-        if model == "power":
-            if np.any(v <= 0.0):
-                continue
-            coef = np.polyfit(np.log(u), np.log(v), 1)
-            p = -float(coef[0])
-            fitted = np.exp(np.polyval(coef, np.log(u)))
-            params = (float(np.exp(coef[1])), p)
-        else:
-            design = np.column_stack([np.ones_like(u), _TAIL_SHAPES[model](u)])
-            coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-            fitted = design @ coef
-            params = (float(coef[0]), float(coef[1]))
-        sse = float(np.sum(np.square(fitted - v)))
-        if best is None or sse < best[0]:
-            best = (sse, model, params)
-    return best[1], best[2]
-
-
-def _tail_integral(model: str, params, q: float, u_last: float) -> tuple[bool, float]:
-    """Integral of |model(u)|^q du over (0, u_last]."""
+def _law_headroom(model: str, a: float, tm: np.ndarray, v: np.ndarray) -> float:
+    """|measured - law|/tolerance on the window (module docstring). For
+    ``log2`` the tolerance is the quadrature's own error, amplified by the
+    second difference and the two Richardson steps, plus the limit's change
+    from the level before, its truncation estimate."""
     if model == "power":
-        amp, p = params
-        if p * q >= 1.0:
-            return False, inf
-        return True, float(np.power(amp, q) * u_last ** (1.0 - p * q) / (1.0 - p * q))
-    a0, a1 = params
+        if np.any(v <= 0.0):
+            return inf
+        exponents = np.log(v[1:] / v[:-1]) / np.log(tm[:-1] / tm[1:])
+        return float(np.max(np.abs(exponents - a))) / _RATIO_ROUNDING
+    scale = 2.0 * a * np.log(2.0) ** 2
+    d = np.diff(v, 2) / scale
+    tolerance = 4.0 * max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * np.max(np.abs(v))) / scale
+    for r in (np.sqrt(0.5), 0.5):  # the deficit 1 - d decays like sqrt(u), then u
+        d = (d[1:] - r * d[:-1]) / (1.0 - r)
+        tolerance *= (1.0 + r) / (1.0 - r)
+    return float(abs(d[-1] - 1.0) / (tolerance + abs(d[-1] - d[-2])))
 
-    def integrand(u):
-        return np.abs(a0 + a1 * _TAIL_SHAPES[model](u)) ** q
 
-    value, _ = integrate(integrand, 0.0, u_last, _TAIL_SPEC)
-    return True, value
+def _law_tail(model: str, a: float, tm: np.ndarray, v: np.ndarray, q: float) -> float:
+    """Integral of |law|^q over (0, T - t_J]: a u^-a through the last level
+    in closed form, or a ln^2(1/u) + c1 ln(1/u) + c0 fitted on the window."""
+    if model == "power":
+        return inf if a * q >= 1.0 else float(v[-1] ** q * tm[-1] / (1.0 - a * q))
+    logs = _log_recip(tm)
+    coef = (a, *np.polyfit(logs, v - a * np.square(logs), 1))
+    return integrate(lambda u: np.abs(np.polyval(coef, _log_recip(u))) ** q,
+                     0.0, float(tm[-1]), _TAIL_SPEC)[0]
 
 
 def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
     """Decide whether int_0^T ||.||^q dt converges.
 
-    The measured part integrates the series by trapezoid; the unreachable
-    tail beyond the last ladder level is extrapolated from the best-fitting
-    growth shape among {const, log, log^2, power}, fitted on the last
-    TAIL_LEVELS levels. A tail non-monotone there is reported as
-    inconclusive rather than coerced.
+    The growth law of ``series.quantity`` (``_GROWTH_LAW``) is checked on
+    the last TAIL_LEVELS levels. When it holds, the law gives the verdict,
+    and the estimate is the trapezoid sum over the ladder plus the law's
+    tail beyond it. A law that fails is inconclusive rather than coerced.
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
     v = np.asarray(series.values, dtype=float)
-    t = np.asarray(series.ladder.levels, dtype=float)
-    tm = np.asarray(series.ladder.T_minus, dtype=float)
+    t, tm = series.ladder.levels, series.ladder.T_minus  # float arrays (TimeLadder)
     if np.all(np.abs(v) < 1e-300):
         return Classification(finite=True, estimate=0.0, model="zero")
 
-    m = min(TAIL_LEVELS, v.size)
-    v_tail = v[-m:]
-    diffs = np.diff(v_tail)
-    if not (np.all(diffs >= -1e-12 * np.abs(v_tail[:-1]))
-            or np.all(diffs <= 1e-12 * np.abs(v_tail[:-1]))):
-        return Classification(finite=None, estimate=float("nan"), model="inconclusive")
-
-    model, params = _tail_fit(tm[-m:], v_tail)
-    with np.errstate(over="ignore"):  # a power sum too large to hold is inf, the verdict
-        main = float(np.trapezoid(np.abs(v) ** q, t)) + (abs(v[0]) ** q) * float(t[0])
-        tail_ok, tail = _tail_integral(model, params, q, float(tm[-1]))
-    exponent = params[1] if model == "power" else 0.0
-    if not tail_ok:
-        return Classification(finite=False, estimate=inf, model=model,
-                              tail_exponent=exponent)
-    estimate = main + tail
-    return Classification(finite=isfinite(estimate), estimate=estimate,
-                          model=model, tail_exponent=exponent)
+    model, a = _GROWTH_LAW[series.quantity]
+    headroom = _law_headroom(model, a, tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:])
+    if not headroom <= 1.0:
+        return Classification(finite=None, estimate=float("nan"), model="inconclusive",
+                              law_headroom=headroom)
+    estimate = _law_tail(model, a, tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:], q)
+    if isfinite(estimate):
+        estimate += float(np.trapezoid(np.abs(v) ** q, t)) + (abs(v[0]) ** q) * float(t[0])
+    return Classification(finite=isfinite(estimate), estimate=estimate, model=model,
+                          tail_exponent=a if model == "power" else 0.0,
+                          law_headroom=headroom)
 
 
 NORM_SERIES_HEADER = ["j", "t_j", "T_minus_t", "value", "normalizer", "ratio"]

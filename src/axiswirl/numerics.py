@@ -262,10 +262,15 @@ class TimeLadder:
         return self.levels.size
 
 
+# Past j = 53, T 2^-j is at most half the spacing of doubles below any T.
+MAX_LADDER_J = np.finfo(float).nmant + 1
+
+
 def make_time_ladder(T: float, J: int) -> TimeLadder:
     """Ladder levels j = 1..J with t_j = T (1 - 2^-j)."""
-    if J < 1:
-        raise ValueError("J must be at least 1")
+    if not 1 <= J <= MAX_LADDER_J:  # before any array is built
+        raise ValueError(f"J must lie in [1, {MAX_LADDER_J}], past which "
+                         f"T (1 - 2^-J) rounds to T; not {J}")
     j = np.arange(1, J + 1, dtype=float)
     tminus = T * np.power(2.0, -j)
     return TimeLadder(T=T, levels=T - tminus, T_minus=tminus)

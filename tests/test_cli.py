@@ -173,6 +173,23 @@ def test_ladder_deeper_than_double_precision_is_a_config_error(tmp_path):
     assert "ladder_J = 60" in summary["error"]
 
 
+def test_ladder_J_past_double_precision_exits_2_before_any_array(tmp_path, monkeypatch):
+    # A depth no T admits is rejected before the ladder's arrays exist:
+    # a billion levels would otherwise ask for gigabytes just to exit 2.
+    real = np.arange
+
+    def bounded(start, stop=None, *args, **kwargs):
+        if (start if stop is None else stop - start) > 64:
+            pytest.fail("np.arange asked for more than 64 levels")
+        return real(start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded)
+    out = tmp_path / "out"
+    assert run_cli(["norms", "--ladder-J", "1000000000", "--out", str(out)]) == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert "ladder_J = 1000000000" in summary["error"]
+
+
 def test_missing_config_file_exits_2_with_a_summary(tmp_path):
     missing = tmp_path / "missing.cfg"
     out = tmp_path / "out"
@@ -254,8 +271,8 @@ def test_norms_inconclusive_verdict_fails_even_for_trivial_forcing():
     assert len(norms_verdict_failures(rows, nontrivial=True)) == 4
 
 
-# |v|^q of the measured part overflows to inf for q > 2, the verdict's own
-# value, with no warning.
+# No warning deep on a subnormal ladder: q >= 2 reads infinite from the
+# growth law alone, without forming |v|^q.
 @pytest.mark.filterwarnings("error")
 def test_norms_part1_at_a_tiny_T_reads_the_paper_verdicts(tmp_path):
     # Deep on the ladder T - t is subnormal; the log tail shapes stay finite.

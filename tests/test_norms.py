@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import runpy
 from pathlib import Path
 
@@ -270,3 +272,57 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     assert np.all(np.abs(series.values - numeric)
                   <= np.maximum(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * numeric))
     assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-12)
+
+
+def _norms_rows(tmp_path, argv=()):
+    """Exit status and classification rows of ``norms --part 2``."""
+    from axiswirl.cli import main
+
+    out = tmp_path / "out"
+    rc = main(["norms", "--part", "2", *argv, "--out", str(out)])
+    return rc, json.loads((out / "norms_summary.json").read_text())["classification"]
+
+
+def _bent(real, quantity, bend):
+    """``real`` with the values of its ``quantity`` series mapped by ``bend(v, u)``."""
+    def bent(fam, ladder):
+        out = real(fam, ladder)
+        one = isinstance(out, NormSeries)
+        series = [s if s.quantity != quantity else dataclasses.replace(
+            s, values=bend(s.values, s.ladder.T_minus)) for s in ([out] if one else out)]
+        return series[0] if one else series
+    return bent
+
+
+@pytest.mark.parametrize("quantity, bend", [
+    ("L1_Y", lambda v, u: v + 1e-3 * np.log(1.0 / u) ** 3),
+    ("L1_Y", lambda v, u: v + 0.5 * np.pi * np.log(1.0 / u) ** 2),
+    ("L1_f", lambda v, u: v * u ** -0.1),
+], ids=["Y_plus_eps_ln3", "Y_leading_pi", "f_exponent_0.6"])
+def test_norms_exits_1_when_a_series_breaks_its_growth_law(tmp_path, monkeypatch,
+                                                            quantity, bend):
+    from axiswirl import cli
+
+    name = "l1_series" if quantity == "L1_f" else "y_series"
+    monkeypatch.setattr(cli, name, _bent(getattr(cli, name), quantity, bend))
+    rc, rows = _norms_rows(tmp_path)
+    assert rc == 1
+    broken = [row for row in rows if row["series"] == quantity]
+    assert {row["model"] for row in broken} == {"inconclusive"}
+    assert all(row["finite"] is None and row["law_headroom"] > 1.0 for row in broken)
+    assert all(row["model"] != "inconclusive" for row in rows if row["series"] != quantity)
+
+
+def test_norms_reads_the_growth_laws_on_the_bump_and_seed_103(tmp_path):
+    rc, rows = _norms_rows(tmp_path)
+    assert rc == 0
+    assert {(row["series"], row["model"]) for row in rows} == {
+        ("L1_f", "power"), ("L1_Y", "log2")}
+    assert all(0.0 <= row["law_headroom"] <= 1.0 for row in rows)
+    make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
+        "make_inputs"]
+    table = tmp_path / "seed103.csv"
+    table.write_text(make_inputs(103).table_text)
+    rc, rows = _norms_rows(tmp_path, ["--T", "0.3617", "--k", str(table)])
+    assert rc == 0
+    assert all(0.0 <= row["law_headroom"] <= 1.0 for row in rows)
