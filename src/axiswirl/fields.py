@@ -179,8 +179,8 @@ def _log1p(u):
 def _h(fam: SolutionFamily, r, tm):
     tau = 2.0 * tm
     sigma = r / np.sqrt(tau)
-    kv = np.where(sigma < 1.0, np.asarray(fam.profile.k(sigma), dtype=float), 0.0)
-    return kv / np.power(tau, 1.5)
+    # Every ForcingProfile is +0.0 for sigma >= 1, so k needs no mask here.
+    return np.asarray(fam.profile.k(sigma), dtype=float) / np.power(tau, 1.5)
 
 
 _Y_NAMES = ("Y1", "Y2", "Y3", "Y4", "Y")

@@ -57,7 +57,7 @@ _ENDPOINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ForcingProfile:
-    """Smooth forcing profile k(r), identically zero outside [0, 1].
+    """Smooth forcing profile k(r), exactly +0.0 outside (0, 1).
 
     ``nonpositive``/``nontrivial`` carry the admissibility facts needed by
     the log-transformed solution family (k <= 0 everywhere, k not
@@ -301,14 +301,19 @@ class SwirlProfile:
 
 
 def _unit_moment(f) -> float:
-    """int_0^1 f by a Gauss sweep over the cache panels.
+    """int_0^1 f: the fsum of ``_panel_sweep`` over the cache panels."""
+    return fsum(_panel_sweep(f))
 
-    The sweep runs 256 panels at a time so its temporaries stay below those
-    of ``build_profile``; the panel values do not depend on the split.
+
+def _panel_sweep(f) -> np.ndarray:
+    """21-point Gauss value of ``f`` on each of the cache panels of [0, 1].
+
+    ``gauss_panel_sums`` runs 256 panels a call, so its (256, 21)
+    temporaries stay in cache; the panel values do not depend on the split.
     """
     nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
-    return fsum(np.concatenate([gauss_panel_sums(f, nodes[i:i + 257])
-                                for i in range(0, _CACHE_PANELS, 256)]))
+    return np.concatenate([gauss_panel_sums(f, nodes[i:i + 257])
+                           for i in range(0, _CACHE_PANELS, 256)])
 
 
 def _below_one(r, f):
@@ -430,7 +435,7 @@ def build_profile(k: ForcingProfile) -> SwirlProfile:
     def i_kernel(l):
         return np.exp(-0.5 * l * l) * np.asarray(k(l), dtype=float)
 
-    seg = gauss_panel_sums(i_kernel, nodes)
+    seg = _panel_sweep(i_kernel)
     i_nodes = np.concatenate((np.flip(np.cumsum(np.flip(seg))), [0.0]))
     i_slope = -i_kernel(nodes)
     i_spline = _Hermite(nodes, i_nodes, i_slope)
@@ -438,8 +443,7 @@ def build_profile(k: ForcingProfile) -> SwirlProfile:
     def g_kernel(s):
         return -s * np.exp(0.5 * s * s) * i_spline(s)
 
-    gseg = gauss_panel_sums(g_kernel, nodes)
-    g_nodes = np.cumsum(gseg)
+    g_nodes = np.cumsum(_panel_sweep(g_kernel))
     s = nodes[1:]
     h_nodes = g_nodes / (s * s)
     h_slope = -(np.exp(0.5 * s * s) * i_nodes[1:] + 2.0 * h_nodes) / s
@@ -465,7 +469,7 @@ def ode_residual(profile: SwirlProfile, r):
         raise ValueError("ode_residual requires r > 0")
     p, _, pp = profile.jet(r_arr)
     ps = profile.phi0_second(r_arr)
-    kv = np.where(r_arr < 1.0, np.asarray(profile.k(r_arr), dtype=float), 0.0)
+    kv = np.asarray(profile.k(r_arr), dtype=float)  # +0.0 for r >= 1
     out = ps + pp / r_arr - p / (r_arr * r_arr) - p - r_arr * pp - kv
     return out if r_arr.ndim else float(out)
 

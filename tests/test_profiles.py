@@ -1,4 +1,5 @@
 import runpy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import axiswirl as ax
-from axiswirl.profiles import profile_table
+from axiswirl.numerics import gauss_panel_sums
+from axiswirl.profiles import _CACHE_PANELS, _panel_sweep, profile_table
 
 from oracles import inner_integral_oracle
 from reference_values import ALPHA_STAR, I0_STAR
@@ -159,14 +161,19 @@ def test_small_r_series_consistency(ref_profile):
     assert np.all(defect_fine <= 1.05 * c_fit * r_fine ** 3)
 
 
-def _seeded_profile(seed):
-    """The profile of the benchmark's seeded table ``seed``; None is the bump."""
+def _seeded_forcing(seed):
+    """The forcing of the benchmark's seeded table ``seed``; None is the bump."""
     if seed is None:
-        return ax.build_profile(ax.reference_k())
+        return ax.reference_k()
     make_inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))[
         "make_inputs"]
     rows = np.loadtxt(make_inputs(seed).table_text.splitlines()[1:], delimiter=",")
-    return ax.build_profile(ax.forcing_from_samples(rows[:, 0], rows[:, 1]))
+    return ax.forcing_from_samples(rows[:, 0], rows[:, 1])
+
+
+def _seeded_profile(seed):
+    """The profile of the benchmark's seeded table ``seed``; None is the bump."""
+    return ax.build_profile(_seeded_forcing(seed))
 
 
 @pytest.mark.parametrize("seed", [None, 103, 106], ids=["bump", "seed103", "seed106"])
@@ -219,3 +226,45 @@ def test_table_profile_builds_and_solves():
     sample = np.geomspace(1e-3, 1.0, 30)
     assert np.max(np.abs(ax.ode_residual(prof, sample))) < 1e-8
     assert prof.alpha < 0.0
+
+
+@pytest.mark.parametrize("forcing", [ax.reference_k, lambda: ax.bump_forcing(3.0),
+                                     ax.zero_forcing, lambda: _seeded_forcing(103)],
+                         ids=["bump", "bump3", "zero", "seed103"])
+def test_forcing_is_plus_zero_from_the_support_edge_on(forcing):
+    # fields._h and ode_residual take k as it is for sigma >= 1, with no mask:
+    # a -0.0 there would write -0.0000000000000000e+00 to field_slice.csv.
+    sigma = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 1e300])
+    k = forcing()(sigma)
+    assert np.all(k == 0.0)
+    assert not np.any(np.signbit(k))
+
+
+def _build_kernels(seed):
+    """The I and g kernels ``build_profile`` sweeps, for seed's forcing."""
+    k = _seeded_forcing(seed)
+    prof = ax.build_profile(k)
+    return (lambda l: np.exp(-0.5 * l * l) * k(l),
+            lambda s: -s * np.exp(0.5 * s * s) * prof._I_spline(s))
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_panel_sweep_equals_one_call_over_every_cache_panel(seed):
+    nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
+    for kernel in _build_kernels(seed):
+        whole = gauss_panel_sums(kernel, nodes)
+        assert _panel_sweep(kernel).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_build_profile_traced_peak_stays_under_1_MB(seed):
+    # One 2048-panel sweep peaked at 3.4 MB (bump) and 4.0 MB (seed 103).
+    k = _seeded_forcing(seed)
+    ax.build_profile(k)
+    tracemalloc.start()
+    try:
+        ax.build_profile(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
