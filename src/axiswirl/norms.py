@@ -328,14 +328,24 @@ def _law_headroom(model: str, a: float, tm: np.ndarray, v: np.ndarray) -> float:
 
 
 def _law_tail(model: str, a: float, tm: np.ndarray, v: np.ndarray, q: float) -> float:
-    """Integral of |law|^q over (0, T - t_J]: a u^-a through the last level
-    in closed form, or a ln^2(1/u) + c1 ln(1/u) + c0 fitted on the window."""
+    """Integral of |law|^q over (0, u_J], u_J = T - t_J: a u^-a through the
+    last level in closed form, or P(ln(1/u)), P(s) = a s^2 + c1 s + c0
+    fitted on the window. In s = ln(1/u) = s_J + x, smooth where u has a log
+    singularity at 0, that is u_J int_0^inf e^-x |P(s_J + x)|^q dx. Since
+    |P(s_J + x)| <= B (s_J + x)^2, B = a + |c1|/s_J + |c0|/s_J^2, and
+    (1 + x/s_J)^2q <= C e^(mu x) for mu = min(1/2, 2q/s_J), ln C =
+    2q ln(2q/(mu s_J)) - 2q + mu s_J, the part past x_max, where
+    C e^(-(1 - mu) x_max)/(1 - mu) = eps, is at most eps u_J (B s_J^2)^q."""
     if model == "power":
         return inf if a * q >= 1.0 else float(v[-1] ** q * tm[-1] / (1.0 - a * q))
     logs = _log_recip(tm)
     coef = (a, *np.polyfit(logs, v - a * np.square(logs), 1))
-    return integrate(lambda u: np.abs(np.polyval(coef, _log_recip(u))) ** q,
-                     0.0, float(tm[-1]), _TAIL_SPEC)[0]
+    s, mu = logs[-1], min(0.5, 2.0 * q / logs[-1])
+    x_max = (2.0 * q * np.log(2.0 * q / (mu * s)) - 2.0 * q + mu * s
+             - np.log((1.0 - mu) * np.finfo(float).eps)) / (1.0 - mu)
+    return float(tm[-1]) * integrate(
+        lambda x: np.exp(-x) * np.abs(np.polyval(coef, s + x)) ** q,
+        0.0, x_max, _TAIL_SPEC)[0]
 
 
 def classify_LqtL1x(series: NormSeries, q: float) -> Classification:

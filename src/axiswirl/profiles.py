@@ -181,8 +181,9 @@ class SwirlProfile:
     p = sigma h, g = sigma^2 h and p' = -e^{sigma^2/2} I - h divide by
     nothing. For sigma >= 1, g = g1. ``g_exact`` and ``phi0_exact``
     re-derive values by direct adaptive quadrature, independently of the
-    caches. ``M0``, ``M1``, ``A`` and ``K1`` are the moments of the closed
-    forms in ``norms``, each computed once from the cached profile.
+    caches. ``M0``, ``M1``, ``A`` and ``K1``, the moments of the closed
+    forms in ``norms``, are views of one moment sweep, ``_moments``: one
+    ``_panel_sweep`` over their stacked densities, run once per profile.
     """
 
     k: ForcingProfile
@@ -275,45 +276,36 @@ class SwirlProfile:
             return 0.0
         return self.g_exact(r, spec) / r if r < 1.0 else self.g_exact(1.0, spec) / r
 
-    # -- energy moments: the closed-form part-1 energy (see norms) ----------
+    # -- moments: the closed forms of the v energy and the forcing norm ------
     @cached_property
-    def M0(self) -> float:
-        """int_0^1 phi0^2 sigma d sigma."""
-        return _unit_moment(lambda s: np.square(self.phi0(s)) * s)
+    def _moments(self) -> tuple:
+        """(M0, M1, A, K1), the fsums of one ``_panel_sweep`` over their
+        four densities, stacked: one ``jet`` and one ``k`` call a chunk."""
+        def densities(s):
+            phi, over, prime = self.jet(s)
+            return np.stack((np.square(phi) * s, phi * s * s,
+                             (np.square(prime) + np.square(over)) * s,
+                             np.abs(self.k(s)) * s))
+        return tuple(fsum(row) for row in _panel_sweep(densities))
 
-    @cached_property
-    def M1(self) -> float:
-        """int_0^1 phi0 sigma^2 d sigma."""
-        return _unit_moment(lambda s: self.phi0(s) * s * s)
-
-    @cached_property
-    def A(self) -> float:
-        """int_0^1 (phi0'^2 + (phi0/sigma)^2) sigma d sigma."""
-        def density(s):
-            _, over, prime = self.jet(s)
-            return (np.square(prime) + np.square(over)) * s
-        return _unit_moment(density)
-
-    @cached_property
-    def K1(self) -> float:
-        """int_0^1 |k(sigma)| sigma d sigma."""
-        return _unit_moment(lambda s: np.abs(self.k(s)) * s)
-
-
-def _unit_moment(f) -> float:
-    """int_0^1 f: the fsum of ``_panel_sweep`` over the cache panels."""
-    return fsum(_panel_sweep(f))
+    M0 = property(lambda self: self._moments[0], doc="int_0^1 phi0^2 sigma d sigma.")
+    M1 = property(lambda self: self._moments[1], doc="int_0^1 phi0 sigma^2 d sigma.")
+    A = property(lambda self: self._moments[2],
+                 doc="int_0^1 (phi0'^2 + (phi0/sigma)^2) sigma d sigma.")
+    K1 = property(lambda self: self._moments[3], doc="int_0^1 |k(sigma)| sigma d sigma.")
 
 
 def _panel_sweep(f) -> np.ndarray:
     """21-point Gauss value of ``f`` on each of the cache panels of [0, 1].
 
-    ``gauss_panel_sums`` runs 256 panels a call, so its (256, 21)
-    temporaries stay in cache; the panel values do not depend on the split.
+    ``f`` may be vector-valued, with the 21 nodes on its last axis; the
+    panels then lie on the last axis of the result. ``gauss_panel_sums``
+    runs 256 panels a call, so its (256, 21) temporaries stay in cache;
+    the panel values do not depend on the split.
     """
     nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
     return np.concatenate([gauss_panel_sums(f, nodes[i:i + 257])
-                           for i in range(0, _CACHE_PANELS, 256)])
+                           for i in range(0, _CACHE_PANELS, 256)], axis=-1)
 
 
 def _below_one(r, f):

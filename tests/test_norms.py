@@ -263,6 +263,47 @@ def test_norms_part2_makes_one_stacked_l1_call(tmp_path, monkeypatch):
     assert l1_calls == []
 
 
+@pytest.mark.parametrize("seed, T", [(None, 0.5), (None, 0.01), (103, None), (140, None)],
+                         ids=["bump", "bump-T0.01", "seed103", "seed140"])
+def test_log2_tail_meets_a_tight_reference_in_one_halving(seed, T, monkeypatch):
+    # In s = ln(1/u) the L1_Y tail is smooth: one halving, 3 integrand
+    # calls. In u its log singularity at u = 0 took 19-43 calls and left
+    # the q = 1.5 tail 2.7e-6 off.
+    from axiswirl import norms
+    from axiswirl.cli import _classification_depth
+    from axiswirl.numerics import integrate
+
+    fam = (ax.SolutionFamily(profile=ax.build_profile(ax.reference_k()), T=T, part=2)
+           if seed is None else _seeded_family(seed, part=2))
+    ladder = ax.make_time_ladder(fam.T, _classification_depth(fam, 28))
+    window = slice(-norms.TAIL_LEVELS, None)
+    tm, v = ladder.T_minus[window], y_series(fam, ladder)[-1].values[window]
+    model, a = norms._GROWTH_LAW["L1_Y"]
+    logs = -np.log(tm)
+    coef = (a, *np.polyfit(logs, v - a * np.square(logs), 1))
+    tight = ax.QuadratureSpec(1e-18, 1e-14, 20000)
+    calls = []
+
+    def counting(f, lo, hi, spec=ax.DEFAULT_SPEC, **kwargs):
+        calls.append(0)
+
+        def counted(x):
+            calls[-1] += 1
+            return f(x)
+        return integrate(counted, lo, hi, spec, **kwargs)
+
+    monkeypatch.setattr(norms, "integrate", counting)
+    for q in (1.5, 1.9, 2.1, 3.0, 4.0):
+        # The reference integrates in u = u_J w, w in (0, 1], so that its
+        # rel_tol governs rather than abs_tol against a tail of ~1e-7.
+        reference = tm[-1] * integrate(
+            lambda w: np.abs(np.polyval(coef, logs[-1] - np.log(w))) ** q,
+            0.0, 1.0, tight)[0]
+        tail = norms._law_tail(model, a, tm, v, q)
+        assert abs(tail - reference) <= 1e-12 * reference, q
+    assert len(calls) == 5 and max(calls) <= 3, calls
+
+
 def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     fam = _seeded_family(103, part=1)
     assert fam.T == 0.3617

@@ -268,3 +268,31 @@ def test_build_profile_traced_peak_stays_under_1_MB(seed):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_moments_are_one_sweep_equal_to_four(seed, monkeypatch):
+    # Each moment as it was swept alone, from its own density.
+    from math import fsum
+
+    from axiswirl import profiles
+
+    prof = _seeded_profile(seed)
+    singles = {
+        "M0": lambda s: np.square(prof.phi0(s)) * s,
+        "M1": lambda s: prof.phi0(s) * s * s,
+        "A": lambda s: (np.square(prof.jet(s)[2]) + np.square(prof.jet(s)[1])) * s,
+        "K1": lambda s: np.abs(prof.k(s)) * s,
+    }
+    expected = {name: fsum(_panel_sweep(f)) for name, f in singles.items()}
+    calls = []
+
+    def counting(f, nodes):
+        calls.append(len(nodes))
+        return gauss_panel_sums(f, nodes)
+
+    monkeypatch.setattr(profiles, "gauss_panel_sums", counting)
+    for _ in range(2):
+        for name, value in expected.items():
+            assert getattr(prof, name).hex() == value.hex(), name
+    assert calls == [257] * (_CACHE_PANELS // 256)
