@@ -21,11 +21,13 @@ and when T <= 1/2, so that tau <= 1 and the core r < sqrt(tau) stays
 inside the cylinder. v does not depend on the part, so neither does E_v,
 and E_v grows exactly like pi (A + 2 g1^2) |ln(T - t)| up to terms affine
 in T - t. ``energy_series(fam, "v", ...)`` is this closed form, the
-production path. The nested numeric path (``_nested_energy``: every
-ladder step's dissipation one row of a single quadrature in T - s, each
-panel one radial row call at all its time nodes) is the production path
-for vbar, which has no closed form, and the independent check of the
-closed form.
+production path. The nested numeric path (``_nested_energy``) is the
+production path for vbar, which has no closed form, and the independent
+check of the closed form. Each step's dissipation splits at the core edge
+r = sqrt(2u), u = T - s: the core is one row of a single quadrature in u;
+outside it sigma >= 1, phi0 = g1/sigma and the density D(r) is time-free,
+so by Fubini the exterior of [u_lo, u_hi] is one radial row from
+sqrt(2 u_lo) to 1 with the weight clip(r^2/2 - u_lo, 0, u_hi - u_lo).
 
 The forcing norms are L^1 in space. h = k(sigma) / tau^{3/2} lives in
 r < sqrt(tau) <= 1, so ||h||_{L^1} = 2 pi K1 / sqrt(tau), K1 = int_0^1 |k|
@@ -68,7 +70,7 @@ __all__ = [
 ]
 
 NORM_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=2000)
-# The outer time integral of the dissipation rate.
+# The outer time integral of the core dissipation rate.
 _TIME_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64)
 # The L^q_t tail of the ln^2 growth law beyond the last ladder level.
 _TAIL_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=400)
@@ -153,22 +155,29 @@ def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
 def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
                        spec: QuadratureSpec) -> np.ndarray:
     """Dissipation over each step between successive (decreasing) T - t
-    values ``tm_edges``: one row call in u = T - s, which keeps full relative
-    precision near the final time. Each row starts as one panel, refined
-    by the adaptive engine alone; each panel takes the radial integrals at
-    all its (rows, 31) time nodes in one row call, node i seeded at the
-    width of its own u_i."""
+    values ``tm_edges``, split at the core edge (module docstring). The core
+    is one row call in u = T - s, which keeps full relative precision near
+    the final time, each row one panel refined by the adaptive engine alone;
+    each panel takes the core integrals at all its (rows, 31) time nodes in
+    one row call, node i cut at sqrt(2 u_i) {1/4, 1/2}. The exterior is one
+    radial row per step, its density taken at u_lo (sigma >= 1 on every
+    node), its Fubini weight kinked at sqrt(2 u_hi)."""
     u_hi, u_lo = tm_edges[:-1], tm_edges[1:]
     density = _gradient_density(fam, which)
 
     def rates(u):
         flat = u.ravel()
-        edges = np.zeros(flat.shape)
-        value, _ = integrate(lambda r: density(r, flat[:, None]), edges,
-                             edges + 1.0, spec, breakpoints=_axis_breakpoints(flat))
+        edge = np.sqrt(2.0 * flat)
+        value, _ = integrate(lambda r: density(r, flat[:, None]), np.zeros(flat.shape),
+                             edge, spec, breakpoints=np.multiply.outer(edge, (0.25, 0.5)))
         return 2.0 * np.pi * value.reshape(u.shape)
 
-    return integrate(rates, u_lo, u_hi, _TIME_SPEC)[0]
+    lo, width = u_lo[:, None], (u_hi - u_lo)[:, None]
+    exterior, _ = integrate(
+        lambda r: density(r, lo) * np.clip(0.5 * r * r - lo, 0.0, width),
+        np.sqrt(2.0 * u_lo), np.ones(u_lo.shape), spec,
+        breakpoints=np.column_stack((np.sqrt(2.0 * u_hi), _axis_breakpoints(u_lo))))
+    return integrate(rates, u_lo, u_hi, _TIME_SPEC)[0] + 2.0 * np.pi * exterior
 
 
 def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,

@@ -241,6 +241,9 @@ class SwirlProfile:
         """(phi0, phi0/r, phi0'): the gradient path, one h-spline and one
         I-spline call. phi0/r is h, with the finite axis limit -I(0)/2."""
         r_arr, inside = _inside(r)
+        if r_arr.ndim and inside.all():  # no masks, gathers or scatters
+            h = self._h_spline(r_arr)
+            return r_arr * h, h, -np.exp(0.5 * r_arr * r_arr) * self._I_spline(r_arr) - h
         phi, over, prime = (np.empty(r_arr.shape) for _ in range(3))
         ri = r_arr[inside]
         hi = self._h_spline(ri)

@@ -206,6 +206,86 @@ def _seeded_family(seed, part):
     return ax.SolutionFamily(profile=profile, T=inputs.T, part=part)
 
 
+def _unsplit_nested_vbar_energy(fam, ladder, spec, time_spec):
+    """The nested vbar energy with every radial row running from the axis
+    to the wall at every time node: the formulation before the core and
+    exterior split of ``_dissipation_steps``."""
+    from axiswirl import norms
+    from axiswirl.fields import _axis_breakpoints
+
+    tm = ladder.T_minus
+    density = norms._gradient_density(fam, "vbar")
+
+    def rates(u):
+        flat = u.ravel()
+        value, _ = ax.integrate(lambda r: density(r, flat[:, None]), np.zeros(flat.shape),
+                                np.ones(flat.shape), spec,
+                                breakpoints=_axis_breakpoints(flat))
+        return 2.0 * np.pi * value.reshape(u.shape)
+
+    edges = np.concatenate(([fam.T], tm))
+    steps = ax.integrate(rates, edges[1:], edges[:-1], time_spec)[0]
+    return (norms._kinetic(fam, "vbar", ladder.levels, spec, T_minus=tm)
+            + np.cumsum(steps))
+
+
+@pytest.mark.parametrize("seed, T", [(None, 0.5), (None, 0.01), (103, 0.3617),
+                                     (140, 0.3718)],
+                         ids=["bump-T0.5", "bump-T0.01", "seed103", "seed140"])
+def test_split_vbar_energy_is_as_accurate_with_fewer_density_points(seed, T, monkeypatch):
+    # The core rows take sigma < 1 at every time node; the time-free exterior
+    # is one Fubini row per step, at sigma >= 1. Neither may lose accuracy.
+    from axiswirl import norms
+    from axiswirl.cli import RunConfig, _floor_ladder
+
+    fam = (ax.SolutionFamily(profile=ax.build_profile(ax.reference_k()), T=T, part=2)
+           if seed is None else _seeded_family(seed, part=2))
+    assert fam.T == T
+    ladder = _floor_ladder(RunConfig(T=T))
+    tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
+    tight_time = ax.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=2000)
+    reference = _unsplit_nested_vbar_energy(fam, ladder, tight, tight_time)
+
+    real_integrate, real_density = norms.integrate, norms._gradient_density
+    time_rows, points = [], {"core": 0, "exterior": 0}
+    sigmas = {"core": [], "exterior": []}
+
+    def integrate(f, a, b, spec=ax.DEFAULT_SPEC, **kwargs):
+        time_rows.append(spec is norms._TIME_SPEC)
+        try:
+            return real_integrate(f, a, b, spec, **kwargs)
+        finally:
+            time_rows.pop()
+
+    def gradient_density(fam, which):
+        density = real_density(fam, which)
+
+        def counted(r, tm):
+            sigma = r / np.sqrt(2.0 * tm)
+            part = "core" if any(time_rows) else "exterior"
+            points[part] += r.size
+            sigmas[part].append((np.min(sigma), np.max(sigma)))
+            return density(r, tm)
+        return counted
+
+    monkeypatch.setattr(norms, "integrate", integrate)
+    monkeypatch.setattr(norms, "_gradient_density", gradient_density)
+    split = norms._nested_energy(fam, "vbar", ladder, NORM_SPEC)
+    assert max(hi for _, hi in sigmas["core"]) < 1.0
+    assert min(lo for lo, _ in sigmas["exterior"]) >= 1.0
+    assert points["exterior"] > 0
+    split_points = sum(points.values())
+    # The unsplit rows call ax.integrate, so all their points count as exterior.
+    unsplit = _unsplit_nested_vbar_energy(fam, ladder, NORM_SPEC, norms._TIME_SPEC)
+    unsplit_points = sum(points.values()) - split_points
+
+    unsplit_error = np.abs(unsplit - reference) / np.abs(reference)
+    split_error = np.abs(split - reference) / np.abs(reference)
+    assert np.all(split_error <= unsplit_error + 4.0 * np.finfo(float).eps)
+    share = split_points / unsplit_points
+    assert share <= (0.4 if (seed, T) == (None, 0.5) else 1.0), share
+
+
 def test_y_series_meet_norm_spec_on_the_seed_6_table():
     # Y4 near the axis at T - t ~ 3e-9 is where separate per-quantity
     # panels stopped early; the shared panels refine to what all five need.

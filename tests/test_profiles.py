@@ -296,3 +296,20 @@ def test_moments_are_one_sweep_equal_to_four(seed, monkeypatch):
         for name, value in expected.items():
             assert getattr(prof, name).hex() == value.hex(), name
     assert calls == [257] * (_CACHE_PANELS // 256)
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_jet_all_inside_path_matches_the_masked_path_bytewise(seed):
+    # An array wholly inside sigma < 1 skips the masks; its values must be
+    # those of the same points taken from an array that mixes in sigma >= 1.
+    prof = _seeded_profile(seed)
+    inside = np.concatenate(([0.0, 1e-300, 1e-8, 0.5 ** 20], np.linspace(0.0, 1.0, 401)[1:-1],
+                             [np.nextafter(1.0, 0.0)]))
+    mixed = np.concatenate((inside, [1.0, 1.5, 1e8, np.inf]))
+    masked = [part[:inside.size] for part in prof.jet(mixed)]
+    for points in (inside, inside.reshape(-1, 4)):
+        for fast, slow in zip(prof.jet(points), masked):
+            assert fast.shape == points.shape
+            assert fast.tobytes() == slow.reshape(points.shape).tobytes()
+    for r in (0.0, 0.3, 1.0, 2.0):
+        assert all(type(value) is float for value in prof.jet(r))
