@@ -22,9 +22,14 @@ unchecked radii and tm of broadcastable shapes; verify, norms and oracle
 pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
 formed and checked once by ``_T_minus``. Only the public evaluators take t,
 for tests and export: they validate (r, t), form T - t once, call a kernel.
-The one pressure integrand, w^2/l keyed on each row's T - t, serves
-``eval_pressure`` (from the axis, cut by ``_axis_breakpoints`` like every
-radial integral from the axis) and verify's rise across a stencil.
+The pressure of v in ``field_slice_rows`` and ``sample`` is the closed
+form ``_pressure_v``: by self-similarity, the integral of v^2/l from the
+axis is Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2, with Q and G
+from ``SwirlProfile.pressure_integrals``. The one pressure integrand,
+w^2/l keyed on each row's T - t, is the quadrature path: ``eval_pressure``
+(from the axis, cut by ``_axis_breakpoints`` like every radial integral
+from the axis), which checks the closed form and is the only path for
+vbar, and verify's rise across a stencil.
 """
 
 from __future__ import annotations
@@ -300,6 +305,17 @@ def eval_pressure(fam: SolutionFamily, which: str, r, t,
                               _axis_breakpoints(tm))
 
 
+def _pressure_v(fam: SolutionFamily, r, tm):
+    """The integral of v^2/l over (0, r] in closed form. With v = u + alpha l
+    and u = sigma h(sigma)/sqrt(tau), the terms u^2/l, 2 alpha u and
+    alpha^2 l integrate to Q(sigma)/tau, 2 alpha G(sigma) and alpha^2 r^2/2;
+    ``SwirlProfile.pressure_integrals`` gives Q and G."""
+    tau = 2.0 * tm
+    q, g = fam.profile.pressure_integrals(r / np.sqrt(tau))
+    alpha = fam.alpha
+    return q / tau + 2.0 * alpha * g + 0.5 * alpha * alpha * r * r
+
+
 def eval_Y(fam: SolutionFamily, r, t):
     """The four forcing components of the log-transformed equation.
 
@@ -326,7 +342,7 @@ def _fields_at(fam: SolutionFamily, r, t):
     Y components grow like 1/r at the axis: NaN below r = EPS0."""
     r, tm = np.broadcast_arrays(*_validate(fam, r, t))
     values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
-              "h": _h(fam, r, tm), "P": eval_pressure(fam, "v", r, t)}
+              "h": _h(fam, r, tm), "P": _pressure_v(fam, r, tm)}
     if fam.part == 2:
         for which in ("eta", "vbar"):
             values[which] = _w(fam, which, r, tm)

@@ -153,8 +153,10 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         vals[i], errs[i] = v21, np.abs(v21 - v10)
 
     def totals(n):
-        value = [fsum(col) for col in vals[:n].T]
-        err = [fsum(col) for col in errs[:n].T]
+        # fsum of a list of Python floats: the same sums, without a numpy
+        # scalar per panel
+        value = [fsum(col) for col in vals[:n].T.tolist()]
+        err = [fsum(col) for col in errs[:n].T.tolist()]
         return value, err
 
     def shaped(v):

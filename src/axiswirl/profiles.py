@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DEFAULT_SPEC, QuadratureSpec, gauss_panel_sums, integrate
+from .numerics import (DEFAULT_SPEC, QuadratureSpec, _W10, _X10, gauss_panel_sums,
+                       integrate)
 
 __all__ = [
     "ForcingProfile",
@@ -184,6 +185,8 @@ class SwirlProfile:
     caches. ``M0``, ``M1``, ``A`` and ``K1``, the moments of the closed
     forms in ``norms``, are views of one moment sweep, ``_moments``: one
     ``_panel_sweep`` over their stacked densities, run once per profile.
+    ``pressure_integrals``, the sigma-integrals of the closed-form pressure
+    of v, reads one more such sweep, ``_pressure_nodes``, built on first use.
     """
 
     k: ForcingProfile
@@ -296,6 +299,52 @@ class SwirlProfile:
     A = property(lambda self: self._moments[2],
                  doc="int_0^1 (phi0'^2 + (phi0/sigma)^2) sigma d sigma.")
     K1 = property(lambda self: self._moments[3], doc="int_0^1 |k(sigma)| sigma d sigma.")
+
+    # -- pressure: the two sigma-integrals of P_v's closed form --------------
+    def _pressure_densities(self, s):
+        """(s h^2, s h), stacked on a new first axis, from the h cache alone."""
+        h = self._h_spline(s)
+        sh = s * h
+        return np.stack((sh * h, sh))
+
+    @cached_property
+    def _pressure_nodes(self) -> np.ndarray:
+        """(Q, G) at the cache nodes sigma_i = i/2048, a (2, 2049) array.
+
+        On each cache piece h is one cubic, so s h^2 and s h are
+        polynomials of degree 7 and 4 there, and the 21-point Gauss value of
+        each panel of one ``_panel_sweep`` is exact to rounding; the node
+        values are their running sums from Q(0) = G(0) = 0.
+        """
+        sums = np.cumsum(_panel_sweep(self._pressure_densities), axis=1)
+        return np.concatenate((np.zeros((2, 1)), sums), axis=1)
+
+    def pressure_integrals(self, sigma):
+        """(Q, G) = (int_0^sigma s h^2 ds, int_0^sigma s h ds), h = phi0/s.
+
+        The self-similar parts of the pressure of v = u + alpha r,
+
+            P_v(r, t) = Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2,
+
+        tau = 2 (T - t), sigma = r / sqrt(tau). For sigma < 1 each value is
+        its node value at i/2048 plus one 10-point Gauss rule over the
+        partial piece [i/2048, sigma], exact on the cubic piece of h. For
+        sigma >= 1, h = g1/s^2 gives the exterior in closed form:
+        Q = Q(1) + (g1^2/2)(1 - sigma^-2) and G = G(1) + g1 ln sigma.
+        Neither the I-spline nor any adaptive quadrature is used.
+        """
+        sigma = np.asarray(sigma, dtype=float)
+        core = np.minimum(sigma, 1.0)
+        i = (core * _CACHE_PANELS).astype(np.intp)  # 2048 at sigma >= 1
+        x0 = i / _CACHE_PANELS
+        half = 0.5 * (core - x0)
+        nodes = (x0 + half)[..., None] + half[..., None] * _X10
+        q, g = self._pressure_nodes[:, i] + half * np.vecdot(
+            self._pressure_densities(nodes), _W10)
+        outer = np.maximum(sigma, 1.0)
+        inv = 1.0 / outer  # squared after dividing: sigma^2 may overflow
+        return (q + 0.5 * self.g1 * self.g1 * (1.0 - inv * inv),
+                g + self.g1 * np.log(outer))
 
 
 def _panel_sweep(f) -> np.ndarray:

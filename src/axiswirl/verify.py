@@ -29,7 +29,10 @@ per sample, all samples in one ``integrate`` call.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
+
 import numpy as np
 
 from .fields import (EPS0, SolutionFamily, _jet, _ladder_T_minus,
@@ -105,11 +108,13 @@ class BoundCheck:
 def _report(equation: str, samples: list, tolerance: float, raw_max: float, *,
             raw_samples=()) -> ResidualReport:
     """The report of normalized samples (r, t, residual) against tolerance."""
-    max_norm = max((s[2] for s in samples), default=0.0)
+    residual = itemgetter(2)
+    max_norm = max(map(residual, samples), default=0.0)
+    # nlargest keeps the order of a stable descending sort among equal keys
     return ResidualReport(
         equation=equation, samples=samples, tolerance=tolerance,
         max_abs_residual=max_norm, passed=bool(max_norm <= tolerance),
-        max_raw_residual=raw_max, worst=sorted(samples, key=lambda s: -s[2])[:5],
+        max_raw_residual=raw_max, worst=heapq.nlargest(5, samples, key=residual),
         raw_samples=list(raw_samples))
 
 
