@@ -185,7 +185,14 @@ def _h(fam: SolutionFamily, r, tm):
     tau = 2.0 * tm
     sigma = r / np.sqrt(tau)
     # Every ForcingProfile is +0.0 for sigma >= 1, so k needs no mask here.
-    return np.asarray(fam.profile.k(sigma), dtype=float) / np.power(tau, 1.5)
+    k = np.asarray(fam.profile.k(sigma), dtype=float)
+    scale = np.power(tau, 1.5)
+    if scale.all():
+        return k / scale
+    # tau^1.5 underflows to 0 below tau = 1.8e-216; where k = 0 there, h is
+    # +0.0, not 0/0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((k == 0.0) & (scale == 0.0), 0.0, k / scale)
 
 
 _Y_NAMES = ("Y1", "Y2", "Y3", "Y4", "Y")

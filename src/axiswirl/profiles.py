@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (DEFAULT_SPEC, QuadratureSpec, _W10, _X10, gauss_panel_sums,
-                       integrate)
+from .numerics import (DEFAULT_SPEC, QuadratureSpec, _PANEL_W, _PANEL_X,
+                       gauss_panel_sums, integrate)
 
 __all__ = [
     "ForcingProfile",
@@ -50,6 +50,10 @@ __all__ = [
 
 # Cache resolution for the I and h splines on [0, 1].
 _CACHE_PANELS = 2048
+
+# Panels per gauss_panel_sums call of a sweep: a stack of four densities
+# on (512, 4) nodes is 64 KiB, under glibc's 128 KiB mmap threshold.
+_SWEEP_CHUNK = 512
 
 # A forcing table's endpoint values above this are reported before they
 # are zeroed; a table is nonpositive and nontrivial up to it.
@@ -187,6 +191,9 @@ class SwirlProfile:
     ``_panel_sweep`` over their stacked densities, run once per profile.
     ``pressure_integrals``, the sigma-integrals of the closed-form pressure
     of v, reads one more such sweep, ``_pressure_nodes``, built on first use.
+    Every sweep puts the 4-point Gauss rule of ``gauss_panel_sums`` on each
+    1/2048 panel: exact for the degree <= 7 densities of the cubic h cache,
+    and equal to 21 nodes to rounding on the analytic ones.
     """
 
     k: ForcingProfile
@@ -292,7 +299,9 @@ class SwirlProfile:
             return np.stack((np.square(phi) * s, phi * s * s,
                              (np.square(prime) + np.square(over)) * s,
                              np.abs(self.k(s)) * s))
-        return tuple(fsum(row) for row in _panel_sweep(densities))
+        # fsum of lists of Python floats: the same sums, without a numpy
+        # scalar per panel
+        return tuple(fsum(row) for row in _panel_sweep(densities).tolist())
 
     M0 = property(lambda self: self._moments[0], doc="int_0^1 phi0^2 sigma d sigma.")
     M1 = property(lambda self: self._moments[1], doc="int_0^1 phi0 sigma^2 d sigma.")
@@ -312,9 +321,10 @@ class SwirlProfile:
         """(Q, G) at the cache nodes sigma_i = i/2048, a (2, 2049) array.
 
         On each cache piece h is one cubic, so s h^2 and s h are
-        polynomials of degree 7 and 4 there, and the 21-point Gauss value of
-        each panel of one ``_panel_sweep`` is exact to rounding; the node
-        values are their running sums from Q(0) = G(0) = 0.
+        polynomials of degree 7 and 4 there, and the 4-point Gauss value of
+        each panel of one ``_panel_sweep``, exact up to degree 7, is exact
+        to rounding; the node values are their running sums from
+        Q(0) = G(0) = 0.
         """
         sums = np.cumsum(_panel_sweep(self._pressure_densities), axis=1)
         return np.concatenate((np.zeros((2, 1)), sums), axis=1)
@@ -327,8 +337,9 @@ class SwirlProfile:
             P_v(r, t) = Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2,
 
         tau = 2 (T - t), sigma = r / sqrt(tau). For sigma < 1 each value is
-        its node value at i/2048 plus one 10-point Gauss rule over the
-        partial piece [i/2048, sigma], exact on the cubic piece of h. For
+        its node value at i/2048 plus the sweep's 4-point Gauss rule over
+        the partial piece [i/2048, sigma], exact on the degree <= 7
+        densities of the cubic piece of h. For
         sigma >= 1, h = g1/s^2 gives the exterior in closed form:
         Q = Q(1) + (g1^2/2)(1 - sigma^-2) and G = G(1) + g1 ln sigma.
         Neither the I-spline nor any adaptive quadrature is used.
@@ -338,9 +349,9 @@ class SwirlProfile:
         i = (core * _CACHE_PANELS).astype(np.intp)  # 2048 at sigma >= 1
         x0 = i / _CACHE_PANELS
         half = 0.5 * (core - x0)
-        nodes = (x0 + half)[..., None] + half[..., None] * _X10
+        nodes = (x0 + half)[..., None] + half[..., None] * _PANEL_X
         q, g = self._pressure_nodes[:, i] + half * np.vecdot(
-            self._pressure_densities(nodes), _W10)
+            self._pressure_densities(nodes), _PANEL_W)
         outer = np.maximum(sigma, 1.0)
         inv = 1.0 / outer  # squared after dividing: sigma^2 may overflow
         return (q + 0.5 * self.g1 * self.g1 * (1.0 - inv * inv),
@@ -348,16 +359,17 @@ class SwirlProfile:
 
 
 def _panel_sweep(f) -> np.ndarray:
-    """21-point Gauss value of ``f`` on each of the cache panels of [0, 1].
+    """4-point Gauss value of ``f`` on each of the cache panels of [0, 1].
 
-    ``f`` may be vector-valued, with the 21 nodes on its last axis; the
+    ``f`` may be vector-valued, with the 4 nodes on its last axis; the
     panels then lie on the last axis of the result. ``gauss_panel_sums``
-    runs 256 panels a call, so its (256, 21) temporaries stay in cache;
-    the panel values do not depend on the split.
+    runs ``_SWEEP_CHUNK`` = 512 panels a call, so every temporary stays
+    under glibc's 128 KiB mmap threshold and in cache; the panel values do
+    not depend on the split. ``gauss_panel_sums`` derives the rule.
     """
     nodes = np.linspace(0.0, 1.0, _CACHE_PANELS + 1)
-    return np.concatenate([gauss_panel_sums(f, nodes[i:i + 257])
-                           for i in range(0, _CACHE_PANELS, 256)], axis=-1)
+    return np.concatenate([gauss_panel_sums(f, nodes[i:i + _SWEEP_CHUNK + 1])
+                           for i in range(0, _CACHE_PANELS, _SWEEP_CHUNK)], axis=-1)
 
 
 def _below_one(r, f):
@@ -466,9 +478,13 @@ def _natural_slopes(x, y) -> np.ndarray:
 def build_profile(k: ForcingProfile) -> SwirlProfile:
     """Construct the swirl profile for ``k``.
 
-    The caches accumulate panel-by-panel Gauss values (each panel is exact
-    to rounding at this resolution); spline slopes are the exact closed
-    forms. The h cache takes h_i = g_i/sigma_i^2 with slopes
+    The caches accumulate panel-by-panel 4-point Gauss values. The I and g
+    kernels are analytic on each 1/2048 panel of the bump and of tables
+    whose knots lie on cache nodes (the 33-point bench tables), where 4
+    nodes match 21 to rounding; a knot inside a panel, where the third
+    derivative of k jumps, costs up to ~1e-14 relative (a 100-point
+    table). The build takes about 0.5 ms (2-core Xeon, numpy 2.4).
+    Spline slopes are the exact closed forms. The h cache takes h_i = g_i/sigma_i^2 with slopes
     -(e^{sigma^2/2} I + 2h)/sigma, and on the axis node the limits
     h(0) = -I0/2 and h'(0) = k(0)/3, so p/sigma is accurate to ~1e-14
     relative from the axis on, well below the ``DEFAULT_SPEC`` tolerances

@@ -271,6 +271,20 @@ def test_norms_inconclusive_verdict_fails_even_for_trivial_forcing():
     assert len(norms_verdict_failures(rows, nontrivial=True)) == 4
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("part", [1, 2])
+@pytest.mark.parametrize("T", [1.8e-213, 1e-300])
+def test_verify_at_a_tiny_T_writes_a_finite_forcing_column(tmp_path, T, part):
+    # tau^1.5 underflows to 0 at the slice's deepest times; there the forcing
+    # h = k(sigma)/tau^1.5 is +0.0 (sigma >= 1), not 0/0 = NaN.
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--part", str(part), "--T", repr(T), "--out", str(out)]) == 0
+    lines = (out / "field_slice.csv").read_text().splitlines()
+    column = lines[0].split(",").index("h")
+    h = np.array([float(line.split(",")[column]) for line in lines[1:]])
+    assert h.size == 192 and np.all(np.isfinite(h))
+
+
 # No warning deep on a subnormal ladder: q >= 2 reads infinite from the
 # growth law alone, without forming |v|^q.
 @pytest.mark.filterwarnings("error")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import axiswirl as ax
+from axiswirl import numerics, profiles
 from axiswirl.numerics import gauss_panel_sums
-from axiswirl.profiles import _CACHE_PANELS, _panel_sweep, profile_table
+from axiswirl.profiles import _CACHE_PANELS, _SWEEP_CHUNK, _panel_sweep, profile_table
 
 from oracles import inner_integral_oracle
 from reference_values import ALPHA_STAR, I0_STAR
@@ -275,8 +276,6 @@ def test_moments_are_one_sweep_equal_to_four(seed, monkeypatch):
     # Each moment as it was swept alone, from its own density.
     from math import fsum
 
-    from axiswirl import profiles
-
     prof = _seeded_profile(seed)
     singles = {
         "M0": lambda s: np.square(prof.phi0(s)) * s,
@@ -295,7 +294,7 @@ def test_moments_are_one_sweep_equal_to_four(seed, monkeypatch):
     for _ in range(2):
         for name, value in expected.items():
             assert getattr(prof, name).hex() == value.hex(), name
-    assert calls == [257] * (_CACHE_PANELS // 256)
+    assert calls == [_SWEEP_CHUNK + 1] * (_CACHE_PANELS // _SWEEP_CHUNK)
 
 
 @pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
@@ -313,3 +312,43 @@ def test_jet_all_inside_path_matches_the_masked_path_bytewise(seed):
             assert fast.tobytes() == slow.reshape(points.shape).tobytes()
     for r in (0.0, 0.3, 1.0, 2.0):
         assert all(type(value) is float for value in prof.jet(r))
+
+
+# Differences of a running sum that only rounding explains: its terms move
+# by an ulp or so each, and the cache nodes and moments inherit the h
+# cache's few ulps.
+_SWEEP_ULPS = 16
+
+
+def _within_ulps(value, reference, scale=None):
+    """|value - reference| within _SWEEP_ULPS ulps of |scale|, by default
+    of the reference itself."""
+    scale = np.abs(reference if scale is None else scale)
+    return np.all(np.abs(np.asarray(value) - reference)
+                  <= _SWEEP_ULPS * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("seed", [None, 2, 103, 142],
+                         ids=["bump", "seed2", "seed103", "seed142"])
+def test_four_node_sweeps_agree_with_21_nodes_to_rounding(seed, monkeypatch):
+    # The reference puts 21 Gauss nodes on every cache panel and on the
+    # pressure's partial piece, as the sweeps did before the 4-node rule.
+    k = _seeded_forcing(seed)
+    sigma = np.concatenate((np.linspace(0.0, 1.0, 97)[1:], [1.5, 4.0, 1e8]))
+    fast = ax.build_profile(k)
+    with monkeypatch.context() as patch:
+        x21, w21 = np.polynomial.legendre.leggauss(21)
+        for module in (numerics, profiles):
+            patch.setattr(module, "_PANEL_X", x21)
+            patch.setattr(module, "_PANEL_W", w21)
+        ref = ax.build_profile(k)
+        ref_moments, ref_pressure = ref._moments, ref.pressure_integrals(sigma)
+    i_fast, i_ref = fast._I_spline._c[:, 0], ref._I_spline._c[:, 0]
+    # I runs from I(1) = 0 back to I0; near the support edge its nodes are
+    # far below one ulp of I0, where no later use reads them relatively.
+    assert _within_ulps(i_fast, i_ref, scale=ref.I0)
+    assert _within_ulps(fast._h_spline._c[:, 0], ref._h_spline._c[:, 0])
+    assert _within_ulps(fast.I0, ref.I0) and _within_ulps(fast.alpha, ref.alpha)
+    assert _within_ulps(fast._moments, ref_moments)
+    assert _within_ulps(fast._pressure_nodes, ref._pressure_nodes)
+    assert _within_ulps(fast.pressure_integrals(sigma), ref_pressure)

@@ -294,9 +294,9 @@ def test_radial_momentum_passes_on_a_table_near_blow_up(tmp_path, grid128):
 
 
 @pytest.mark.parametrize("part, which, digest", [
-    (1, "v", "b9dddf16f44f1c141e9b0de51f7a4582d1cd6a23db44430edb5c92938bd5f66b"),
-    (2, "eta", "42f1a66b854c94c8e0f39f8500384a7de61ffb3a58d31f7799b7e41a0de85652"),
-    (2, "vbar", "4bc521bc96294574da806c61d861335665eebddbd936054172a5a62644d2a668"),
+    (1, "v", "25f06468de8423fabfd1c2e9b50e35d9e5bb9fb068bfa7847be8332b7e273ec3"),
+    (2, "eta", "8e012f28897e011f49b16aa878c5a07852826b442c0031cc935e5e317477c324"),
+    (2, "vbar", "a853c8a5b3d0ba264cacaa70b59c11d414ce83f8324a92b56aea2b6f8e50b0a1"),
 ], ids=["1-v", "2-eta", "2-vbar"])
 def test_swirl_pde_samples_away_from_blow_up_are_pinned(ref_profile, grid64, part,
                                                         which, digest):
