@@ -14,7 +14,7 @@ from .fields import (EPS0, FieldSample, SolutionFamily, VectorFieldValue, eval_Y
                      eval_du_dr, eval_eta, eval_h, eval_pressure, eval_u,
                      eval_v, eval_vbar, sample, velocity)
 from .verify import (BoundCheck, ResidualReport, check_bound, check_boundary,
-                     check_radial_momentum, check_swirl_pde, residual_order)
+                     check_swirl_pde, residual_order)
 from .norms import (Classification, NormSeries, classify_LqtL1x, energy,
                     energy_series, l1_series, spatial_L1)
 from .oracle import (OracleConfig, OracleRun, convergence_study,

@@ -30,8 +30,7 @@ from .oracle import (TRAJECTORY_HEADER, convergence_study, default_levels,
                      trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
                        profile_table, reference_k)
-from .verify import (check_bound, check_boundary, check_radial_momentum,
-                     check_swirl_pde, report_to_dict)
+from .verify import check_bound, check_boundary, check_swirl_pde, report_to_dict
 
 PROFILE_HEADER = ["r", "phi0", "phi0_prime", "phi0_second", "ode_residual"]
 ODE_RESIDUAL_TOL = 1e-8
@@ -234,9 +233,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     fields_to_check = ["v"] if cfg.part == 1 else ["eta", "vbar"]
     for which in fields_to_check:
         checks.append(check_swirl_pde(fam, which, grid, ladder))
-    checks.append(check_radial_momentum(fam, "v", grid, ladder))
-    if cfg.part == 2:
-        checks.append(check_radial_momentum(fam, "vbar", grid, ladder))
     checks.append(check_boundary(fam, _floor_ladder(cfg)))
     bounds = [check_bound(fam, "u_upper", grid, ladder),
               check_bound(fam, "grad_u_upper", grid, ladder)]

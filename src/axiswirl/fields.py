@@ -26,10 +26,10 @@ The pressure of v in ``field_slice_rows`` and ``sample`` is the closed
 form ``_pressure_v``: by self-similarity, the integral of v^2/l from the
 axis is Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2, with Q and G
 from ``SwirlProfile.pressure_integrals``. The one pressure integrand,
-w^2/l keyed on each row's T - t, is the quadrature path: ``eval_pressure``
+w^2/l keyed on each row's T - t, is the quadrature path ``eval_pressure``
 (from the axis, cut by ``_axis_breakpoints`` like every radial integral
 from the axis), which checks the closed form and is the only path for
-vbar, and verify's rise across a stencil.
+vbar.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ the 1e-5 cap leaves every level with T - t >= 1e-3 on the central stencil.
 
 Every stencil is taken in T - t coordinates: the samples form one
 level-major (level, radius) lattice keyed on ``TimeLadder.T_minus``, and
-each check evaluates its fields on it in one ``fields`` kernel call. The
-momentum check's pressure rise across each stencil is one quadrature row
-per sample, all samples in one ``integrate`` call.
+each check evaluates its fields on it in one ``fields`` kernel call.
+
+No check reads the pressure: with no radial or vertical velocity and no z
+dependence, the radial momentum balance dP/dr = w^2/r holds by P's
+definition. ``tests/test_pressure_closed_form.py`` guards the written P.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fields import (EPS0, SolutionFamily, _jet, _ladder_T_minus,
-                     _pressure_integral, _rhs, _w)
-from .numerics import (QuadratureSpec, RadialGrid, TimeLadder, empirical_order,
-                       local_radial_scale)
+from .fields import EPS0, SolutionFamily, _jet, _ladder_T_minus, _rhs, _w
+from .numerics import RadialGrid, TimeLadder, empirical_order, local_radial_scale
 from .profiles import SwirlProfile
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "BoundCheck",
     "KAPPA",
     "check_swirl_pde",
-    "check_radial_momentum",
     "check_boundary",
     "check_bound",
     "bound_constant",
@@ -63,8 +62,6 @@ BOUNDARY_TOL = 1e-9
 # F on a 2^20-point sigma grid never exceeds C* on the same profiles.
 BOUND_SUP_RTOL = 1e-8
 EXCLUDE_NEAREST = 2  # ladder levels nearest t = T left out of the residuals
-# The momentum check's pressure-rise quadrature.
-MOMENTUM_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
 
 _EQUATION_OF_WHICH = {
     "u": "swirl_pde_part1",
@@ -119,14 +116,14 @@ def _report(equation: str, samples: list, tolerance: float, raw_max: float, *,
 
 
 def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder,
-             exclude_nearest: int, theta: float, stride: int = 1):
-    """Level-major samples r, t, tm = T - t of every ``stride``-th interior
-    radius >= EPS0 at all but the ``exclude_nearest`` levels nearest t = T,
-    and the step h = min(theta * ell, 0.45 min(r, 1 - r)), > 0 as EPS0 <= r < 1."""
+             exclude_nearest: int, theta: float):
+    """Level-major samples r, t, tm = T - t of every interior radius >= EPS0
+    at all but the ``exclude_nearest`` levels nearest t = T, and the step
+    h = min(theta * ell, 0.45 min(r, 1 - r)), > 0 as EPS0 <= r < 1."""
     keep = len(ladder) - exclude_nearest
     times, tminus = ladder.levels[:keep], _ladder_T_minus(fam, ladder)[:keep]
     radii = grid.interior()
-    radii = radii[radii >= EPS0][::stride]
+    radii = radii[radii >= EPS0]
     r = np.tile(radii, times.size)
     t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
     h = np.minimum(theta * local_radial_scale(r, tm), 0.45 * np.minimum(r, 1.0 - r))
@@ -172,39 +169,6 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
                    list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
                    tolerance, float(np.max(np.abs(raw), initial=0.0)),
                    raw_samples=zip(r.tolist(), t.tolist(), raw.tolist()))
-
-
-def _pressure_rise(fam: SolutionFamily, which: str, r, h, tm,
-                   spec: QuadratureSpec) -> np.ndarray:
-    """P(r + h) - P(r - h) at each sample's T - t, for 0 < h < r.
-
-    P is fixed up to a constant per time, so the rise is the integral of
-    w^2/l over [r - h, r + h]: one row call over all samples, with no
-    cancellation against the 1/(T - t) growth of P itself near t = T.
-    """
-    return _pressure_integral(fam, which, r - h, r + h, tm, spec)
-
-
-def check_radial_momentum(fam: SolutionFamily, which: str, grid: RadialGrid,
-                          ladder: TimeLadder, *, step_scale: float = 1.0) -> ResidualReport:
-    """Verify w^2/r = dP/dr, with dP/dr the pressure rise across
-    [r - h, r + h] over 2h (``_pressure_rise``; P itself is never formed),
-    at every third radius of the sample lattice."""
-    if which not in ("v", "vbar"):
-        raise ValueError("which must be 'v' or 'vbar'")
-    if which == "vbar" and fam.part != 2:
-        raise ValueError("'vbar' checks need a part-2 family")
-    theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h = _lattice(fam, grid, ladder, EXCLUDE_NEAREST, step_scale * theta_r0, 3)
-    dp = _pressure_rise(fam, which, r, h, tm, MOMENTUM_SPEC) / (2.0 * h)
-    wv = _w(fam, which, r, tm)
-    lhs = wv * wv / r
-    raw = lhs - dp
-    mag = np.maximum.reduce([np.ones_like(raw), np.abs(lhs), np.abs(dp)])
-    return _report("radial_momentum",
-                   list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
-                   KAPPA * (step_scale * theta_r0) ** 2,
-                   float(np.max(np.abs(raw), initial=0.0)))
 
 
 def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
@@ -312,9 +276,10 @@ def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
 
 
 def residual_order(fam: SolutionFamily, which: str, grid: RadialGrid,
-                   ladder: TimeLadder, *, checker=check_swirl_pde) -> tuple[float, list]:
-    """Empirical convergence order of a residual check under step halving."""
-    coarse, fine = (checker(fam, which, grid, ladder, step_scale=s) for s in (1.0, 0.5))
+                   ladder: TimeLadder) -> tuple[float, list]:
+    """Empirical convergence order of ``check_swirl_pde`` under step halving."""
+    coarse, fine = (check_swirl_pde(fam, which, grid, ladder, step_scale=s)
+                    for s in (1.0, 0.5))
     order = empirical_order(coarse.max_abs_residual,
                             max(fine.max_abs_residual, np.finfo(float).tiny))
     return order, [coarse, fine]

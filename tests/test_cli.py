@@ -96,14 +96,24 @@ def test_cmd_profile_malformed_table_exit_code(tmp_path, capsys):
     assert "k.csv:2" in capsys.readouterr().err
 
 
-def test_cmd_verify_part1_small(tmp_path):
-    out = tmp_path / "out"
-    rc = run_cli(["verify", "--part", "1", "--grid-n", "48", "--ladder-J", "8",
+def _verify_small(part, out):
+    rc = run_cli(["verify", "--part", str(part), "--grid-n", "48", "--ladder-J", "8",
                   "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"]
-    assert any(c.get("equation") == "swirl_pde_part1" for c in report["checks"])
+    return [c.get("equation", c.get("name")) for c in report["checks"]]
+
+
+def test_cmd_verify_part1_small(tmp_path):
+    assert _verify_small(1, tmp_path / "out") == [
+        "swirl_pde_part1", "boundary", "u_upper", "grad_u_upper"]
+
+
+def test_cmd_verify_part2_small(tmp_path):
+    assert _verify_small(2, tmp_path / "out") == [
+        "eta_identity", "swirl_pde_part2", "boundary", "u_upper", "grad_u_upper",
+        "phi_lower"]
 
 
 def test_cmd_verify_part2_zero_table_has_no_lower_bound(tmp_path):

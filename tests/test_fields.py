@@ -336,8 +336,6 @@ def test_value_path_never_touches_the_I_spline(fam2):
 _GRID16 = ax.make_radial_grid(16)
 _LADDER_CONSUMERS = {
     "check_swirl_pde": lambda fam, ladder: ax.check_swirl_pde(fam, "v", _GRID16, ladder),
-    "check_radial_momentum": lambda fam, ladder: ax.check_radial_momentum(
-        fam, "v", _GRID16, ladder),
     "check_boundary": ax.check_boundary,
     "check_bound": lambda fam, ladder: ax.check_bound(fam, "u_upper", _GRID16, ladder),
     "energy_series_v": lambda fam, ladder: ax.energy_series(fam, "v", ladder),
