@@ -284,9 +284,9 @@ def _axis_breakpoints(tm):
     return np.multiply.outer(scale, factors)
 
 
-def _pressure_integral(fam: SolutionFamily, which: str, a, b, tm,
-                       spec: QuadratureSpec, breakpoints=None):
-    """The integral of w^2/l over [a, b] at T - t = tm, one row per entry
+def _pressure_integral(fam: SolutionFamily, which: str, r, tm,
+                       spec: QuadratureSpec):
+    """The integral of w^2/l over (0, r] at T - t = tm, one row per entry
     (a float for scalars); it extends by zero at the axis since w = O(l)."""
     tm_rows = np.asarray(tm)[..., None]
 
@@ -294,7 +294,8 @@ def _pressure_integral(fam: SolutionFamily, which: str, a, b, tm,
         wl = _w(fam, which, l, tm_rows)
         return wl * wl / np.where(l > 0.0, l, 1.0)
 
-    return integrate(integrand, a, b, spec, breakpoints=breakpoints)[0]
+    return integrate(integrand, np.zeros_like(r), r, spec,
+                     breakpoints=_axis_breakpoints(tm))[0]
 
 
 def eval_pressure(fam: SolutionFamily, which: str, r, t,
@@ -308,8 +309,7 @@ def eval_pressure(fam: SolutionFamily, which: str, r, t,
     if which not in ("v", "vbar"):
         raise ValueError("which must be 'v' or 'vbar'")
     r, tm = np.broadcast_arrays(*_validate(fam, r, t))
-    return _pressure_integral(fam, which, np.zeros_like(r), r, tm, spec,
-                              _axis_breakpoints(tm))
+    return _pressure_integral(fam, which, r, tm, spec)
 
 
 def _pressure_v(fam: SolutionFamily, r, tm):

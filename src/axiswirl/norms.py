@@ -362,13 +362,15 @@ def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
 
     The growth law of ``series.quantity`` (``_GROWTH_LAW``) is checked on
     the last TAIL_LEVELS levels. When it holds, the law gives the verdict,
-    and the estimate is the trapezoid sum over the ladder plus the law's
-    tail beyond it. A law that fails is inconclusive rather than coerced.
+    and the estimate is the ladder integral plus the law's tail beyond it:
+    in x = ln(T/u), u = T - t, with levels at x_j = j ln 2, g = u |v|^q is
+    log-linear on each step (exact where v is a power of u) and on the first
+    step continued to x = 0. A law that fails is inconclusive, not coerced.
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
     v = np.asarray(series.values, dtype=float)
-    t, tm = series.ladder.levels, series.ladder.T_minus  # float arrays (TimeLadder)
+    tm = series.ladder.T_minus  # a float array (TimeLadder)
     if np.all(np.abs(v) < 1e-300):
         return Classification(finite=True, estimate=0.0, model="zero")
 
@@ -379,7 +381,11 @@ def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
                               law_headroom=headroom)
     estimate = _law_tail(model, a, tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:], q)
     if isfinite(estimate):
-        estimate += float(np.trapezoid(np.abs(v) ** q, t)) + (abs(v[0]) ** q) * float(t[0])
+        g = tm * np.abs(v) ** q
+        g = np.concatenate(([g[0] * (g[0] / g[1])], g))  # g_0 = g_1^2/g_2 at x = 0
+        step = np.diff(g)  # a step adds ln 2 times the log mean of its ends, or g_j
+        estimate += np.log(2.0) * float(np.sum(np.divide(
+            step, np.log1p(step / g[:-1]), out=g[:-1].copy(), where=step != 0.0)))
     return Classification(finite=isfinite(estimate), estimate=estimate, model=model,
                           tail_exponent=a if model == "power" else 0.0,
                           law_headroom=headroom)

@@ -31,9 +31,7 @@ definition. ``tests/test_pressure_closed_form.py`` guards the written P.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -73,21 +71,26 @@ _EQUATION_OF_WHICH = {
 
 @dataclass
 class ResidualReport:
-    """Outcome of one residual check over a sample set.
-
-    ``samples`` holds (r, t, normalized residual), one per lattice sample;
-    ``max_abs_residual`` is the largest normalized residual and the report
-    passes iff it stays at or below ``tolerance``.
-    """
+    """Outcome of one residual check: ``samples`` is an (n, 4) array of rows
+    (r, t, normalized residual, raw residual). ``max_abs_residual``, the
+    largest normalized residual (NaN if any is), passes at or below
+    ``tolerance``; ``worst`` holds (r, t, normalized residual) of the five
+    largest, in descending order and ties in sample order."""
 
     equation: str
-    samples: list
+    samples: np.ndarray
     tolerance: float
-    max_abs_residual: float
-    passed: bool
-    max_raw_residual: float = 0.0
-    worst: list = field(default_factory=list)
-    raw_samples: list = field(default_factory=list)
+    max_abs_residual: float = field(init=False)
+    max_raw_residual: float = field(init=False)
+    passed: bool = field(init=False)
+    worst: list = field(init=False)
+
+    def __post_init__(self):
+        normalized = self.samples[:, 2]
+        self.max_abs_residual = float(np.max(normalized, initial=0.0))
+        self.max_raw_residual = float(np.max(np.abs(self.samples[:, 3]), initial=0.0))
+        self.passed = bool(self.max_abs_residual <= self.tolerance)
+        self.worst = self.samples[np.argsort(-normalized, kind="stable")[:5], :3].tolist()
 
 
 @dataclass
@@ -100,19 +103,6 @@ class BoundCheck:
     fitted_C: float
     C_star: float
     passed: bool
-
-
-def _report(equation: str, samples: list, tolerance: float, raw_max: float, *,
-            raw_samples=()) -> ResidualReport:
-    """The report of normalized samples (r, t, residual) against tolerance."""
-    residual = itemgetter(2)
-    max_norm = max(map(residual, samples), default=0.0)
-    # nlargest keeps the order of a stable descending sort among equal keys
-    return ResidualReport(
-        equation=equation, samples=samples, tolerance=tolerance,
-        max_abs_residual=max_norm, passed=bool(max_norm <= tolerance),
-        max_raw_residual=raw_max, worst=heapq.nlargest(5, samples, key=residual),
-        raw_samples=list(raw_samples))
 
 
 def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder,
@@ -165,10 +155,8 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
         np.ones_like(raw), np.abs(w0), np.abs(d_rr), np.abs(d_r_over_r),
         np.abs(zeroth), np.abs(d_t), np.abs(rhs_v)])
     tolerance = KAPPA * ((step_scale * theta_r0) ** 2 + (step_scale * THETA_T_CAP) ** 2)
-    return _report(_EQUATION_OF_WHICH[which],
-                   list(zip(r.tolist(), t.tolist(), (np.abs(raw) / mag).tolist())),
-                   tolerance, float(np.max(np.abs(raw), initial=0.0)),
-                   raw_samples=zip(r.tolist(), t.tolist(), raw.tolist()))
+    return ResidualReport(_EQUATION_OF_WHICH[which],
+                          np.column_stack((r, t, np.abs(raw) / mag, raw)), tolerance)
 
 
 def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
@@ -182,11 +170,10 @@ def check_boundary(fam: SolutionFamily, ladder: TimeLadder) -> ResidualReport:
     """
     which = ("v",) if fam.part == 1 else ("v", "vbar")
     tm = _ladder_T_minus(fam, ladder)
-    samples = []
-    for name in which:
-        wall = np.abs(_w(fam, name, 1.0, tm))
-        samples.extend(zip([1.0] * wall.size, ladder.levels.tolist(), wall.tolist()))
-    report = _report("boundary", samples, BOUNDARY_TOL, max(s[2] for s in samples))
+    wall = np.concatenate([_w(fam, name, 1.0, tm) for name in which])
+    t = np.tile(ladder.levels, len(which))
+    report = ResidualReport("boundary", np.column_stack(
+        (np.ones_like(wall), t, np.abs(wall), wall)), BOUNDARY_TOL)
     report.worst.append(("horizontal slip conditions", "structural", 0.0))
     return report
 

@@ -395,6 +395,60 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-12)
 
 
+def _classified_family(seed, part):
+    """The bump at T = 1/2 or a seeded table, and its classification ladder."""
+    from axiswirl.cli import _classification_depth
+    fam = (ax.SolutionFamily(profile=ax.build_profile(ax.reference_k()), T=0.5, part=part)
+           if seed is None else _seeded_family(seed, part=part))
+    return fam, ax.make_time_ladder(fam.T, _classification_depth(fam, 28))
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_forcing_lqt_estimate_is_the_closed_form(seed):
+    # ||f||^q = (2 pi K1)^q (2 u)^(-q/2) integrates over (0, T] in closed form.
+    fam, ladder = _classified_family(seed, part=1)
+    series = l1_series(fam, ladder)
+    for q in (1.5, 1.9):
+        closed = ((2.0 * np.pi * fam.profile.K1) ** q * (2.0 * fam.T) ** (-q / 2)
+                  * fam.T / (1.0 - q / 2))
+        assert classify_LqtL1x(series, q).estimate == pytest.approx(closed, rel=1e-12), q
+
+
+@pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])
+def test_y_lqt_estimate_matches_a_tight_ladder_quadrature(seed):
+    # The reference integrates u ||Y||^q over x = ln(T/u) in [0, x_J] with
+    # the one-quantity path, cut at every level, plus the same law tail.
+    from axiswirl import norms
+    fam, ladder = _classified_family(seed, part=2)
+    series = y_series(fam, ladder)[-1]
+    J, T = len(ladder), fam.T
+
+    def tight(q):
+        def integrand(x):
+            u = T * np.exp(-x)
+            return u * spatial_L1(fam, "Y", T - u, T_minus=u) ** q
+        ladder_part, _ = ax.integrate(integrand, 0.0, J * np.log(2.0),
+                                      ax.QuadratureSpec(1e-14, 1e-10, 4000),
+                                      breakpoints=np.arange(1, J) * np.log(2.0))
+        window = slice(-norms.TAIL_LEVELS, None)
+        return ladder_part + norms._law_tail(*norms._GROWTH_LAW["L1_Y"], ladder.T_minus[window],
+                                             series.values[window], q)
+
+    for q in (1.5, 4.0):
+        assert classify_LqtL1x(series, q).estimate == pytest.approx(tight(q), rel=5e-3), q
+
+
+def test_ladder_integral_of_a_constant_is_exact(ladder20, monkeypatch):
+    # With the law and its tail set aside, u |v| = 3 on every level integrates
+    # to 3 x_J = 3 J ln 2.
+    from axiswirl import norms
+    monkeypatch.setattr(norms, "_law_headroom", lambda *args: 0.0)
+    monkeypatch.setattr(norms, "_law_tail", lambda *args: 0.0)
+    series = NormSeries(quantity="L1_f", ladder=ladder20, values=3.0 / ladder20.T_minus,
+                        normalizers=np.ones(20))
+    assert classify_LqtL1x(series, 1.0).estimate == 60.0 * np.log(2.0)
+
+
 def _norms_rows(tmp_path, argv=()):
     """Exit status and classification rows of ``norms --part 2``."""
     from axiswirl.cli import main

@@ -29,6 +29,30 @@ def test_zero_forcing_pde_residuals_vanish(fam1_zero, grid64, ladder10):
     assert report.max_raw_residual == 0.0
 
 
+def test_worst_samples_keep_lattice_order_among_ties(fam1_zero, grid64, ladder10):
+    # Every residual is 0, so the five worst are the first five samples.
+    report = ax.check_swirl_pde(fam1_zero, "v", grid64, ladder10)
+    assert report.worst == report.samples[:5, :3].tolist()
+
+
+def test_a_nan_residual_fails_its_check(fam1, grid64, ladder10, monkeypatch):
+    real = verify._rhs
+
+    def doctored(fam, which):
+        rhs = real(fam, which)
+
+        def with_nan(r, tm):
+            values = np.array(rhs(r, tm), dtype=float)
+            values[values.size // 2] = np.nan  # not the first sample
+            return values
+        return with_nan
+
+    monkeypatch.setattr(verify, "_rhs", doctored)
+    report = ax.check_swirl_pde(fam1, "v", grid64, ladder10)
+    assert np.isnan(report.max_abs_residual)
+    assert not report.passed
+
+
 def test_zero_forcing_boundary(fam1_zero, ladder10):
     report = ax.check_boundary(fam1_zero, ladder10)
     assert report.passed
@@ -52,8 +76,7 @@ def test_linear_correction_is_annihilated(fam1, grid64, ladder10):
     # u and v satisfy the same equation with the same right side.
     ru = ax.check_swirl_pde(fam1, "u", grid64, ladder10)
     rv = ax.check_swirl_pde(fam1, "v", grid64, ladder10)
-    diffs = [abs(a[2] - b[2]) for a, b in zip(ru.raw_samples, rv.raw_samples)]
-    assert max(diffs) < 1e-10
+    assert np.max(np.abs(ru.samples[:, 3] - rv.samples[:, 3])) < 1e-10
 
 
 def test_part2_eta_identity_passes(fam2, grid128, ladder12):
@@ -192,7 +215,7 @@ def test_reports_are_deterministic(fam1, grid64, ladder10):
     a = ax.check_swirl_pde(fam1, "v", grid64, ladder10)
     b = ax.check_swirl_pde(fam1, "v", grid64, ladder10)
     assert a.max_abs_residual == b.max_abs_residual
-    assert a.samples == b.samples
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_bound_samples_read_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
@@ -220,8 +243,7 @@ def test_pde_samples_are_the_concatenated_one_level_reports(fam2, grid64, which)
         ax.TimeLadder(T=0.5, levels=ladder.levels[j:j + 1],
                       T_minus=ladder.T_minus[j:j + 1]),
         exclude_nearest=0) for j in range(keep)]
-    assert whole.samples == [s for p in parts for s in p.samples]
-    assert whole.raw_samples == [s for p in parts for s in p.raw_samples]
+    assert np.array_equal(whole.samples, np.concatenate([p.samples for p in parts]))
 
 
 @pytest.mark.parametrize("part, which, digest", [
@@ -237,10 +259,10 @@ def test_swirl_pde_samples_away_from_blow_up_are_pinned(ref_profile, grid64, par
     fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
     ladder = ax.make_time_ladder(0.5, 51)
     report = ax.check_swirl_pde(fam, which, grid64, ladder)
-    far = set(ladder.levels[ladder.T_minus >= 1e-3].tolist())
-    rows = [s + q[2:] for s, q in zip(report.samples, report.raw_samples) if s[1] in far]
+    far = ladder.levels[ladder.T_minus >= 1e-3]
+    rows = report.samples[np.isin(report.samples[:, 1], far)]
     assert len(rows) == 496
-    assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("part, which", [(1, "v"), (2, "eta"), (2, "vbar")])
