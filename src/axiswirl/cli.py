@@ -336,7 +336,7 @@ ORACLE_ORDER_BAND = (1.7, 2.3)  # Crank-Nicolson is second order
 def _oracle_levels(cfg: RunConfig, fam) -> list:
     """The refinement levels ``cmd_oracle`` runs. Only ``fam.T`` is read:
     ``RunConfig.validate`` passes the config."""
-    return default_levels(fam, base_n=cfg.oracle_n_r, base_steps=cfg.oracle_n_r * 8)
+    return default_levels(fam, base_n=cfg.oracle_n_r)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid, step and terminal cutoff for one solver run."""
+    """Grid, step and terminal cutoff (dt < delta / 10) for one solver run."""
 
     n_r: int
     dt: float
@@ -219,12 +219,22 @@ def solve_eta(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
     return _march(fam, cfg, "eta", fam.log_wall)
 
 
+STEPS_PER_NODE = 4  # coarsest-level time steps per radial node
+
+
 def default_levels(fam: SolutionFamily, *, base_n: int = 128,
-                   base_steps: int = 1024, n_levels: int = 3) -> list[OracleConfig]:
+                   base_steps: Optional[int] = None, n_levels: int = 3) -> list[OracleConfig]:
     """Nested refinement ladder: both steps halve between levels, as the
-    scheme is second order in each."""
+    scheme is second order in each. ``base_steps`` defaults to
+    ``STEPS_PER_NODE * base_n``, at least 71 as dt < delta / 10 needs
+    (7T / 8) / steps < T / 80. With tau = 2 (T - t) >= 2 delta = T / 4,
+    dt / tau = 7 / (8 n_r) is free of T while dr / sqrt(tau) = 2 / (n_r sqrt(T))
+    grows as T falls, so the time error's share peaks at T = 1/2: twice the
+    steps move the bump's final error there by 0.75%."""
     delta = fam.T / 8.0
     t_end = fam.T - delta
+    if base_steps is None:
+        base_steps = max(STEPS_PER_NODE * base_n, 71)
     return [OracleConfig(n_r=base_n * 2**m, dt=t_end / (base_steps * 2**m),
                          delta=delta)
             for m in range(n_levels)]

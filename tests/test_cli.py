@@ -138,6 +138,21 @@ def test_cmd_oracle_default(tmp_path):
     assert study["passed"]
 
 
+@pytest.mark.parametrize("flags, base_n", [([], 128), (["--oracle-n-r", "16"], 16),
+                                           (["--oracle-n-r", "17"], 17)],
+                         ids=["default", "n16", "n17"])
+def test_oracle_study_levels_are_the_library_default(tmp_path, fam1, flags, base_n):
+    # One step ratio for library and CLI; at 16 and 17 nodes the 71-step
+    # floor keeps dt < delta / 10, so the smallest grids still run.
+    from axiswirl.oracle import default_levels
+
+    out = tmp_path / "out"
+    assert run_cli(["oracle", *flags, "--out", str(out)]) == 0
+    study = json.loads((out / "oracle_study.json").read_text())
+    assert study["levels"] == [{"n_r": l.n_r, "dt": l.dt, "delta": l.delta}
+                               for l in default_levels(fam1, base_n=base_n)]
+
+
 def test_all_part2_runs_every_command_and_summarises_each(tmp_path, monkeypatch):
     monkeypatch.delenv("OUT_DIR", raising=False)
     out = tmp_path / "out"
