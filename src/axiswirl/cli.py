@@ -351,6 +351,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     payload = {
         "theta": 0.5,  # the Crank-Nicolson weight
         "levels": [{"n_r": l.n_r, "dt": l.dt, "delta": l.delta} for l in levels],
+        "steps": [sum(n for *_, n in l.octaves(fam.T)) for l in levels],
         "errors_Linf": run.errors_per_level,
         "orders": run.orders_per_pair,
         "convergence_order": run.convergence_order,

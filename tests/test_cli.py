@@ -243,6 +243,28 @@ def test_oracle_marches_only_the_study_levels(tmp_path, monkeypatch):
     assert "near_blowup_probe" not in study
 
 
+@pytest.mark.parametrize("flags, steps", [([], [288, 576, 1152]),
+                                          (["--oracle-n-r", "16"], [123, 246, 492])],
+                         ids=["default", "n16"])
+def test_oracle_study_records_the_steps_each_level_took(tmp_path, monkeypatch, flags, steps):
+    # 3 octaves of 3 n_r / 4 steps at n_r = 128, of the 41-step floor at 16.
+    from axiswirl import oracle
+
+    taken = {}
+
+    class CountingStepper(oracle.SwirlStepper):
+        def advance(self, w, rows):
+            taken[self.n_r] = taken.get(self.n_r, 0) + len(rows)
+            return super().advance(w, rows)
+
+    monkeypatch.setattr(oracle, "SwirlStepper", CountingStepper)
+    out = tmp_path / "out"
+    assert run_cli(["oracle", *flags, "--out", str(out)]) == 0
+    study = json.loads((out / "oracle_study.json").read_text())
+    assert study["steps"] == steps
+    assert [taken[level["n_r"]] for level in study["levels"]] == steps
+
+
 def test_run_summary_always_emitted(tmp_path):
     out = tmp_path / "out"
     run_cli(["profile", "--out", str(out)])

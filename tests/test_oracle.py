@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axiswirl as ax
-from axiswirl.fields import _rhs, _T_minus, _w
-from axiswirl.oracle import (STEPS_PER_NODE, SwirlStepper, TRAJECTORY_HEADER,
-                             default_levels, trajectory_rows)
+from axiswirl.fields import _rhs, _w
+from axiswirl.oracle import (SwirlStepper, TRAJECTORY_HEADER, default_levels,
+                             trajectory_rows)
 
 
 def test_config_validation():
@@ -118,35 +118,56 @@ def test_cutoff_leaving_no_step_is_rejected(fam1):
         ax.solve_swirl(fam1, cfg)
 
 
-def _reference_march(fam, cfg, which, bc_wall):
-    """One forcing evaluation and one step per time step, no blocks."""
-    t_end = fam.T - cfg.delta
-    n_steps = int(round(t_end / cfg.dt))
-    dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, bc_wall)
-    ri = stepper.r[1:-1]
+def _octaves(fam, cfg):
+    """The shipped schedule at delta = T / 8, apart from the library: three
+    octaves of T - t, T 2^-j down to T 2^-(j+1), of round(T / (2 dt)) steps
+    each, as (T - t at the start, T - t at the end, step count)."""
+    assert cfg.delta == fam.T / 8.0
+    steps = round(0.5 * fam.T / cfg.dt)
+    return [(fam.T * 0.5**j, fam.T * 0.5**(j + 1), steps) for j in range(3)]
+
+
+def _reference_march(fam, n_r, octaves, which, bc_wall):
+    """One forcing evaluation and one ``stepper.step`` per time step, no
+    blocks, a stepper per octave; T - t at each step's midpoint and end from
+    its octave's start. Returns the times and slices of the initial slice
+    and of the step ends nearest to k (T - delta) / 8, k = 1..8."""
+    r = np.linspace(0.0, 1.0, n_r)
     rhs = _rhs(fam, which)
-    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
-    w = _w(fam, which, stepper.r, fam.T)
-    for n in range(n_steps):
-        w = stepper.step(w, rhs(ri, tm[n]))
-    return w
+    w = _w(fam, which, r, fam.T)
+    times, slices = [0.0], [w]
+    for a, b, n in octaves:
+        h = (a - b) / n
+        stepper = SwirlStepper(n_r, h, bc_wall)
+        for k in range(n):
+            w = stepper.step(w, rhs(r[1:-1], a - (k + 0.5) * h))
+            times.append(fam.T - (b if k == n - 1 else a - (k + 1) * h))
+            slices.append(w)
+    times = np.array(times)
+    keep = [int(np.argmin(np.abs(times - target)))
+            for target in np.linspace(0.0, fam.T - octaves[-1][1], 9)]
+    return times[keep], np.array(slices)[keep]
 
 
-# At n_r = 64 a forcing block holds 528 steps: 300 steps fit in one block,
-# 1100 end in a partial third block.
+def _solve(fam, cfg, which):
+    if which == "eta":
+        return ax.solve_eta(fam, cfg), fam.log_wall
+    return ax.solve_swirl(fam, cfg), -fam.alpha
+
+
+# dt = (T - delta) / steps is the first octave's step: 171 and 629 steps per
+# octave. At n_r = 64 a forcing block holds 8192 // 62 = 132 steps, so the
+# octave ends cut the march inside blocks, and the odd step counts put the
+# snapshots between the octave ends off them.
 @pytest.mark.parametrize("steps", [300, 1100])
 @pytest.mark.parametrize("which", ["u", "eta"])
 def test_march_equals_the_per_step_loop(fam2, which, steps):
     delta = fam2.T / 8.0
     cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
-    if which == "eta":
-        sol, bc_wall = ax.solve_eta(fam2, cfg), fam2.log_wall
-    else:
-        sol, bc_wall = ax.solve_swirl(fam2, cfg), -fam2.alpha
-    expected = _reference_march(fam2, cfg, which, bc_wall)
-    assert np.array_equal(sol.values[-1], expected)
-    assert sol.error_Linf == float(np.max(np.abs(expected - sol.exact_final)))
+    sol, bc_wall = _solve(fam2, cfg, which)
+    _, slices = _reference_march(fam2, cfg.n_r, _octaves(fam2, cfg), which, bc_wall)
+    assert np.array_equal(sol.values[-1], slices[-1])
+    assert sol.error_Linf == float(np.max(np.abs(slices[-1] - sol.exact_final)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,37 +199,14 @@ def test_step_matches_a_dense_solve(n_r, log10_dt, seed):
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-def _reference_snapshots(fam, cfg, which, bc_wall):
-    """Times and slices of a per-step ``stepper.step`` loop at the nine kept
-    steps, evenly spaced from the initial slice to the last."""
-    t_end = fam.T - cfg.delta
-    n_steps = int(round(t_end / cfg.dt))
-    dt = t_end / n_steps
-    stepper = SwirlStepper(cfg.n_r, dt, bc_wall)
-    ri = stepper.r[1:-1]
-    rhs = _rhs(fam, which)
-    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
-    keep = np.linspace(0, n_steps, 9).astype(int)
-    w = _w(fam, which, stepper.r, fam.T)
-    slices = [w]
-    for n in range(n_steps):
-        w = stepper.step(w, rhs(ri, tm[n]))
-        if n + 1 in keep:
-            slices.append(w)
-    return keep * dt, np.array(slices)
-
-
 @pytest.mark.parametrize("steps", [300, 1100])
 @pytest.mark.parametrize("which", ["u", "eta"])
 def test_march_snapshots_equal_the_per_step_loop(fam2, which, steps):
     # The snapshot steps cut the march inside and across forcing blocks.
     delta = fam2.T / 8.0
     cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
-    if which == "eta":
-        sol, bc_wall = ax.solve_eta(fam2, cfg), fam2.log_wall
-    else:
-        sol, bc_wall = ax.solve_swirl(fam2, cfg), -fam2.alpha
-    times, slices = _reference_snapshots(fam2, cfg, which, bc_wall)
+    sol, bc_wall = _solve(fam2, cfg, which)
+    times, slices = _reference_march(fam2, cfg.n_r, _octaves(fam2, cfg), which, bc_wall)
     assert sol.times.shape == (9,) and sol.values.shape == (9, cfg.n_r)
     assert np.array_equal(sol.times, times)
     assert np.array_equal(sol.values, slices)
@@ -224,31 +222,30 @@ def _seeded_family(seed, part):
     return ax.SolutionFamily(profile=profile, T=inputs.T, part=part)
 
 
-def _textbook_march(fam, cfg, which, bc_wall):
+def _textbook_march(fam, n_r, octaves, which, bc_wall):
     """Crank-Nicolson as written: (I - dt L/2) w' = (I + dt L/2) w - dt f
-    plus the wall coupling of both sides, one banded solve per step."""
+    plus the wall coupling of both sides, one banded solve per step, with
+    the step of each octave in turn."""
     from scipy.linalg import solve_banded
 
-    t_end = fam.T - cfg.delta
-    n_steps = int(round(t_end / cfg.dt))
-    dt = t_end / n_steps
-    r = np.linspace(0.0, 1.0, cfg.n_r)
+    r = np.linspace(0.0, 1.0, n_r)
     dr, ri = r[1], r[1:-1]
     lower = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
     diag = -2.0 / dr**2 - 1.0 / ri**2
     upper = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
-    ab = np.zeros((3, ri.size))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
     rhs = _rhs(fam, which)
-    tm = _T_minus(fam, np.arange(n_steps) * dt + 0.5 * dt)
     w = _w(fam, which, r, fam.T)
-    for n in range(n_steps):
-        b = w[1:-1] + 0.5 * dt * (lower * w[:-2] + diag * w[1:-1] + upper * w[2:])
-        b -= dt * rhs(ri, tm[n])
-        b[-1] += 0.5 * dt * upper[-1] * bc_wall
-        w = np.concatenate([[0.0], solve_banded((1, 1), ab, b), [bc_wall]])
+    for start, end, n_steps in octaves:
+        dt = (start - end) / n_steps
+        ab = np.zeros((3, ri.size))
+        ab[0, 1:] = -0.5 * dt * upper[:-1]
+        ab[1] = 1.0 - 0.5 * dt * diag
+        ab[2, :-1] = -0.5 * dt * lower[1:]
+        for n in range(n_steps):
+            b = w[1:-1] + 0.5 * dt * (lower * w[:-2] + diag * w[1:-1] + upper * w[2:])
+            b -= dt * rhs(ri, start - (n + 0.5) * dt)
+            b[-1] += 0.5 * dt * upper[-1] * bc_wall
+            w = np.concatenate([[0.0], solve_banded((1, 1), ab, b), [bc_wall]])
     return w
 
 
@@ -256,15 +253,13 @@ def _textbook_march(fam, cfg, which, bc_wall):
                                                (103, 2, "eta")],
                          ids=["bump-u", "seed103-u", "seed103-eta"])
 def test_march_stays_within_rounding_of_textbook_crank_nicolson(request, seed, part, which):
-    # The middle level of the default ladder: n_r = 256, 1,024 steps.
+    # The middle level of the default ladder: n_r = 256, 3 octaves of 192 steps.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
     cfg = default_levels(fam)[1]
-    assert (cfg.n_r, int(round((fam.T - cfg.delta) / cfg.dt))) == (256, 1024)
-    if which == "eta":
-        sol, bc_wall = ax.solve_eta(fam, cfg), fam.log_wall
-    else:
-        sol, bc_wall = ax.solve_swirl(fam, cfg), -fam.alpha
-    expected = _textbook_march(fam, cfg, which, bc_wall)
+    octaves = _octaves(fam, cfg)
+    assert (cfg.n_r, sum(n for *_, n in octaves)) == (256, 576)
+    sol, bc_wall = _solve(fam, cfg, which)
+    expected = _textbook_march(fam, cfg.n_r, octaves, which, bc_wall)
     assert np.max(np.abs(sol.values[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -283,17 +278,15 @@ def test_step_leaves_a_read_only_forcing_unchanged():
                          ids=["bump-u", "seed103-eta"])
 def test_finest_level_march_stays_within_rounding_of_textbook_crank_nicolson(
         request, seed, part, which):
-    # The finest level of the default ladder, n_r = 512 and 2,048 steps, where
-    # the operator's conditioning magnifies coefficient rounding the most;
-    # A = I - dt L / 2 is the worse conditioned the larger dt is.
+    # The finest level of the default ladder, n_r = 512 and 3 octaves of 384
+    # steps, where the operator's conditioning magnifies coefficient rounding
+    # the most; A = I - dt L / 2 is the worse conditioned the larger dt is.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
     cfg = default_levels(fam)[2]
-    assert (cfg.n_r, int(round((fam.T - cfg.delta) / cfg.dt))) == (512, 2048)
-    if which == "eta":
-        sol, bc_wall = ax.solve_eta(fam, cfg), fam.log_wall
-    else:
-        sol, bc_wall = ax.solve_swirl(fam, cfg), -fam.alpha
-    expected = _textbook_march(fam, cfg, which, bc_wall)
+    octaves = _octaves(fam, cfg)
+    assert (cfg.n_r, sum(n for *_, n in octaves)) == (512, 1152)
+    sol, bc_wall = _solve(fam, cfg, which)
+    expected = _textbook_march(fam, cfg.n_r, octaves, which, bc_wall)
     assert np.max(np.abs(sol.values[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -301,18 +294,86 @@ def test_finest_level_march_stays_within_rounding_of_textbook_crank_nicolson(
                                                   (103, 2, "eta")],
                          ids=["bump-u", "seed103-u", "seed103-eta"])
 def test_shipped_time_step_adds_little_to_the_error(request, seed, part, equation):
-    # Twice the shipped steps per node leave the grids as they are, so the
-    # final errors differ only by the time error: 0.75%, 0.5% and 0.1% here.
-    # This keeps a coarser dt from hiding behind the spatial error.
+    # Twice the shipped steps per octave (2 x 96 at n_r = 128) leave the grids
+    # as they are, so the final errors differ only by the time error:
+    # 0.51%, 0.22% and 1.04% here. This keeps a coarser dt from hiding behind
+    # the spatial error.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
     shipped = ax.convergence_study(fam, default_levels(fam), equation)
-    finer = ax.convergence_study(
-        fam, default_levels(fam, base_steps=2 * STEPS_PER_NODE * 128), equation)
+    finer = ax.convergence_study(fam, default_levels(fam, base_steps=2 * 96), equation)
     assert abs(shipped.final_error_Linf - finer.final_error_Linf) < (
         0.1 * finer.final_error_Linf)
+
+
+@pytest.mark.parametrize("seed, part, which", [(None, 1, "u"), (103, 2, "u"),
+                                               (103, 2, "eta")],
+                         ids=["bump-u", "seed103-u", "seed103-eta"])
+def test_octave_steps_add_no_more_time_error_than_uniform_steps(request, seed, part, which):
+    # On every default level, the time error (against 8x the octave steps on
+    # the same grid) is no larger than that of 4 uniform steps per radial
+    # node, which takes 78% more steps: 0.58-0.59x of it here.
+    fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
+    for cfg in default_levels(fam):
+        sol, bc_wall = _solve(fam, cfg, which)
+        fine, _ = _solve(fam, ax.OracleConfig(cfg.n_r, cfg.dt / 8.0, cfg.delta), which)
+        _, uniform = _reference_march(fam, cfg.n_r, [(fam.T, cfg.delta, 4 * cfg.n_r)],
+                                      which, bc_wall)
+        octave_error = np.max(np.abs(sol.values[-1] - fine.values[-1]))
+        uniform_error = np.max(np.abs(uniform[-1] - fine.values[-1]))
+        assert octave_error <= uniform_error
 
 
 def test_stepper_rejects_a_backward_step():
     # dt < 0 makes I - dt L / 2 indefinite: the factorisation must say so.
     with pytest.raises(np.linalg.LinAlgError, match="pttrf"):
         SwirlStepper(64, -1e-3, 0.0)
+
+
+def test_octave_ends_cut_the_march_like_the_per_step_loop(monkeypatch):
+    # At the seeded T = 0.3617, T / 2 and 3T / 4 are not dyadic. With 99 steps
+    # per octave at n_r = 64, the 132-step forcing blocks and the snapshots
+    # fall on both sides of both octave ends, 99 and 198 steps in.
+    from axiswirl import oracle
+
+    fam = _seeded_family(103, 2)
+    blocks = []
+    real_rhs = oracle._rhs
+
+    def recording_rhs(fam, which):
+        kernel = real_rhs(fam, which)
+
+        def recorded(r, tm):
+            blocks.append(np.array(tm[:, 0]))
+            return kernel(r, tm)
+        return recorded
+
+    monkeypatch.setattr(oracle, "_rhs", recording_rhs)
+    cfg = ax.OracleConfig(n_r=64, dt=0.5 * fam.T / 99, delta=fam.T / 8.0)
+    for which in ("u", "eta"):
+        blocks.clear()
+        sol, bc_wall = _solve(fam, cfg, which)
+        octaves = _octaves(fam, cfg)
+        times, slices = _reference_march(fam, cfg.n_r, octaves, which, bc_wall)
+        assert np.array_equal(sol.times, times)
+        assert np.array_equal(sol.values, slices)
+        assert times[4] < fam.T / 2 < times[5] and times[6] < 0.75 * fam.T < times[7]
+
+        ends = np.cumsum([len(b) for b in blocks]).tolist()
+        assert {99, 198} <= set(ends) and 132 in ends and 264 in ends
+        # Every midpoint's T - t is T 2^-j - (k + 1/2) h_j, not T - t_mid
+        # with t_mid = T (1 - 2^-j) + (k + 1/2) h_j, which rounds apart here.
+        own = np.concatenate([a - (np.arange(n) + 0.5) * ((a - b) / n)
+                              for a, b, n in octaves])
+        assert np.array_equal(np.concatenate(blocks), own)
+        shifted = np.concatenate([fam.T - ((fam.T - a) + (np.arange(n) + 0.5) * ((a - b) / n))
+                                  for a, b, n in octaves])
+        assert not np.array_equal(own, shifted)
+
+
+def test_octaves_of_a_cutoff_off_the_dyadic_ladder():
+    # Full octaves take T / (2 dt) steps of dt 2^-j; the last one stops at
+    # delta, with its share of steps, at least one.
+    cfg = ax.OracleConfig(n_r=32, dt=1e-3, delta=0.1)
+    assert cfg.octaves(0.5) == [(0.5, 0.25, 250), (0.25, 0.125, 250), (0.125, 0.1, 100)]
+    close = ax.OracleConfig(n_r=32, dt=1e-3, delta=0.1249999)
+    assert close.octaves(0.5)[-1] == (0.125, 0.1249999, 1)
