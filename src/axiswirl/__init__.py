@@ -10,9 +10,7 @@ from .numerics import (DEFAULT_SPEC, QuadratureSpec, RadialGrid, TimeLadder,
 from .profiles import (ForcingProfile, SwirlProfile, build_profile,
                        bump_forcing, forcing_from_samples, inner_integral,
                        ode_residual, reference_k, zero_forcing)
-from .fields import (EPS0, FieldSample, SolutionFamily, VectorFieldValue, eval_Y,
-                     eval_du_dr, eval_eta, eval_h, eval_pressure, eval_u,
-                     eval_v, eval_vbar, sample, velocity)
+from .fields import EPS0, SolutionFamily, eval_pressure, evaluate
 from .verify import (BoundCheck, ResidualReport, check_bound, check_boundary,
                      check_swirl_pde, residual_order)
 from .norms import (Classification, NormSeries, classify_LqtL1x, energy,

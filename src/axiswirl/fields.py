@@ -20,16 +20,17 @@ The one time coordinate is tm = T - t. The kernels (``_w``: u, v, eta,
 vbar from phi0; ``_jet``: u, u/r, du/dr; ``_h``, ``_y``, ``_rhs``) take
 unchecked radii and tm of broadcastable shapes; verify, norms and oracle
 pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
-formed and checked once by ``_T_minus``. Only the public evaluators take t,
-for tests and export: they validate (r, t), form T - t once, call a kernel.
-The pressure of v in ``field_slice_rows`` and ``sample`` is the closed
-form ``_pressure_v``: by self-similarity, the integral of v^2/l from the
-axis is Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2, with Q and G
-from ``SwirlProfile.pressure_integrals``. The one pressure integrand,
-w^2/l keyed on each row's T - t, is the quadrature path ``eval_pressure``
-(from the axis, cut by ``_axis_breakpoints`` like every radial integral
-from the axis), which checks the closed form and is the only path for
-vbar.
+formed and checked once by ``_T_minus``. Only ``evaluate``,
+``eval_pressure`` and ``field_slice_rows`` take t: they validate (r, t),
+form T - t once and call the kernels.
+The pressure of v (``evaluate``'s ``"P"`` and the ``P`` column of
+``field_slice_rows``) is the closed form ``_pressure_v``: by
+self-similarity, the integral of v^2/l from the axis is
+Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2, with Q and G from
+``SwirlProfile.pressure_integrals``. The quadrature path ``eval_pressure``
+integrates w^2/l keyed on each row's T - t from the axis, cut by
+``_axis_breakpoints`` like every radial integral from the axis; it checks
+the closed form and is the only path for vbar.
 """
 
 from __future__ import annotations
@@ -45,18 +46,8 @@ from .profiles import SwirlProfile
 __all__ = [
     "EPS0",
     "SolutionFamily",
-    "FieldSample",
-    "VectorFieldValue",
-    "eval_u",
-    "eval_v",
-    "eval_eta",
-    "eval_vbar",
-    "eval_du_dr",
+    "evaluate",
     "eval_pressure",
-    "eval_h",
-    "eval_Y",
-    "sample",
-    "velocity",
     "field_slice_rows",
     "FIELD_SLICE_HEADER",
 ]
@@ -99,25 +90,6 @@ class SolutionFamily:
         return float(np.log1p(-self.profile.alpha))
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """All fields of the family evaluated at one (r, t) point."""
-
-    r: float
-    t: float
-    sigma: float
-    values: dict
-
-
-@dataclass(frozen=True)
-class VectorFieldValue:
-    """Cylindrical velocity components; swirl-only fields by construction."""
-
-    v_theta: float
-    v_r: float = 0.0
-    v_3: float = 0.0
-
-
 def _T_minus(fam: SolutionFamily, t, T_minus=None):
     """Validate t against [0, T) and return T - t, the one place it is
     formed from t. Ladder callers pass the cancellation-free
@@ -125,8 +97,8 @@ def _T_minus(fam: SolutionFamily, t, T_minus=None):
     t = np.asarray(t, dtype=float)
     if np.any(t >= fam.T):
         raise BlowupTimeError(f"time at or beyond the final time T = {fam.T}")
-    if np.any(t < 0.0):
-        raise DomainError("negative time")
+    if not np.all(t >= 0.0):  # NaN fails this too
+        raise DomainError("time not in [0, T)")
     return fam.T - t if T_minus is None else np.asarray(T_minus, dtype=float)
 
 
@@ -140,15 +112,9 @@ def _ladder_T_minus(fam: SolutionFamily, ladder) -> np.ndarray:
 
 def _validate(fam: SolutionFamily, r, t):
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if not np.all((r >= 0.0) & (r <= 1.0)):  # NaN fails this too
         raise DomainError("radius outside the cylinder [0, 1]")
     return r, _T_minus(fam, t)
-
-
-def _shaped(value, r, t):
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        return float(value)
-    return value
 
 
 # Kernels below take validated radii r and tm = T - t; tau = 2 tm.
@@ -222,56 +188,6 @@ def _rhs(fam: SolutionFamily, which: str):
     return lambda r, tm: _y(fam, r, tm)[4]
 
 
-def _field(fam: SolutionFamily, which: str, r, t):
-    rr, tm = _validate(fam, r, t)
-    return _shaped(_w(fam, which, rr, tm), r, t)
-
-
-def _gradient(fam: SolutionFamily, r, t):
-    """(u, u/r, du/dr) at the caller's points from one gradient-path call."""
-    rr, tm = _validate(fam, r, t)
-    return tuple(_shaped(v, r, t) for v in _jet(fam, rr, tm))
-
-
-def eval_u(fam: SolutionFamily, r, t):
-    """Swirl component of the self-similar solution."""
-    return _field(fam, "u", r, t)
-
-
-def eval_u_over_r(fam: SolutionFamily, r, t):
-    """u/r with its finite axis limit; used by gradient-type integrands."""
-    return _gradient(fam, r, t)[1]
-
-
-def eval_du_dr(fam: SolutionFamily, r, t):
-    """Radial derivative of u from the analytic profile chain."""
-    return _gradient(fam, r, t)[2]
-
-
-def eval_v(fam: SolutionFamily, r, t):
-    """Swirl component with the wall-cancelling linear correction."""
-    return _field(fam, "v", r, t)
-
-
-def eval_eta(fam: SolutionFamily, r, t):
-    """log(1 + u); requires the part-2 admissible family."""
-    return _field(fam, "eta", r, t)
-
-
-def eval_vbar(fam: SolutionFamily, r, t):
-    """eta minus its wall value times r; vanishes at both r = 0 and r = 1."""
-    return _field(fam, "vbar", r, t)
-
-
-def eval_h(fam: SolutionFamily, r, t):
-    """Forcing swirl component of the plain family.
-
-    Supported where sigma < 1, i.e. r < sqrt(2 (T - t)); zero outside.
-    """
-    rr, tm = _validate(fam, r, t)
-    return _shaped(_h(fam, rr, tm), r, t)
-
-
 def _axis_breakpoints(tm):
     """Initial panel cuts for a radial integral from the axis, one row per
     entry of tm: sqrt(2 tm) * {1/4, ..., 4}, so no first panel misses the
@@ -323,25 +239,40 @@ def _pressure_v(fam: SolutionFamily, r, tm):
     return q / tau + 2.0 * alpha * g + 0.5 * alpha * alpha * r * r
 
 
-def eval_Y(fam: SolutionFamily, r, t):
-    """The four forcing components of the log-transformed equation.
+def evaluate(fam: SolutionFamily, which: str, r, t):
+    """The field ``which`` of the family at the points (r, t) broadcast; a
+    scalar r and t give a float.
 
-    Returns (Y1, Y2, Y3, Y4, Y) with
+    ``which`` is one of ``u``, ``v`` (u + alpha r), ``eta`` (log(1 + u)),
+    ``vbar`` (eta - log(1 - alpha) r), ``h`` (the forcing, zero for
+    sigma >= 1), ``P`` (the closed-form pressure of v, zero at the axis),
+    ``u_over_r``, ``du_dr``, or a term of the log-transformed equation:
 
         Y1 = -eta / r^2,            Y2 = u / (r^2 (1 + u)),
         Y3 = h / (1 + u),           Y4 = -(du/dr / (1 + u))^2,
 
-    and Y their sum. The first two each grow like 1/r at the axis, so
-    evaluation is restricted to r >= EPS0. The L^1 norms integrate the
-    kernel from the axis, whose Gauss nodes never reach r = 0.
+    and ``Y`` their sum. eta, vbar and the Y terms need a part-2 family.
+    Y1 and Y2 each grow like 1/r at the axis, so the Y terms are served for
+    r >= EPS0 only.
     """
-    if fam.part != 2:
-        raise ValueError("Y is defined for part-2 families")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < EPS0):
-        raise DomainError(f"Y components are served for r >= {EPS0:g}")
-    rr, tm = _validate(fam, r_arr, t)
-    return tuple(_shaped(v, r, t) for v in _y(fam, rr, tm))
+    rr, tm = _validate(fam, r, t)
+    if which in _Y_NAMES:
+        if fam.part != 2:
+            raise ValueError(f"{which} is defined for part-2 families")
+        if np.any(rr < EPS0):
+            raise DomainError(f"Y components are served for r >= {EPS0:g}")
+        value = _y(fam, rr, tm)[_Y_NAMES.index(which)]
+    elif which in ("u", "v", "eta", "vbar"):
+        value = _w(fam, which, rr, tm)
+    elif which in ("u_over_r", "du_dr"):
+        value = _jet(fam, rr, tm)[1 if which == "u_over_r" else 2]
+    elif which == "h":
+        value = _h(fam, rr, tm)
+    elif which == "P":
+        value = _pressure_v(fam, rr, tm)
+    else:
+        raise ValueError(f"unknown field {which!r}")
+    return float(value) if np.ndim(r) == 0 and np.ndim(t) == 0 else value
 
 
 def _fields_at(fam: SolutionFamily, r, t):
@@ -360,29 +291,13 @@ def _fields_at(fam: SolutionFamily, r, t):
     return r / np.sqrt(2.0 * tm), values
 
 
-def sample(fam: SolutionFamily, r: float, t: float) -> FieldSample:
-    """Every field of the family at one point, for export and inspection."""
-    r = float(r)
-    t = float(t)
-    sigma, values = _fields_at(fam, np.array([r]), t)
-    return FieldSample(r=r, t=t, sigma=float(sigma[0]),
-                       values={k: float(v[0]) for k, v in values.items()
-                               if r >= EPS0 or k not in _Y_NAMES})
-
-
-def velocity(fam: SolutionFamily, which: str, r: float, t: float) -> VectorFieldValue:
-    """Full cylindrical velocity vector; radial and vertical parts are zero."""
-    w = {"u": eval_u, "v": eval_v, "vbar": eval_vbar}[which]
-    return VectorFieldValue(v_theta=float(w(fam, r, t)))
-
-
 FIELD_SLICE_HEADER = ["r", "t", "sigma", "u", "v", "eta", "vbar", "P", "h",
                       "Y1", "Y2", "Y3", "Y4"]
 
 
 def field_slice_rows(fam: SolutionFamily, radii, times) -> np.ndarray:
     """Time-major field slice in one pass over the (time, radius) lattice;
-    part-1 families report NaN for log fields. ``sample`` is the one-point
+    part-1 families report NaN for log fields. ``evaluate`` is the one-field
     view."""
     radii, times = np.asarray(radii, dtype=float), np.asarray(times, dtype=float)
     r, t = np.tile(radii, times.size), np.repeat(times, radii.size)

@@ -3,9 +3,13 @@ import pytest
 
 import axiswirl as ax
 from axiswirl.errors import BlowupTimeError, DomainError
-from axiswirl.fields import (FIELD_SLICE_HEADER, eval_u_over_r,
-                             field_slice_rows)
-from axiswirl.norms import y_series
+from axiswirl.fields import FIELD_SLICE_HEADER, field_slice_rows
+from axiswirl.norms import spatial_L1, y_series
+
+
+def _y_terms(fam, r, t):
+    """(Y1, Y2, Y3, Y4, Y) at one point, one ``evaluate`` call each."""
+    return tuple(ax.evaluate(fam, name, r, t) for name in ("Y1", "Y2", "Y3", "Y4", "Y"))
 
 
 def test_family_validation(ref_profile):
@@ -26,16 +30,16 @@ def test_part_two_needs_nonpositive_forcing():
 
 def test_eval_u_zero_forcing(fam1_zero):
     r = np.linspace(0.0, 1.0, 11)
-    assert np.all(ax.eval_u(fam1_zero, r, 0.1) == 0.0)
+    assert np.all(ax.evaluate(fam1_zero, "u", r, 0.1) == 0.0)
 
 
 def test_eval_u_wall_trace_constant(fam1, ladder20):
     for t in ladder20.levels:
-        assert ax.eval_u(fam1, 1.0, float(t)) == pytest.approx(-fam1.alpha, rel=1e-14)
+        assert ax.evaluate(fam1, "u", 1.0, float(t)) == pytest.approx(-fam1.alpha, rel=1e-14)
 
 
 def test_eval_u_axis_value(fam1):
-    assert ax.eval_u(fam1, 0.0, 0.3) == 0.0
+    assert ax.evaluate(fam1, "u", 0.0, 0.3) == 0.0
 
 
 def test_eval_u_two_path_identity(fam1):
@@ -44,7 +48,7 @@ def test_eval_u_two_path_identity(fam1):
     sigma = r / np.sqrt(tau)
     tight = ax.QuadratureSpec(1e-13, 1e-11, 1600)
     direct = fam1.profile.phi0_exact(sigma, tight) / np.sqrt(tau)
-    assert ax.eval_u(fam1, r, t) == pytest.approx(direct, abs=1e-8)
+    assert ax.evaluate(fam1, "u", r, t) == pytest.approx(direct, abs=1e-8)
 
 
 def test_eval_u_two_path_identity_random(fam1, rng):
@@ -56,27 +60,27 @@ def test_eval_u_two_path_identity_random(fam1, rng):
         tau = 2.0 * (fam1.T - t)
         sigma = r / np.sqrt(tau)
         direct = prof.phi0_exact(sigma, tight) / np.sqrt(tau)
-        assert abs(ax.eval_u(fam1, r, t) - direct) < 1e-8
+        assert abs(ax.evaluate(fam1, "u", r, t) - direct) < 1e-8
 
 
 def test_eval_u_domain_errors(fam1):
     with pytest.raises(DomainError):
-        ax.eval_u(fam1, 1.2, 0.1)
+        ax.evaluate(fam1, "u", 1.2, 0.1)
     with pytest.raises(DomainError):
-        ax.eval_u(fam1, -0.1, 0.1)
+        ax.evaluate(fam1, "u", -0.1, 0.1)
     with pytest.raises(BlowupTimeError):
-        ax.eval_u(fam1, 0.5, fam1.T)
+        ax.evaluate(fam1, "u", 0.5, fam1.T)
     with pytest.raises(DomainError):
-        ax.eval_u(fam1, 0.5, -0.01)
+        ax.evaluate(fam1, "u", 0.5, -0.01)
 
 
 def test_eval_v_wall_vanishes_exactly(fam1, ladder20):
     for t in ladder20.levels:
-        assert abs(ax.eval_v(fam1, 1.0, float(t))) < 1e-15
+        assert abs(ax.evaluate(fam1, "v", 1.0, float(t))) < 1e-15
 
 
 def test_eval_v_zero_forcing(fam1_zero):
-    assert ax.eval_v(fam1_zero, 0.7, 0.2) == 0.0
+    assert ax.evaluate(fam1_zero, "v", 0.7, 0.2) == 0.0
 
 
 def test_eval_v_near_blowup_consistent_with_lower_bound(fam2):
@@ -85,40 +89,40 @@ def test_eval_v_near_blowup_consistent_with_lower_bound(fam2):
     ladder = ax.make_time_ladder(fam2.T, 12)
     check = ax.check_bound(fam2, "phi_lower", grid, ladder)
     r, t = 0.5, fam2.T - 1e-4
-    v = ax.eval_v(fam2, r, t)
+    v = ax.evaluate(fam2, "v", r, t)
     assert v > 0.0
     assert v + abs(fam2.alpha) * r >= r / (check.fitted_C * (r * r + fam2.T - t)) - 1e-12
 
 
 def test_eval_eta_part_one_rejected(fam1):
     with pytest.raises(ValueError):
-        ax.eval_eta(fam1, 0.5, 0.1)
+        ax.evaluate(fam1, "eta", 0.5, 0.1)
 
 
 def test_eval_eta_wall_trace(fam2, ladder20):
     expected = np.log1p(-fam2.alpha)
     for t in ladder20.levels:
-        assert ax.eval_eta(fam2, 1.0, float(t)) == pytest.approx(expected, abs=1e-15)
+        assert ax.evaluate(fam2, "eta", 1.0, float(t)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_eval_eta_zero_forcing(fam2_zero):
-    assert ax.eval_eta(fam2_zero, 0.5, 0.2) == 0.0
+    assert ax.evaluate(fam2_zero, "eta", 0.5, 0.2) == 0.0
 
 
 def test_eval_eta_compositional(fam2):
     r, t = 0.5, 0.25
-    assert ax.eval_eta(fam2, r, t) == pytest.approx(
-        np.log1p(ax.eval_u(fam2, r, t)), rel=1e-15)
+    assert ax.evaluate(fam2, "eta", r, t) == pytest.approx(
+        np.log1p(ax.evaluate(fam2, "u", r, t)), rel=1e-15)
 
 
 def test_eval_vbar_boundary_values(fam2, ladder20):
     for t in ladder20.levels[::4]:
-        assert abs(ax.eval_vbar(fam2, 1.0, float(t))) < 1e-15
-        assert ax.eval_vbar(fam2, 0.0, float(t)) == 0.0
+        assert abs(ax.evaluate(fam2, "vbar", 1.0, float(t))) < 1e-15
+        assert ax.evaluate(fam2, "vbar", 0.0, float(t)) == 0.0
 
 
 def test_eval_vbar_nondecreasing_along_ladder(fam2, ladder20):
-    vals = np.array([ax.eval_vbar(fam2, 0.25, float(t))
+    vals = np.array([ax.evaluate(fam2, "vbar", 0.25, float(t))
                      for t in ladder20.levels[4:]])
     assert np.all(np.diff(vals) >= -1e-12 * np.abs(vals[:-1]))
 
@@ -126,12 +130,12 @@ def test_eval_vbar_nondecreasing_along_ladder(fam2, ladder20):
 def test_eval_h_support(fam1):
     t = 0.25
     edge = np.sqrt(2.0 * (fam1.T - t))
-    assert ax.eval_h(fam1, min(1.0, edge * 1.01), t) == 0.0
-    assert ax.eval_h(fam1, edge * 0.5, t) != 0.0
+    assert ax.evaluate(fam1, "h", min(1.0, edge * 1.01), t) == 0.0
+    assert ax.evaluate(fam1, "h", edge * 0.5, t) != 0.0
 
 
 def test_eval_h_zero_forcing(fam1_zero):
-    assert ax.eval_h(fam1_zero, 0.3, 0.2) == 0.0
+    assert ax.evaluate(fam1_zero, "h", 0.3, 0.2) == 0.0
 
 
 def test_eval_pressure_at_axis(fam1):
@@ -150,7 +154,7 @@ def test_eval_pressure_radial_momentum_identity(fam1):
     r, t = 0.5, 0.25
     h = 1e-4
     dp = ax.differentiate(lambda x: ax.eval_pressure(fam1, "v", x, t), r, h)
-    v = ax.eval_v(fam1, r, t)
+    v = ax.evaluate(fam1, "v", r, t)
     assert dp == pytest.approx(v * v / r, abs=1e-8)
 
 
@@ -185,11 +189,11 @@ def test_eval_pressure_invalid_field(fam1):
 def test_differentiate_propagates_domain_errors(fam1):
     # Stencil arms poking out of the cylinder surface as the field's error.
     with pytest.raises(DomainError):
-        ax.differentiate(lambda x: ax.eval_u(fam1, x, 0.2), 0.999, 0.01)
+        ax.differentiate(lambda x: ax.evaluate(fam1, "u", x, 0.2), 0.999, 0.01)
 
 
 def test_eval_Y_zero_forcing(fam2_zero):
-    y = ax.eval_Y(fam2_zero, 0.5, 0.2)
+    y = _y_terms(fam2_zero, 0.5, 0.2)
     assert y == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -197,45 +201,35 @@ def test_eval_Y_sign_of_square_term(fam2, rng):
     for _ in range(50):
         r = float(rng.uniform(1e-4, 1.0))
         t = float(rng.uniform(0.0, fam2.T * (1.0 - 2.0 ** -16)))
-        y1, y2, y3, y4, y = ax.eval_Y(fam2, r, t)
+        y1, y2, y3, y4, y = _y_terms(fam2, r, t)
         assert y4 <= 0.0
         assert y == pytest.approx(y1 + y2 + y3 + y4, rel=1e-12, abs=1e-300)
 
 
 def test_eval_Y_axis_cutoff(fam2):
     with pytest.raises(DomainError):
-        ax.eval_Y(fam2, 1e-5, 0.2)
+        ax.evaluate(fam2, "Y", 1e-5, 0.2)
     with pytest.raises(ValueError):
-        ax.eval_Y(ax.SolutionFamily(profile=fam2.profile, T=0.5, part=1), 0.5, 0.2)
+        ax.evaluate(ax.SolutionFamily(profile=fam2.profile, T=0.5, part=1), "Y", 0.5, 0.2)
 
 
 def test_eta_identity_finite_difference_crosscheck(fam2):
     # (d_rr + d_r/r - 1/r^2 - d_t) eta at one point vs the analytic Y sum.
     r, t = 0.5, 0.25
     h_r, h_t = 5e-4, 1e-6
-    eta = lambda x: ax.eval_eta(fam2, x, t)
+    eta = lambda x: ax.evaluate(fam2, "eta", x, t)
     d_rr = ax.differentiate(eta, r, h_r, order=2)
     d_r = ax.differentiate(eta, r, h_r, order=1)
-    d_t = ax.differentiate(lambda s: ax.eval_eta(fam2, r, s), t, h_t, order=1)
+    d_t = ax.differentiate(lambda s: ax.evaluate(fam2, "eta", r, s), t, h_t, order=1)
     lhs = d_rr + d_r / r - eta(r) / r**2 - d_t
-    y = ax.eval_Y(fam2, r, t)[4]
+    y = ax.evaluate(fam2, "Y", r, t)
     assert lhs == pytest.approx(y, abs=100.0 * (h_r**2 + h_t**2))
-
-
-def test_sample_and_velocity_structural_zeros(fam2):
-    s = ax.sample(fam2, 0.4, 0.2)
-    assert s.sigma == pytest.approx(0.4 / np.sqrt(2.0 * (fam2.T - 0.2)), rel=1e-15)
-    for name in ("u", "v", "eta", "vbar", "P", "h", "Y1"):
-        assert name in s.values
-    vec = ax.velocity(fam2, "vbar", 0.4, 0.2)
-    assert vec.v_r == 0.0
-    assert vec.v_3 == 0.0
 
 
 def test_u_over_r_axis_limit(fam1):
     tau = 2.0 * (fam1.T - 0.2)
     expected = -fam1.profile.I0 / (2.0 * tau)
-    assert eval_u_over_r(fam1, 1e-9, 0.2) == pytest.approx(expected, rel=1e-6)
+    assert ax.evaluate(fam1, "u_over_r", 1e-9, 0.2) == pytest.approx(expected, rel=1e-6)
 
 
 def test_field_slice_rows_part1_nans(fam1):
@@ -266,19 +260,21 @@ def test_field_slice_rows_is_one_row_call(fam2, monkeypatch):
 
 
 def test_field_slice_rows_match_samples(fam2):
-    # The vectorised slice against the one-point view: every field equal,
-    # the pressure (one row-batched quadrature) to the quadrature tolerance.
+    # The vectorised slice against the one-field view at each point: every
+    # field equal, Y NaN below EPS0, the pressure to the quadrature tolerance.
     radii, times = [5e-5, 0.2, 0.8, 1.0], [0.1, 0.5 - 2.0 ** -16]
     rows = field_slice_rows(fam2, radii, times)
     p_col = FIELD_SLICE_HEADER.index("P")
     for row in rows:
-        s = ax.sample(fam2, row[0], row[1])
-        expected = [s.r, s.t, s.sigma] + [s.values.get(name, np.nan)
-                                          for name in FIELD_SLICE_HEADER[3:]]
+        r, t = row[0], row[1]
+        expected = [r, t, r / np.sqrt(2.0 * (fam2.T - t))] + [
+            ax.evaluate(fam2, name, r, t) if r >= ax.EPS0 or not name.startswith("Y")
+            else np.nan for name in FIELD_SLICE_HEADER[3:]]
         others = [i for i in range(len(row)) if i != p_col]
         np.testing.assert_array_equal(row[others], np.array(expected)[others])
-        tol = max(ax.DEFAULT_SPEC.abs_tol, ax.DEFAULT_SPEC.rel_tol * abs(s.values["P"]))
-        assert abs(row[p_col] - s.values["P"]) <= tol
+        p = ax.evaluate(fam2, "P", r, t)
+        tol = max(ax.DEFAULT_SPEC.abs_tol, ax.DEFAULT_SPEC.rel_tol * abs(p))
+        assert abs(row[p_col] - p) <= tol
 
 
 def test_upper_bound_ratio_bounded_and_stable(fam1):
@@ -293,23 +289,43 @@ def test_blowup_sup_growth(fam2_big, fam1_big):
     grid = ax.make_radial_grid(128)
     ladder = ax.make_time_ladder(0.5, 20)
     r = grid.nodes[1:]
-    vmax = np.array([np.max(np.abs(ax.eval_v(fam1_big, r, float(t))))
+    vmax = np.array([np.max(np.abs(ax.evaluate(fam1_big, "v", r, float(t))))
                      for t in ladder.levels])
     assert np.all(np.diff(vmax) >= -1e-12 * vmax[:-1])
-    assert vmax[-1] > 10.0 * np.max(np.abs(ax.eval_v(fam1_big, r, 0.0)))
+    assert vmax[-1] > 10.0 * np.max(np.abs(ax.evaluate(fam1_big, "v", r, 0.0)))
 
 
 def test_tiny_negative_time_raises_although_T_minus_t_rounds_to_T(fam1, fam2):
     # T - (-1e-300) == T in floating point; validation must read t itself.
     t = -1e-300
-    for evaluator in (ax.eval_u, ax.eval_v, ax.eval_du_dr, ax.eval_h):
+    for which in ("u", "v", "du_dr", "h"):
         with pytest.raises(DomainError):
-            evaluator(fam1, 0.5, t)
+            ax.evaluate(fam1, which, 0.5, t)
     with pytest.raises(DomainError):
-        ax.eval_Y(fam2, 0.5, t)
-    from axiswirl.norms import spatial_L1
+        ax.evaluate(fam2, "Y", 0.5, t)
     with pytest.raises(DomainError):
         spatial_L1(fam1, "f", t, T_minus=fam1.T)
+
+
+_NAN = float("nan")
+_NAN_CALLS = {
+    **{f"evaluate-{which}-{arg}": (lambda fam, which=which, r=r, t=t:
+                                   ax.evaluate(fam, which, r, t))
+       for which in ("u", "vbar", "du_dr", "h", "P", "Y")
+       for arg, r, t in (("r", _NAN, 0.2), ("t", 0.5, _NAN))},
+    "evaluate-u-array-r": lambda fam: ax.evaluate(fam, "u", np.array([0.5, _NAN]), 0.2),
+    "eval_pressure-r": lambda fam: ax.eval_pressure(fam, "v", _NAN, 0.2),
+    "eval_pressure-t": lambda fam: ax.eval_pressure(fam, "vbar", 0.5, _NAN),
+    "spatial_L1-t": lambda fam: spatial_L1(fam, "f", _NAN),
+    "spatial_L1-Y-t": lambda fam: spatial_L1(fam, "Y", np.array([0.1, _NAN])),
+}
+
+
+@pytest.mark.parametrize("call", list(_NAN_CALLS))
+def test_nan_radius_or_time_is_a_domain_error(fam2, call):
+    # NaN fails every comparison, so each check must be one that NaN fails.
+    with pytest.raises(DomainError):
+        _NAN_CALLS[call](fam2)
 
 
 def test_value_path_never_touches_the_I_spline(fam2):
@@ -324,13 +340,13 @@ def test_value_path_never_touches_the_I_spline(fam2):
     prof = dataclasses.replace(fam2.profile, _I_spline=Untouchable())
     fam = ax.SolutionFamily(profile=prof, T=fam2.T, part=2)
     r = np.linspace(0.0, 1.0, 33)
-    for evaluator in (ax.eval_u, ax.eval_v, ax.eval_eta, ax.eval_vbar):
-        assert np.array_equal(evaluator(fam, r, 0.3), evaluator(fam2, r, 0.3))
+    for which in ("u", "v", "eta", "vbar"):
+        assert np.array_equal(ax.evaluate(fam, which, r, 0.3), ax.evaluate(fam2, which, r, 0.3))
     assert ax.eval_pressure(fam, "vbar", 0.7, 0.3) == ax.eval_pressure(fam2, "vbar", 0.7, 0.3)
     from axiswirl.norms import NORM_SPEC, _kinetic
     assert _kinetic(fam, "vbar", 0.3, NORM_SPEC) == _kinetic(fam2, "vbar", 0.3, NORM_SPEC)
     with pytest.raises(AssertionError, match="I-spline"):
-        ax.eval_du_dr(fam, r, 0.3)
+        ax.evaluate(fam, "du_dr", r, 0.3)
 
 
 _GRID16 = ax.make_radial_grid(16)

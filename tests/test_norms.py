@@ -33,7 +33,7 @@ def test_energy_at_the_final_time_is_rejected(fam1):
 def test_kinetic_energy_against_dense_trapezoid(fam1):
     t = 0.25
     r = np.linspace(0.0, 1.0, 200001)
-    v = np.asarray(ax.eval_v(fam1, r, t), dtype=float)
+    v = np.asarray(ax.evaluate(fam1, "v", r, t), dtype=float)
     reference = 2.0 * np.pi * np.trapezoid(v * v * r, r)
     from axiswirl.norms import _kinetic
     assert _kinetic(fam1, "v", t, NORM_SPEC) == pytest.approx(reference, rel=1e-6)

@@ -96,11 +96,10 @@ def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
     # at T = 1/2 both form the same T - t.
     cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
     sol = ax.solve_eta(fam2, cfg) if which == "eta" else ax.solve_swirl(fam2, cfg)
-    ev = ax.eval_u if which == "u" else ax.eval_eta
     expected = []
     for t, slc in zip(sol.times, sol.values):
         rs = sol.r[::8]
-        for r, wn, we in zip(rs, slc[::8], ev(fam2, rs, float(t))):
+        for r, wn, we in zip(rs, slc[::8], ax.evaluate(fam2, which, rs, float(t))):
             expected.append([float(t), float(r), float(wn), float(we),
                              abs(float(wn) - float(we))])
     assert np.array_equal(trajectory_rows(fam2, sol, which), np.array(expected))

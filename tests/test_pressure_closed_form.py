@@ -60,7 +60,7 @@ def test_closed_form_matches_tight_quadrature(seed):
 def test_pressure_on_the_axis_is_zero(fam1):
     tm = np.array([0.5, 0.25, 1e-6, 1e-200])
     assert np.all(_pressure_v(fam1, np.zeros_like(tm), tm) == 0.0)
-    assert ax.sample(fam1, 0.0, 0.2).values["P"] == 0.0
+    assert ax.evaluate(fam1, "P", 0.0, 0.2) == 0.0
 
 
 def test_zero_forcing_gives_zero_pressure(fam1_zero):
