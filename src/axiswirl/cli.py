@@ -61,8 +61,9 @@ class RunConfig:
                               f"T = {self.T!r}: {exc}") from exc
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
-        try:  # the constructors' own checks, on what the commands build
-            _oracle_levels(self, self)
+        try:  # the constructors' own checks, on what cmd_oracle builds;
+            # default_levels reads only the family's T, which the config holds
+            default_levels(self, base_n=self.oracle_n_r)
         except ValueError as exc:
             raise ConfigError(f"oracle settings: {exc}") from exc
         bad = set(self.formats) - {"csv", "json"}
@@ -295,8 +296,7 @@ def cmd_norms(cfg: RunConfig) -> int:
             classification.append({
                 "series": name, "q": q, "finite": c.finite,
                 "estimate": c.estimate if np.isfinite(c.estimate) else None,
-                "model": c.model, "tail_exponent": c.tail_exponent,
-                "law_headroom": c.law_headroom,
+                "model": c.model, "law_headroom": c.law_headroom,
             })
     summary = {
         "ratios": {s.quantity: float(np.max(np.abs(s.ratios))) for s in series},
@@ -333,15 +333,9 @@ ORACLE_ERROR_BUDGET = 1e-5
 ORACLE_ORDER_BAND = (1.7, 2.3)  # Crank-Nicolson is second order
 
 
-def _oracle_levels(cfg: RunConfig, fam) -> list:
-    """The refinement levels ``cmd_oracle`` runs. Only ``fam.T`` is read:
-    ``RunConfig.validate`` passes the config."""
-    return default_levels(fam, base_n=cfg.oracle_n_r)
-
-
 def cmd_oracle(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    levels = _oracle_levels(cfg, fam)
+    levels = default_levels(fam, base_n=cfg.oracle_n_r)
     run = convergence_study(fam, levels)
     low, high = ORACLE_ORDER_BAND
     order_ok = low <= run.convergence_order <= high

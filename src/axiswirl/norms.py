@@ -35,18 +35,18 @@ sigma d sigma (``l1_series``; ``spatial_L1`` checks it). The five Y
 series have no closed form: ``y_series`` takes them in one stacked
 quadrature from the axis to the wall, like every L^1 norm.
 
-Each L^q_t verdict is its series' growth law in u = T - t, checked on the
-last ladder levels. ||f||_{L^1} ~ u^{-1/2}: each step's exponent
-log2(v_{j+1}/v_j) is 1/2 to within rounding; f lies in L^q_t iff q < 2.
-||Y||_{L^1} ~ (pi/2) ln^2(1/u): its second differences over pi ln^2 2 tend
-to 1 once Richardson steps remove the deficit's sqrt(u) and u terms; Y
-lies in L^q_t for every q.
+Each L^q_t verdict is its series' growth law in u = T - t. ||f||_{L^1} =
+2 pi K1 (2u)^{-1/2} is applied, not fitted: f lies in L^q_t iff q < 2, and
+int_0^T ||f||^q dt = (2 pi K1)^q (2T)^{-q/2} T / (1 - q/2). ||Y||_{L^1} ~
+(pi/2) ln^2(1/u) is checked on the last ladder levels: its second
+differences over pi ln^2 2 tend to 1 once Richardson steps remove the
+deficit's sqrt(u) and u terms; Y lies in L^q_t for every q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ __all__ = [
     "NormSeries",
     "Classification",
     "NORM_SPEC",
-    "energy",
     "energy_series",
     "spatial_L1",
     "l1_series",
@@ -105,13 +104,13 @@ class Classification:
     ``model`` names the growth law that gave the verdict. ``finite`` is
     None, and ``model`` "inconclusive", when the series breaks its law on
     the checked window; that outcome is deliberately distinct from
-    finite/infinite. ``law_headroom`` is |measured - law|/tolerance there.
+    finite/infinite. ``law_headroom`` is |measured - law|/tolerance there,
+    0.0 where the law is applied rather than checked.
     """
 
     finite: Optional[bool]
     estimate: float
     model: str
-    tail_exponent: float = 0.0
     law_headroom: float = 0.0
 
 
@@ -178,26 +177,6 @@ def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
         np.sqrt(2.0 * u_lo), np.ones(u_lo.shape), spec,
         breakpoints=np.column_stack((np.sqrt(2.0 * u_hi), _axis_breakpoints(u_lo))))
     return integrate(rates, u_lo, u_hi, _TIME_SPEC)[0] + 2.0 * np.pi * exterior
-
-
-def _dissipation_integral(fam: SolutionFamily, which: str, t_lo: float,
-                          t_hi: float, spec: QuadratureSpec, *, T_minus=None) -> float:
-    """Dissipation accumulated over [t_lo, t_hi], the one-row view of
-    ``_dissipation_steps``; ``T_minus`` is the pair (T - t_lo, T - t_hi)
-    when the caller holds it free of cancellation."""
-    tm_edges = _T_minus(fam, (t_lo, t_hi), T_minus)
-    return float(_dissipation_steps(fam, which, tm_edges, spec)[0])
-
-
-def energy(fam: SolutionFamily, which: str, t: float) -> float:
-    """Kinetic energy at time t < T plus dissipation accumulated over [0, t].
-
-    The nested numeric path for one time: the time integral over [0, t] is
-    one row that the adaptive engine refines toward ``t``, where the rate
-    grows as the final time approaches.
-    """
-    return (_kinetic(fam, which, float(t), NORM_SPEC)
-            + _dissipation_integral(fam, which, 0.0, float(t), NORM_SPEC))
 
 
 _ENERGY_NORMALIZER = {
@@ -290,9 +269,9 @@ _L1_NORMALIZER = {
     "Y4": _log_recip,
     "Y": lambda tm: np.square(_log_recip(tm)),
 }
-# The claimed growth law of each classified series in u = T - t: the
-# forcing norm as u^(-1/2), the part-2 right side as (pi/2) ln^2(1/u).
-_GROWTH_LAW = {"L1_f": ("power", 0.5), "L1_Y": ("log2", np.pi / 2.0)}
+# The leading coefficient of the part-2 right side's claimed growth law in
+# u = T - t, (pi/2) ln^2(1/u).
+_Y_LAW = np.pi / 2.0
 
 
 def y_series(fam: SolutionFamily, ladder: TimeLadder) -> list:
@@ -313,21 +292,15 @@ def l1_series(fam: SolutionFamily, ladder: TimeLadder) -> NormSeries:
 
 # --- L^q_t classification ----------------------------------------------------
 
-TAIL_LEVELS = 8  # the ladder levels a growth law is checked on
-_RATIO_ROUNDING = 16.0 * np.finfo(float).eps  # in the ratio of two closed forms
+TAIL_LEVELS = 8  # the ladder levels the L1_Y growth law is checked on
 
 
-def _law_headroom(model: str, a: float, tm: np.ndarray, v: np.ndarray) -> float:
-    """|measured - law|/tolerance on the window (module docstring). For
-    ``log2`` the tolerance is the quadrature's own error, amplified by the
-    second difference and the two Richardson steps, plus the limit's change
-    from the level before, its truncation estimate."""
-    if model == "power":
-        if np.any(v <= 0.0):
-            return inf
-        exponents = np.log(v[1:] / v[:-1]) / np.log(tm[:-1] / tm[1:])
-        return float(np.max(np.abs(exponents - a))) / _RATIO_ROUNDING
-    scale = 2.0 * a * np.log(2.0) ** 2
+def _law_headroom(tm: np.ndarray, v: np.ndarray) -> float:
+    """|measured - law|/tolerance of the L1_Y law on the window (module
+    docstring). The tolerance is the quadrature's own error, amplified by
+    the second difference and the two Richardson steps, plus the limit's
+    change from the level before, its truncation estimate."""
+    scale = 2.0 * _Y_LAW * np.log(2.0) ** 2
     d = np.diff(v, 2) / scale
     tolerance = 4.0 * max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * np.max(np.abs(v))) / scale
     for r in (np.sqrt(0.5), 0.5):  # the deficit 1 - d decays like sqrt(u), then u
@@ -336,19 +309,17 @@ def _law_headroom(model: str, a: float, tm: np.ndarray, v: np.ndarray) -> float:
     return float(abs(d[-1] - 1.0) / (tolerance + abs(d[-1] - d[-2])))
 
 
-def _law_tail(model: str, a: float, tm: np.ndarray, v: np.ndarray, q: float) -> float:
-    """Integral of |law|^q over (0, u_J], u_J = T - t_J: a u^-a through the
-    last level in closed form, or P(ln(1/u)), P(s) = a s^2 + c1 s + c0
-    fitted on the window. In s = ln(1/u) = s_J + x, smooth where u has a log
+def _law_tail(tm: np.ndarray, v: np.ndarray, q: float) -> float:
+    """Integral of |law|^q over (0, u_J], u_J = T - t_J, for the L1_Y law
+    P(ln(1/u)), P(s) = a s^2 + c1 s + c0, a = pi/2 and c1, c0 fitted on the
+    window. In s = ln(1/u) = s_J + x, smooth where u has a log
     singularity at 0, that is u_J int_0^inf e^-x |P(s_J + x)|^q dx. Since
     |P(s_J + x)| <= B (s_J + x)^2, B = a + |c1|/s_J + |c0|/s_J^2, and
     (1 + x/s_J)^2q <= C e^(mu x) for mu = min(1/2, 2q/s_J), ln C =
     2q ln(2q/(mu s_J)) - 2q + mu s_J, the part past x_max, where
     C e^(-(1 - mu) x_max)/(1 - mu) = eps, is at most eps u_J (B s_J^2)^q."""
-    if model == "power":
-        return inf if a * q >= 1.0 else float(v[-1] ** q * tm[-1] / (1.0 - a * q))
     logs = _log_recip(tm)
-    coef = (a, *np.polyfit(logs, v - a * np.square(logs), 1))
+    coef = (_Y_LAW, *np.polyfit(logs, v - _Y_LAW * np.square(logs), 1))
     s, mu = logs[-1], min(0.5, 2.0 * q / logs[-1])
     x_max = (2.0 * q * np.log(2.0 * q / (mu * s)) - 2.0 * q + mu * s
              - np.log((1.0 - mu) * np.finfo(float).eps)) / (1.0 - mu)
@@ -360,12 +331,14 @@ def _law_tail(model: str, a: float, tm: np.ndarray, v: np.ndarray, q: float) -> 
 def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
     """Decide whether int_0^T ||.||^q dt converges.
 
-    The growth law of ``series.quantity`` (``_GROWTH_LAW``) is checked on
-    the last TAIL_LEVELS levels. When it holds, the law gives the verdict,
-    and the estimate is the ladder integral plus the law's tail beyond it:
-    in x = ln(T/u), u = T - t, with levels at x_j = j ln 2, g = u |v|^q is
-    log-linear on each step (exact where v is a power of u) and on the first
-    step continued to x = 0. A law that fails is inconclusive, not coerced.
+    ``L1_f`` takes the verdict and the estimate from its closed form
+    (module docstring), with 2 pi K1 = v_J sqrt(2 u_J) read from the last
+    level. ``L1_Y``'s growth law is checked on the last TAIL_LEVELS levels.
+    When it holds, the law gives the verdict, and the estimate is the
+    ladder integral plus the law's tail beyond it: in x = ln(T/u),
+    u = T - t, with levels at x_j = j ln 2, g = u |v|^q is log-linear on
+    each step and on the first step continued to x = 0. A law that fails
+    is inconclusive, not coerced.
     """
     if q <= 0.0:
         raise ValueError("q must be positive")
@@ -373,21 +346,26 @@ def classify_LqtL1x(series: NormSeries, q: float) -> Classification:
     tm = series.ladder.T_minus  # a float array (TimeLadder)
     if np.all(np.abs(v) < 1e-300):
         return Classification(finite=True, estimate=0.0, model="zero")
+    if series.quantity == "L1_f":
+        if q >= 2.0:
+            return Classification(finite=False, estimate=inf, model="power")
+        T = series.ladder.T
+        scale = v[-1] * np.sqrt(2.0 * tm[-1])
+        return Classification(finite=True, model="power",
+                              estimate=float(scale ** q * (2.0 * T) ** (-q / 2) * T
+                                             / (1.0 - q / 2)))
 
-    model, a = _GROWTH_LAW[series.quantity]
-    headroom = _law_headroom(model, a, tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:])
+    headroom = _law_headroom(tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:])
     if not headroom <= 1.0:
         return Classification(finite=None, estimate=float("nan"), model="inconclusive",
                               law_headroom=headroom)
-    estimate = _law_tail(model, a, tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:], q)
-    if isfinite(estimate):
-        g = tm * np.abs(v) ** q
-        g = np.concatenate(([g[0] * (g[0] / g[1])], g))  # g_0 = g_1^2/g_2 at x = 0
-        step = np.diff(g)  # a step adds ln 2 times the log mean of its ends, or g_j
-        estimate += np.log(2.0) * float(np.sum(np.divide(
-            step, np.log1p(step / g[:-1]), out=g[:-1].copy(), where=step != 0.0)))
-    return Classification(finite=isfinite(estimate), estimate=estimate, model=model,
-                          tail_exponent=a if model == "power" else 0.0,
+    g = tm * np.abs(v) ** q
+    g = np.concatenate(([g[0] * (g[0] / g[1])], g))  # g_0 = g_1^2/g_2 at x = 0
+    step = np.diff(g)  # a step adds ln 2 times the log mean of its ends, or g_j
+    estimate = _law_tail(tm[-TAIL_LEVELS:], v[-TAIL_LEVELS:], q) + np.log(2.0) * float(
+        np.sum(np.divide(step, np.log1p(step / g[:-1]), out=g[:-1].copy(),
+                         where=step != 0.0)))
+    return Classification(finite=True, estimate=estimate, model="log2",
                           law_headroom=headroom)
 
 

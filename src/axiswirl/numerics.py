@@ -1,4 +1,4 @@
-"""Shared numerical primitives: adaptive quadrature, difference stencils, grids.
+"""Shared numerical primitives: adaptive quadrature, radial grids, time ladders.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs. All routines are pure functions. Integrands passed to
@@ -22,7 +22,6 @@ __all__ = [
     "DEFAULT_SPEC",
     "integrate",
     "gauss_panel_sums",
-    "differentiate",
     "make_radial_grid",
     "make_time_ladder",
 ]
@@ -209,22 +208,6 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         panel(n)
         n += 1
         splits += 1
-
-
-def differentiate(f, x: float, h: float, order: int = 1) -> float:
-    """Central finite difference of ``f`` at ``x`` with step ``h``.
-
-    Order 1 uses the two-point stencil, order 2 the three-point stencil;
-    both have O(h^2) truncation error. Exceptions raised by ``f`` (for
-    instance domain errors from field evaluators) propagate unchanged.
-    """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise ValueError("order must be 1 or 2")
 
 
 @dataclass(frozen=True)

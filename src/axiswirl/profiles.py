@@ -13,8 +13,8 @@ Bulk evaluation runs off cached splines of I and of h = g/r^2 = phi0/r,
 one representation from the axis (where h = -I(0)/2) to r = 1, through two
 paths: ``phi0`` (value only, one h-spline call) and ``jet`` (phi0, phi0/r
 and phi0' from one h-spline and one I-spline call), neither dividing by r.
-``phi0_exact``, ``g_exact`` and ``inner_integral`` re-derive values by
-direct adaptive quadrature and are the independent reference path.
+``g_exact`` and ``inner_integral`` re-derive values by direct adaptive
+quadrature and are the independent reference path.
 
 The splines are numpy only: one private cubic Hermite interpolant serves
 the two caches and, with slopes from one tridiagonal solve, the natural
@@ -184,11 +184,11 @@ class SwirlProfile:
     panel-by-panel Gauss sweeps and exact closed-form nodal slopes. p/sigma
     is h itself, to rounding relative down to the axis, where h = -I0/2;
     p = sigma h, g = sigma^2 h and p' = -e^{sigma^2/2} I - h divide by
-    nothing. For sigma >= 1, g = g1. ``g_exact`` and ``phi0_exact``
-    re-derive values by direct adaptive quadrature, independently of the
-    caches. ``M0``, ``M1``, ``A`` and ``K1``, the moments of the closed
-    forms in ``norms``, are views of one moment sweep, ``_moments``: one
-    ``_panel_sweep`` over their stacked densities, run once per profile.
+    nothing. For sigma >= 1, g = g1. ``g_exact`` re-derives g by direct
+    adaptive quadrature, independently of the caches. ``M0``, ``M1``,
+    ``A`` and ``K1``, the moments of the closed forms in ``norms``, are
+    views of one moment sweep, ``_moments``: one ``_panel_sweep`` over
+    their stacked densities, run once per profile.
     ``pressure_integrals``, the sigma-integrals of the closed-form pressure
     of v, reads one more such sweep, ``_pressure_nodes``, built on first use.
     Every sweep puts the 4-point Gauss rule of ``gauss_panel_sums`` on each
@@ -281,13 +281,6 @@ class SwirlProfile:
         r_arr = np.asarray(r, dtype=float)
         out = (self.g_second(r_arr) - 2.0 * self.jet(r_arr)[2]) / r_arr
         return out if r_arr.ndim else float(out)
-
-    def phi0_exact(self, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """phi0 by direct quadrature; the independent path of the two-path check."""
-        r = float(r)
-        if r <= 0.0:
-            return 0.0
-        return self.g_exact(r, spec) / r if r < 1.0 else self.g_exact(1.0, spec) / r
 
     # -- moments: the closed forms of the v energy and the forcing norm ------
     @cached_property

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import EPS0, SolutionFamily, _jet, _ladder_T_minus, _rhs, _w
-from .numerics import RadialGrid, TimeLadder, empirical_order, local_radial_scale
+from .numerics import RadialGrid, TimeLadder, local_radial_scale
 from .profiles import SwirlProfile
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "check_boundary",
     "check_bound",
     "bound_constant",
-    "residual_order",
     "report_to_dict",
 ]
 
@@ -260,16 +259,6 @@ def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
         fitted_C=fitted, C_star=c_star,
         passed=bool(np.isfinite(c_star)
                     and fitted <= c_star * (1.0 + BOUND_SUP_RTOL)))
-
-
-def residual_order(fam: SolutionFamily, which: str, grid: RadialGrid,
-                   ladder: TimeLadder) -> tuple[float, list]:
-    """Empirical convergence order of ``check_swirl_pde`` under step halving."""
-    coarse, fine = (check_swirl_pde(fam, which, grid, ladder, step_scale=s)
-                    for s in (1.0, 0.5))
-    order = empirical_order(coarse.max_abs_residual,
-                            max(fine.max_abs_residual, np.finfo(float).tiny))
-    return order, [coarse, fine]
 
 
 def report_to_dict(report) -> dict:

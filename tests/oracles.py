@@ -1,15 +1,57 @@
-"""Independent reference quadrature used to freeze expected values.
+"""Independent reference paths for the tests.
 
 Composite Simpson with Richardson extrapolation over a dyadic refinement
-ladder. Deliberately separate from the package's Gauss-Legendre machinery
+ladder, deliberately separate from the package's Gauss-Legendre machinery
 so it can serve as an oracle for it. The frozen constants in
 ``reference_values.py`` were produced with these routines; a test re-derives
 them to guard against drift.
+
+Beside them sit the check paths that no CLI command needs: central
+differences (``differentiate``), phi0 by direct quadrature
+(``phi0_exact``) and the observed order of the residual stencils
+(``residual_order``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from axiswirl.numerics import DEFAULT_SPEC, QuadratureSpec, empirical_order
+from axiswirl.verify import check_swirl_pde
+
+
+def differentiate(f, x: float, h: float, order: int = 1) -> float:
+    """Central finite difference of ``f`` at ``x`` with step ``h``.
+
+    Order 1 uses the two-point stencil, order 2 the three-point stencil;
+    both have O(h^2) truncation error. Exceptions raised by ``f`` (for
+    instance domain errors from field evaluators) propagate unchanged.
+    """
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if order == 1:
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+    if order == 2:
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    raise ValueError("order must be 1 or 2")
+
+
+def phi0_exact(profile, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """phi0 of ``profile`` by direct quadrature, g_exact(min(r, 1))/r: the
+    independent path of the two-path check."""
+    r = float(r)
+    if r <= 0.0:
+        return 0.0
+    return profile.g_exact(min(r, 1.0), spec) / r
+
+
+def residual_order(fam, which: str, grid, ladder) -> tuple[float, list]:
+    """Empirical convergence order of ``check_swirl_pde`` under step halving."""
+    coarse, fine = (check_swirl_pde(fam, which, grid, ladder, step_scale=s)
+                    for s in (1.0, 0.5))
+    order = empirical_order(coarse.max_abs_residual,
+                            max(fine.max_abs_residual, np.finfo(float).tiny))
+    return order, [coarse, fine]
 
 
 def simpson(f, a: float, b: float, n: int) -> float:

@@ -1,8 +1,8 @@
 """The closed-form energy of v against the nested numeric path.
 
 ``energy_series(fam, "v", ...)`` evaluates the self-similar closed form;
-``_kinetic`` plus the cumulative ``_dissipation_integral`` is the
-independent nested quadrature it must reproduce.
+``_kinetic`` plus the cumulative ``_dissipation_steps``, one step at a
+time, is the independent nested quadrature it must reproduce.
 """
 
 import numpy as np
@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axiswirl as ax
-from axiswirl.norms import (NORM_SPEC, _dissipation_integral, _kinetic,
+from axiswirl.fields import _T_minus
+from axiswirl.norms import (NORM_SPEC, _dissipation_steps, _kinetic,
                             _nested_energy, energy_series)
 
 
 def nested_energy_v(fam, ladder):
     values, diss, prev = [], 0.0, 0.0
     for t, tm in zip(ladder.levels, ladder.T_minus):
-        diss += _dissipation_integral(fam, "v", prev, float(t), NORM_SPEC)
+        diss += float(_dissipation_steps(fam, "v", _T_minus(fam, (prev, float(t))),
+                                         NORM_SPEC)[0])
         values.append(_kinetic(fam, "v", float(t), NORM_SPEC, T_minus=tm) + diss)
         prev = float(t)
     return np.asarray(values)

@@ -7,12 +7,21 @@ import numpy as np
 import pytest
 
 import axiswirl as ax
-from axiswirl.norms import (NORM_SERIES_HEADER, NormSeries, classify_LqtL1x,
-                            energy, energy_series, l1_series,
+from axiswirl.fields import _T_minus
+from axiswirl.norms import (NORM_SERIES_HEADER, NormSeries, _dissipation_steps,
+                            _kinetic, classify_LqtL1x, energy_series, l1_series,
                             norm_series_rows, spatial_L1,
                             y_series, NORM_SPEC)
 
 from reference_values import ABS_K_MOMENT_STAR, Y_RATIO_CAPS
+
+
+def energy(fam, which, t):
+    """Kinetic energy at time t < T plus the dissipation over [0, t]: the
+    nested numeric path for one time, its time integral one row that the
+    adaptive engine refines toward t, where the rate grows."""
+    return (_kinetic(fam, which, t, NORM_SPEC)
+            + float(_dissipation_steps(fam, which, _T_minus(fam, (0.0, t)), NORM_SPEC)[0]))
 
 
 def test_energy_zero_forcing(fam1_zero):
@@ -35,7 +44,6 @@ def test_kinetic_energy_against_dense_trapezoid(fam1):
     r = np.linspace(0.0, 1.0, 200001)
     v = np.asarray(ax.evaluate(fam1, "v", r, t), dtype=float)
     reference = 2.0 * np.pi * np.trapezoid(v * v * r, r)
-    from axiswirl.norms import _kinetic
     assert _kinetic(fam1, "v", t, NORM_SPEC) == pytest.approx(reference, rel=1e-6)
 
 
@@ -101,7 +109,6 @@ def test_classify_forcing_flips_at_two(fam1, ladder20):
     assert verdicts[1.9].finite is True
     assert verdicts[2.1].finite is False
     assert verdicts[3.0].finite is False
-    assert verdicts[3.0].tail_exponent == pytest.approx(0.5, abs=1e-3)
 
 
 def test_classify_y_finite_for_all_scanned_q(y_deep):
@@ -111,29 +118,19 @@ def test_classify_y_finite_for_all_scanned_q(y_deep):
         assert result.finite is True, f"q={q} gave {result}"
 
 
-def test_classify_inconclusive_on_nonmonotone_tail(ladder20):
-    values = np.ones(20)
-    values[::2] += 0.5  # saw-tooth tail
-    series = NormSeries(quantity="L1_f", ladder=ladder20, values=values,
-                        normalizers=np.ones(20))
-    result = classify_LqtL1x(series, 2.0)
-    assert result.finite is None
-    assert result.model == "inconclusive"
-
-
-@pytest.mark.parametrize("spike, verdict", [(11, True), (12, None)],
-                         ids=["step_before_last_8_levels", "step_in_last_8_levels"])
-def test_classify_reads_monotonicity_on_the_last_8_levels_only(ladder20, spike, verdict):
-    # A rising power-law series with one spike: the falling step from level
-    # `spike` to `spike + 1` lies outside the tail window, 0-based levels 12..19,
-    # when spike = 11, and inside it when spike = 12.
-    values = 1.0 / np.sqrt(ladder20.T_minus)
-    values[spike] *= 3.0
-    series = NormSeries(quantity="L1_f", ladder=ladder20, values=values,
-                        normalizers=np.ones(20))
-    result = classify_LqtL1x(series, 1.5)
-    assert result.finite is verdict
-    assert result.model == ("power" if verdict else "inconclusive")
+@pytest.mark.xfail(strict=True, reason=(
+    "the L1_Y law gate adds |d[-1] - d[-2]| to its tolerance, so an alternating "
+    "error inflates its own tolerance: headroom 0.5 at every size (ROADMAP item 16)"))
+def test_classify_inconclusive_on_an_l1_y_saw_tooth(ladder20):
+    law = 0.5 * np.pi * np.square(np.log(1.0 / ladder20.T_minus))
+    for size in (0.05, 0.5, 5.0):
+        values = law.copy()
+        values[::2] += size  # saw-tooth tail
+        series = NormSeries(quantity="L1_Y", ladder=ladder20, values=values,
+                            normalizers=np.ones(20))
+        result = classify_LqtL1x(series, 2.0)
+        assert result.model == "inconclusive", (size, result)
+        assert result.finite is None
 
 
 def test_classify_validation(fam1, ladder20):
@@ -164,7 +161,6 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
     series = l1_series(fam, ladder)
     scaled = series.values * np.sqrt(ladder.T_minus)
     assert np.ptp(scaled) / np.mean(scaled) < 1e-10
-    assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("quantity", ["f", "Y1", "Y4"])
@@ -358,7 +354,7 @@ def test_log2_tail_meets_a_tight_reference_in_one_halving(seed, T, monkeypatch):
     ladder = ax.make_time_ladder(fam.T, _classification_depth(fam, 28))
     window = slice(-norms.TAIL_LEVELS, None)
     tm, v = ladder.T_minus[window], y_series(fam, ladder)[-1].values[window]
-    model, a = norms._GROWTH_LAW["L1_Y"]
+    a = norms._Y_LAW
     logs = -np.log(tm)
     coef = (a, *np.polyfit(logs, v - a * np.square(logs), 1))
     tight = ax.QuadratureSpec(1e-18, 1e-14, 20000)
@@ -379,7 +375,7 @@ def test_log2_tail_meets_a_tight_reference_in_one_halving(seed, T, monkeypatch):
         reference = tm[-1] * integrate(
             lambda w: np.abs(np.polyval(coef, logs[-1] - np.log(w))) ** q,
             0.0, 1.0, tight)[0]
-        tail = norms._law_tail(model, a, tm, v, q)
+        tail = norms._law_tail(tm, v, q)
         assert abs(tail - reference) <= 1e-12 * reference, q
     assert len(calls) == 5 and max(calls) <= 3, calls
 
@@ -392,7 +388,6 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table():
     numeric = spatial_L1(fam, "f", ladder.levels, T_minus=ladder.T_minus)
     assert np.all(np.abs(series.values - numeric)
                   <= np.maximum(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * numeric))
-    assert classify_LqtL1x(series, 1.5).tail_exponent == pytest.approx(0.5, abs=1e-12)
 
 
 def _classified_family(seed, part):
@@ -431,8 +426,7 @@ def test_y_lqt_estimate_matches_a_tight_ladder_quadrature(seed):
                                       ax.QuadratureSpec(1e-14, 1e-10, 4000),
                                       breakpoints=np.arange(1, J) * np.log(2.0))
         window = slice(-norms.TAIL_LEVELS, None)
-        return ladder_part + norms._law_tail(*norms._GROWTH_LAW["L1_Y"], ladder.T_minus[window],
-                                             series.values[window], q)
+        return ladder_part + norms._law_tail(ladder.T_minus[window], series.values[window], q)
 
     for q in (1.5, 4.0):
         assert classify_LqtL1x(series, q).estimate == pytest.approx(tight(q), rel=5e-3), q
@@ -444,7 +438,7 @@ def test_ladder_integral_of_a_constant_is_exact(ladder20, monkeypatch):
     from axiswirl import norms
     monkeypatch.setattr(norms, "_law_headroom", lambda *args: 0.0)
     monkeypatch.setattr(norms, "_law_tail", lambda *args: 0.0)
-    series = NormSeries(quantity="L1_f", ladder=ladder20, values=3.0 / ladder20.T_minus,
+    series = NormSeries(quantity="L1_Y", ladder=ladder20, values=3.0 / ladder20.T_minus,
                         normalizers=np.ones(20))
     assert classify_LqtL1x(series, 1.0).estimate == 60.0 * np.log(2.0)
 
@@ -458,34 +452,28 @@ def _norms_rows(tmp_path, argv=()):
     return rc, json.loads((out / "norms_summary.json").read_text())["classification"]
 
 
-def _bent(real, quantity, bend):
-    """``real`` with the values of its ``quantity`` series mapped by ``bend(v, u)``."""
+def _bent(real, bend):
+    """``y_series`` with the values of its ``L1_Y`` series mapped by ``bend(v, u)``."""
     def bent(fam, ladder):
-        out = real(fam, ladder)
-        one = isinstance(out, NormSeries)
-        series = [s if s.quantity != quantity else dataclasses.replace(
-            s, values=bend(s.values, s.ladder.T_minus)) for s in ([out] if one else out)]
-        return series[0] if one else series
+        return [s if s.quantity != "L1_Y" else dataclasses.replace(
+            s, values=bend(s.values, s.ladder.T_minus)) for s in real(fam, ladder)]
     return bent
 
 
-@pytest.mark.parametrize("quantity, bend", [
-    ("L1_Y", lambda v, u: v + 1e-3 * np.log(1.0 / u) ** 3),
-    ("L1_Y", lambda v, u: v + 0.5 * np.pi * np.log(1.0 / u) ** 2),
-    ("L1_f", lambda v, u: v * u ** -0.1),
-], ids=["Y_plus_eps_ln3", "Y_leading_pi", "f_exponent_0.6"])
-def test_norms_exits_1_when_a_series_breaks_its_growth_law(tmp_path, monkeypatch,
-                                                            quantity, bend):
+@pytest.mark.parametrize("bend", [
+    lambda v, u: v + 1e-3 * np.log(1.0 / u) ** 3,
+    lambda v, u: v + 0.5 * np.pi * np.log(1.0 / u) ** 2,
+], ids=["Y_plus_eps_ln3", "Y_leading_pi"])
+def test_norms_exits_1_when_a_series_breaks_its_growth_law(tmp_path, monkeypatch, bend):
     from axiswirl import cli
 
-    name = "l1_series" if quantity == "L1_f" else "y_series"
-    monkeypatch.setattr(cli, name, _bent(getattr(cli, name), quantity, bend))
+    monkeypatch.setattr(cli, "y_series", _bent(cli.y_series, bend))
     rc, rows = _norms_rows(tmp_path)
     assert rc == 1
-    broken = [row for row in rows if row["series"] == quantity]
+    broken = [row for row in rows if row["series"] == "L1_Y"]
     assert {row["model"] for row in broken} == {"inconclusive"}
     assert all(row["finite"] is None and row["law_headroom"] > 1.0 for row in broken)
-    assert all(row["model"] != "inconclusive" for row in rows if row["series"] != quantity)
+    assert all(row["model"] != "inconclusive" for row in rows if row["series"] != "L1_Y")
 
 
 def test_norms_reads_the_growth_laws_on_the_bump_and_seed_103(tmp_path):

@@ -13,23 +13,25 @@ import axiswirl
 from axiswirl import reference_k
 from axiswirl.cli import _installed_version, main
 
-# Functions no CLI run enters: (role, user).
+# Functions no CLI run enters: (role, user). Each check path names the
+# ROADMAP item that will gate it or retire it.
 UNREACHED = {
-    "fields.evaluate": ("one-field view at (r, t)", "tests"),
-    "fields.eval_pressure": ("quadrature check of the closed-form P", "tests"),
-    "fields._pressure_integral": ("eval_pressure's quadrature", "tests"),
-    "norms.energy": ("nested quadrature check of the energy law", "tests"),
-    "norms._dissipation_integral": ("energy's dissipation over [0, t]", "tests"),
-    "norms.spatial_L1": ("one-quantity view of the L^1 norms", "tests"),
-    "oracle.solve_eta": ("independent PDE solve of eta", "tests"),
-    "profiles.SwirlProfile.phi0_exact": ("quadrature reference of phi0", "tests"),
-    "numerics.differentiate": ("finite-difference reference", "tests"),
-    "verify.residual_order": ("observed order of the residual stencils", "tests"),
-    "profiles.SwirlProfile.I": ("profile evaluator patched by name", "bench/tracer.py"),
-    "profiles.SwirlProfile.g_prime": ("profile evaluator patched by name", "bench/tracer.py"),
+    "fields.evaluate": ("one-field view at (r, t), the public API", "tests"),
+    "norms.spatial_L1": ("one-quantity view of the L^1 norms",
+                         "tests; item 18 makes it the check path of the L1_f gate"),
+    "oracle.solve_eta": ("independent PDE solve of eta",
+                         "tests; item 2 makes it a check path of the oracle"),
+    "fields.eval_pressure": ("quadrature check of the closed-form P",
+                             "tests and bench/tracer.py, by name until item 6"),
+    "fields._pressure_integral": ("eval_pressure's quadrature", "eval_pressure, until item 6"),
+    "profiles.SwirlProfile.I": ("profile evaluator patched by name",
+                                "bench/tracer.py until item 6"),
+    "profiles.SwirlProfile.g_prime": ("profile evaluator patched by name",
+                                      "bench/tracer.py until item 6"),
     "profiles.SwirlProfile.phi0_over_r": ("profile evaluator patched by name",
-                                          "bench/tracer.py"),
-    "oracle.SwirlStepper.step": ("one theta step, patched by name", "bench/tracer.py"),
+                                          "bench/tracer.py until item 6"),
+    "oracle.SwirlStepper.step": ("one theta step, patched by name",
+                                 "bench/tracer.py until item 6"),
     "profiles.bump_forcing": ("bump of any amplitude", "test fixtures"),
     "profiles.zero_forcing": ("trivial forcing", "test fixtures"),
     "_csvio._json_default": ("JSON fallback for numpy values; no payload holds one",

@@ -9,7 +9,9 @@ import axiswirl as ax
 from axiswirl import verify
 from axiswirl.cli import RunConfig
 from axiswirl.errors import ConfigError
-from axiswirl.verify import report_to_dict, residual_order
+from axiswirl.verify import report_to_dict
+
+from oracles import residual_order
 
 
 @pytest.fixture(scope="module")
