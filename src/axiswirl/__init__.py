@@ -15,6 +15,6 @@ from .verify import (BoundCheck, ResidualReport, check_bound, check_boundary,
 from .norms import (Classification, NormSeries, classify_LqtL1x, energy_series,
                     l1_series, spatial_L1)
 from .oracle import (OracleConfig, OracleRun, convergence_study,
-                     default_levels, solve_eta, solve_swirl)
+                     default_levels, solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,8 +26,8 @@ from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
                     l1_series, norm_series_rows, y_series)
 from .numerics import DEFAULT_SPEC, make_radial_grid, make_time_ladder
-from .oracle import (TRAJECTORY_HEADER, convergence_study, default_levels,
-                     trajectory_rows)
+from .oracle import (OCTAVES, TRAJECTORY_HEADER, convergence_study,
+                     default_levels, trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
                        profile_table, reference_k)
 from .verify import check_bound, check_boundary, check_swirl_pde, report_to_dict
@@ -61,9 +61,8 @@ class RunConfig:
                               f"T = {self.T!r}: {exc}") from exc
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
-        try:  # the constructors' own checks, on what cmd_oracle builds;
-            # default_levels reads only the family's T, which the config holds
-            default_levels(self, base_n=self.oracle_n_r)
+        try:  # the constructors' own checks, on what cmd_oracle builds
+            default_levels(base_n=self.oracle_n_r)
         except ValueError as exc:
             raise ConfigError(f"oracle settings: {exc}") from exc
         bad = set(self.formats) - {"csv", "json"}
@@ -335,7 +334,7 @@ ORACLE_ORDER_BAND = (1.7, 2.3)  # Crank-Nicolson is second order
 
 def cmd_oracle(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    levels = default_levels(fam, base_n=cfg.oracle_n_r)
+    levels = default_levels(base_n=cfg.oracle_n_r)
     run = convergence_study(fam, levels)
     low, high = ORACLE_ORDER_BAND
     order_ok = low <= run.convergence_order <= high
@@ -344,8 +343,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     payload = {
         "theta": 0.5,  # the Crank-Nicolson weight
-        "levels": [{"n_r": l.n_r, "dt": l.dt, "delta": l.delta} for l in levels],
-        "steps": [sum(n for *_, n in l.octaves(fam.T)) for l in levels],
+        # dt is the first octave's step, delta the last octave's end T - t
+        "levels": [{"n_r": l.n_r, "dt": 0.5 * fam.T / l.steps,
+                    "delta": fam.T * 0.5**OCTAVES} for l in levels],
+        "steps": [OCTAVES * l.steps for l in levels],
         "errors_Linf": run.errors_per_level,
         "orders": run.orders_per_pair,
         "convergence_order": run.convergence_order,

@@ -21,15 +21,16 @@ when a stepper is built, and the other commands never load scipy.
 
 The solution is self-similar in r / sqrt(tau), tau = 2 (T - t), so tau is
 its one time scale. The march steps on the octaves of T - t, the dyadic
-ladder t_j = T (1 - 2^-j) where tau halves, with a constant step on each
-octave that halves from one octave to the next: dt / tau is the same on
-every octave. Each midpoint's T - t is formed from its octave's own
-T 2^-j, so no T - t_n cancellation arises. The forcing is evaluated, and
-scaled into R c in place, for blocks of step midpoints at a time, each
-block bounded in grid points so memory stays flat at any resolution.
-Nothing here shares a code path with the closed-form construction beyond
-the problem data itself (initial slice, wall constant, forcing), read from
-the T - t kernels.
+ladder t_j = T (1 - 2^-j) where tau halves, from T - t = T down to T / 8.
+``OracleConfig`` is that schedule: n_r radial nodes and the same number of
+equal steps on each of the OCTAVES octaves, so the step halves from one
+octave to the next and dt / tau is the same on every octave. Each
+midpoint's T - t is formed from its octave's own T 2^-j, so no T - t_n
+cancellation arises. The forcing is evaluated, and scaled into R c in
+place, for blocks of step midpoints at a time, each block bounded in grid
+points so memory stays flat at any resolution. Nothing here shares a code
+path with the closed-form construction beyond the problem data itself
+(initial slice, wall constant, forcing), read from the T - t kernels.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ __all__ = [
     "OracleRun",
     "OracleSolution",
     "SwirlStepper",
-    "solve_swirl",
-    "solve_eta",
+    "solve",
     "convergence_study",
     "default_levels",
     "trajectory_rows",
@@ -56,42 +56,26 @@ __all__ = [
 ]
 
 
+OCTAVES = 3  # octaves of T - t the march spans: from T down to T / 8
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid, step and terminal cutoff (dt < delta / 10) for one solver run.
-
-    ``dt`` is the step on the first octave, t in [0, T / 2], and the
-    largest of the march: it halves on each later octave."""
+    """Radial nodes, and equal steps on each octave of T - t, of one run."""
 
     n_r: int
-    dt: float
-    delta: float
+    steps: int
 
     def __post_init__(self):
         if self.n_r < 16:
             raise ValueError("n_r must be at least 16")
-        if self.delta <= 0.0:
-            raise ValueError("terminal cutoff delta must be positive")
-        if not (self.dt > 0.0 and self.dt < self.delta / 10.0):
-            raise ValueError("dt must satisfy 0 < dt < delta / 10")
+        if self.steps < 1:
+            raise ValueError("steps must be at least 1")
 
     def octaves(self, T: float) -> list[tuple[float, float, int]]:
         """(T - t at the start, T - t at the end, step count) of each octave
-        of the march from t = 0 to T - delta. Octave j starts at
-        T - t = T 2^-j and ends where T - t halves or reaches delta; its
-        steps are equal and about dt 2^-j long. Every full octave takes
-        round(T / (2 dt)) steps, and a last, partial one at least one."""
-        if round((T - self.delta) / self.dt) < 1:
-            raise ValueError(f"T - delta = {T!r} - {self.delta!r} is under half a "
-                             f"step dt = {self.dt!r}: no step to take")
-        octaves, start = [], T
-        while start > self.delta:
-            end = max(0.5 * start, self.delta)
-            # start / T = 2^-j exactly, so full octaves all round alike
-            n = max(1, round((start - end) / (self.dt * (start / T))))
-            octaves.append((start, end, n))
-            start = end
-        return octaves
+        of the march: octave j runs from T 2^-j to T 2^-(j+1)."""
+        return [(T * 0.5**j, T * 0.5**(j + 1), self.steps) for j in range(OCTAVES)]
 
 
 @dataclass
@@ -197,32 +181,40 @@ class SwirlStepper:
 _BLOCK_POINTS = 2**13
 
 
-def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
-           bc_wall: float) -> OracleSolution:
-    """Step the field ``which`` from t = 0 to T - delta on the octaves of
-    T - t and compare there, keeping the initial slice and the 8 step ends
-    nearest to k (T - delta) / 8."""
-    octaves = cfg.octaves(fam.T)
-    counts = [n for _, _, n in octaves]
-    steps = [(a - b) / n for a, b, n in octaves]
+# The wall value of each field the oracle marches: the constant trace
+# -alpha of u, and log(1 - alpha) of eta.
+_WALL = {"u": lambda fam: -fam.alpha, "eta": lambda fam: fam.log_wall}
+
+
+def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
+    """Step ``which``, the swirl u or its log eta (part 2 only), from t = 0
+    to the last octave's end, T - t = T / 8, and compare with the closed
+    form there, keeping the initial slice and the 8 step ends nearest to
+    k (7 T / 8) / 8. Zero at the axis and the constant wall value are the
+    Dirichlet data; the initial slice and the forcing come from the
+    family's T - t kernels."""
+    if which not in _WALL:
+        raise ValueError(f"which must be 'u' or 'eta', not {which!r}")
+    octaves, n = cfg.octaves(fam.T), cfg.steps
+    sizes = [(a - b) / n for a, b, _ in octaves]
     # Per step: its size, and T - t at its midpoint and its end, each from
     # its octave's start; the last end of an octave is the octave's end.
-    dts = np.repeat(steps, counts)
+    dts = np.repeat(sizes, n)
     mids = np.concatenate([a - (np.arange(n) + 0.5) * h
-                           for (a, _, n), h in zip(octaves, steps)])
+                           for (a, _, _), h in zip(octaves, sizes)])
     ends = np.concatenate([[fam.T]] + [np.append(a - np.arange(1, n) * h, b)
-                                       for (a, b, n), h in zip(octaves, steps)])
-    stepper = SwirlStepper(cfg.n_r, dts[0], bc_wall)
-    r = stepper.r
+                                       for (a, b, _), h in zip(octaves, sizes)])
+    r = np.linspace(0.0, 1.0, cfg.n_r)
+    initial = _w(fam, which, r, fam.T)
+    stepper = SwirlStepper(cfg.n_r, dts[0], _WALL[which](fam))
     ri = r[1:-1]
     rhs = _rhs(fam, which)
-    initial = _w(fam, which, r, fam.T)
 
     # Forcing blocks, cut again at the octave ends and the kept steps.
     times = fam.T - ends
-    targets = np.linspace(0.0, fam.T - cfg.delta, 9)
+    targets = np.linspace(0.0, fam.T - octaves[-1][1], 9)
     keep = set(np.abs(times[:, None] - targets).argmin(axis=0).tolist())
-    cuts = sorted(keep.union(np.cumsum(counts[:-1]).tolist(),
+    cuts = sorted(keep.union(range(n, dts.size, n),
                              range(0, dts.size, max(1, _BLOCK_POINTS // ri.size))))
     kept, slices = [0.0], [initial]
     w = initial[1:-1].copy()
@@ -244,56 +236,26 @@ def _march(fam: SolutionFamily, cfg: OracleConfig, which: str,
                           exact_final=exact, error_Linf=linf, error_L2=l2)
 
 
-def solve_swirl(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
-    """Time-step the plain swirl equation and compare with the closed form.
-
-    Boundary data: zero at the axis, the constant wall trace (minus the
-    wall constant alpha) at r = 1; initial slice and forcing come from the
-    family's T - t kernels.
-    """
-    return _march(fam, cfg, "u", -fam.alpha)
-
-
-def solve_eta(fam: SolutionFamily, cfg: OracleConfig) -> OracleSolution:
-    """Same stepper applied to the log-transformed equation."""
-    if fam.part != 2:
-        raise ValueError("solve_eta needs a part-2 family")
-    return _march(fam, cfg, "eta", fam.log_wall)
-
-
-def default_levels(fam: SolutionFamily, *, base_n: int = 128,
-                   base_steps: Optional[int] = None, n_levels: int = 3) -> list[OracleConfig]:
-    """Nested refinement ladder: both steps halve between levels, as the
-    scheme is second order in each. The cutoff is delta = T / 8, so the
-    march spans three octaves of T - t, and ``base_steps``, the coarsest
-    level's steps per octave, defaults to 3 base_n / 4 (rounded down), at
-    least 41, as dt < delta / 10 needs (T / 2) / steps < T / 80; the floor
-    binds up to base_n = 54. The step on an octave over tau = 2 (T - t) in
-    [T 2^-j, 2 T 2^-j] is T 2^-j / (2 steps), so dt / tau <= 2 / (3 n_r) on
-    every octave, under the 7 / (8 n_r) a uniform 4 steps per node reached
-    on the last one, and free of T, while dr / sqrt(tau) reaches
+def default_levels(base_n: int = 128) -> list[OracleConfig]:
+    """Nested refinement ladder: n_r and the steps per octave both double
+    between levels, as the scheme is second order in each; the coarsest
+    takes 3 base_n / 4 steps per octave, rounded down. On octave j,
+    tau = 2 (T - t) lies in [T 2^-j, 2 T 2^-j] and the step is
+    T 2^-j / (2 steps), so dt / tau <= 1 / (2 steps), about 2 / (3 n_r), on
+    every octave and free of T, while dr / sqrt(tau) reaches
     2 / (n_r sqrt(T)) at tau = T / 4 and grows as T falls: the time error's
     share peaks at T = 1/2. Against 8x the steps it is 0.58-0.59x that of 4
-    uniform steps per node there on the bump, and about 5% of each
-    level's error; twice the steps move the bump's final error by 0.51%."""
-    delta = fam.T / 8.0
-    if base_steps is None:
-        base_steps = max(3 * base_n // 4, 41)
-    return [OracleConfig(n_r=base_n * 2**m, dt=0.5 * fam.T / (base_steps * 2**m),
-                         delta=delta)
-            for m in range(n_levels)]
+    uniform steps per node there on the bump, and about 5% of each level's
+    error; twice the steps move the bump's final error by 0.51%."""
+    return [OracleConfig(base_n * 2**m, (3 * base_n // 4) * 2**m) for m in range(3)]
 
 
 def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
-                      equation: str = "swirl") -> OracleRun:
+                      which: str = "u") -> OracleRun:
     """Run nested refinements and fit the observed order from error pairs."""
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least two levels")
-    solvers = {"swirl": solve_swirl, "eta": solve_eta}
-    if equation not in solvers:
-        raise ValueError(f"equation must be 'swirl' or 'eta', not {equation!r}")
-    solver = solvers[equation]
-    solutions = [solver(fam, cfg) for cfg in levels]
+    solutions = [solve(fam, cfg, which) for cfg in levels]
     errors = [s.error_Linf for s in solutions]
     orders = []
     valid = True

@@ -104,12 +104,11 @@ class BoundCheck:
     passed: bool
 
 
-def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder,
-             exclude_nearest: int, theta: float):
+def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder, theta: float):
     """Level-major samples r, t, tm = T - t of every interior radius >= EPS0
-    at all but the ``exclude_nearest`` levels nearest t = T, and the step
+    at all but the EXCLUDE_NEAREST levels nearest t = T, and the step
     h = min(theta * ell, 0.45 min(r, 1 - r)), > 0 as EPS0 <= r < 1."""
-    keep = len(ladder) - exclude_nearest
+    keep = len(ladder) - EXCLUDE_NEAREST
     times, tminus = ladder.levels[:keep], _ladder_T_minus(fam, ladder)[:keep]
     radii = grid.interior()
     radii = radii[radii >= EPS0]
@@ -120,8 +119,7 @@ def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder,
 
 
 def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
-                    ladder: TimeLadder, *, step_scale: float = 1.0,
-                    exclude_nearest: int = EXCLUDE_NEAREST) -> ResidualReport:
+                    ladder: TimeLadder, *, step_scale: float = 1.0) -> ResidualReport:
     """Verify (d_rr + d_r/r - 1/r^2 - d_t) w = RHS through FD stencils.
 
     For the plain family (``which`` in {"u", "v"}) the right side is the
@@ -132,7 +130,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     """
     rhs = _rhs(fam, which)
     theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h = _lattice(fam, grid, ladder, exclude_nearest, step_scale * theta_r0)
+    r, t, tm, h = _lattice(fam, grid, ladder, step_scale * theta_r0)
     ell = local_radial_scale(r, tm)
     h_t = step_scale * np.minimum(1e-5, THETA_T_CAP * ell * ell / 2.0)
     # Where the step reaches t = T, the stencil is one-sided into the past.

@@ -10,7 +10,6 @@ import numpy as np
 
 import axiswirl as ax
 from axiswirl.norms import classify_LqtL1x, energy_series, l1_series
-from axiswirl.oracle import default_levels
 
 from oracles import phi0_exact, residual_order
 from reference_values import ABS_K_MOMENT_STAR, Y_RATIO_CAPS
@@ -143,8 +142,8 @@ def test_criterion_6_forcing_classification(fam1, y_deep):
 
 def test_criterion_7_oracle_crossvalidation(fam1):
     start = time.monotonic()
-    run = ax.convergence_study(fam1, default_levels(fam1, base_n=128,
-                                                    base_steps=1024, n_levels=3))
+    run = ax.convergence_study(fam1, [ax.OracleConfig(128 * 2**m, 1024 * 2**m)
+                                      for m in range(3)])
     elapsed = time.monotonic() - start
     ok = (run.study_valid and run.final_error_Linf < 1e-5
           and 1.7 <= run.convergence_order <= 2.3

@@ -142,15 +142,16 @@ def test_cmd_oracle_default(tmp_path):
                                            (["--oracle-n-r", "17"], 17)],
                          ids=["default", "n16", "n17"])
 def test_oracle_study_levels_are_the_library_default(tmp_path, fam1, flags, base_n):
-    # One step ratio for library and CLI; at 16 and 17 nodes the 71-step
-    # floor keeps dt < delta / 10, so the smallest grids still run.
+    # One step ratio for library and CLI, down to the smallest grids: at 16
+    # and 17 nodes, 12 steps per octave. dt is the first octave's step.
     from axiswirl.oracle import default_levels
 
     out = tmp_path / "out"
     assert run_cli(["oracle", *flags, "--out", str(out)]) == 0
     study = json.loads((out / "oracle_study.json").read_text())
-    assert study["levels"] == [{"n_r": l.n_r, "dt": l.dt, "delta": l.delta}
-                               for l in default_levels(fam1, base_n=base_n)]
+    assert study["levels"] == [{"n_r": l.n_r, "dt": 0.5 * fam1.T / l.steps,
+                                "delta": fam1.T / 8.0}
+                               for l in default_levels(base_n=base_n)]
 
 
 def test_all_part2_runs_every_command_and_summarises_each(tmp_path, monkeypatch):
@@ -244,10 +245,10 @@ def test_oracle_marches_only_the_study_levels(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, steps", [([], [288, 576, 1152]),
-                                          (["--oracle-n-r", "16"], [123, 246, 492])],
+                                          (["--oracle-n-r", "16"], [36, 72, 144])],
                          ids=["default", "n16"])
 def test_oracle_study_records_the_steps_each_level_took(tmp_path, monkeypatch, flags, steps):
-    # 3 octaves of 3 n_r / 4 steps at n_r = 128, of the 41-step floor at 16.
+    # 3 octaves of 3 n_r / 4 steps on the coarsest level: 96 at n_r = 128, 12 at 16.
     from axiswirl import oracle
 
     taken = {}

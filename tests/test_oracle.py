@@ -12,17 +12,21 @@ from axiswirl.oracle import (SwirlStepper, TRAJECTORY_HEADER, default_levels,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ax.OracleConfig(n_r=8, dt=1e-4, delta=0.05)
-    with pytest.raises(ValueError):
-        ax.OracleConfig(n_r=64, dt=1e-2, delta=0.05)  # dt >= delta/10
-    with pytest.raises(ValueError):
-        ax.OracleConfig(n_r=64, dt=1e-4, delta=0.0)
+    with pytest.raises(ValueError, match="n_r"):
+        ax.OracleConfig(n_r=8, steps=100)
+    with pytest.raises(ValueError, match="steps"):
+        ax.OracleConfig(n_r=64, steps=0)
+
+
+@pytest.mark.parametrize("T", [0.5, 0.3617, 1e-300])
+def test_octaves_are_the_dyadic_ladder_bit_for_bit(T):
+    assert ax.OracleConfig(n_r=64, steps=7).octaves(T) == [
+        (T, T / 2, 7), (T / 2, T / 4, 7), (T / 4, T / 8, 7)]
 
 
 def test_zero_forcing_zero_trajectory(fam1_zero):
-    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
-    sol = ax.solve_swirl(fam1_zero, cfg)
+    cfg = ax.OracleConfig(n_r=64, steps=250)
+    sol = ax.solve(fam1_zero, cfg, "u")
     assert sol.error_Linf == 0.0
     assert np.all(sol.values == 0.0)
 
@@ -35,16 +39,15 @@ def test_stepper_annihilates_linear_profile():
 
 
 def test_solve_swirl_error_within_scheme_budget(fam1):
-    delta = fam1.T / 8.0
-    cfg = ax.OracleConfig(n_r=256, dt=(fam1.T - delta) / 4096, delta=delta)
-    sol = ax.solve_swirl(fam1, cfg)
-    dr = 1.0 / (cfg.n_r - 1)
-    assert sol.error_Linf < 50.0 * (dr**2 + cfg.dt**2)
+    cfg = ax.OracleConfig(n_r=256, steps=2341)
+    sol = ax.solve(fam1, cfg, "u")
+    dr, dt = 1.0 / (cfg.n_r - 1), 0.5 * fam1.T / cfg.steps
+    assert sol.error_Linf < 50.0 * (dr**2 + dt**2)
     assert sol.error_L2 <= sol.error_Linf * np.sqrt(2.0 * np.pi)
 
 
 def test_convergence_study_second_order(fam1):
-    run = ax.convergence_study(fam1, default_levels(fam1))
+    run = ax.convergence_study(fam1, default_levels())
     assert run.study_valid
     assert 1.7 <= run.convergence_order <= 2.3
     for coarse, fine in zip(run.errors_per_level[:-1], run.errors_per_level[1:]):
@@ -52,38 +55,35 @@ def test_convergence_study_second_order(fam1):
 
 
 def test_convergence_study_eta(fam2):
-    run = ax.convergence_study(fam2, default_levels(fam2), equation="eta")
+    run = ax.convergence_study(fam2, default_levels(), which="eta")
     assert run.study_valid
     assert 1.7 <= run.convergence_order <= 2.3
 
 
 def test_degenerate_errors_flagged(fam1_zero):
     # Exact (zero) solutions leave nothing to converge: flagged, not faked.
-    run = ax.convergence_study(fam1_zero, default_levels(fam1_zero))
+    run = ax.convergence_study(fam1_zero, default_levels())
     assert not run.study_valid
     assert np.isnan(run.convergence_order)
 
 
 def test_study_needs_two_levels(fam1):
     with pytest.raises(ValueError):
-        ax.convergence_study(fam1, default_levels(fam1)[:1])
+        ax.convergence_study(fam1, default_levels()[:1])
 
 
 def test_solve_eta_requires_part2(fam1):
-    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
-    with pytest.raises(ValueError):
-        ax.solve_eta(fam1, cfg)
+    with pytest.raises(ValueError, match="part-2"):
+        ax.solve(fam1, ax.OracleConfig(n_r=64, steps=250), "eta")
 
 
 def test_solver_stays_clear_of_blowup(fam1):
-    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
-    sol = ax.solve_swirl(fam1, cfg)
-    assert sol.times[-1] <= fam1.T - cfg.delta + 1e-12
+    sol = ax.solve(fam1, ax.OracleConfig(n_r=64, steps=250), "u")
+    assert sol.times[-1] <= fam1.T - fam1.T / 8.0 + 1e-12
 
 
 def test_trajectory_rows_layout(fam1):
-    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
-    sol = ax.solve_swirl(fam1, cfg)
+    sol = ax.solve(fam1, ax.OracleConfig(n_r=64, steps=250), "u")
     rows = trajectory_rows(fam1, sol)
     assert rows.shape[1] == len(TRAJECTORY_HEADER)
     assert np.all(rows[:, 4] >= 0.0)
@@ -94,8 +94,7 @@ def test_trajectory_rows_layout(fam1):
 def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
     # The row-by-row table from the public evaluators at the snapshot times;
     # at T = 1/2 both form the same T - t.
-    cfg = ax.OracleConfig(n_r=64, dt=1e-3, delta=0.0625)
-    sol = ax.solve_eta(fam2, cfg) if which == "eta" else ax.solve_swirl(fam2, cfg)
+    sol = ax.solve(fam2, ax.OracleConfig(n_r=64, steps=250), which)
     expected = []
     for t, slc in zip(sol.times, sol.values):
         rs = sol.r[::8]
@@ -107,30 +106,22 @@ def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
 
 def test_convergence_study_rejects_unknown_equation(fam2):
     with pytest.raises(ValueError, match="'Swirl'"):
-        ax.convergence_study(fam2, default_levels(fam2), equation="Swirl")
-
-
-def test_cutoff_leaving_no_step_is_rejected(fam1):
-    # T - delta = 1e-7 rounds to zero steps of 0.025.
-    cfg = ax.OracleConfig(n_r=32, dt=0.025, delta=0.4999999)
-    with pytest.raises(ValueError, match=r"T - delta.*dt"):
-        ax.solve_swirl(fam1, cfg)
+        ax.convergence_study(fam2, default_levels(), which="Swirl")
 
 
 def _octaves(fam, cfg):
-    """The shipped schedule at delta = T / 8, apart from the library: three
-    octaves of T - t, T 2^-j down to T 2^-(j+1), of round(T / (2 dt)) steps
-    each, as (T - t at the start, T - t at the end, step count)."""
-    assert cfg.delta == fam.T / 8.0
-    steps = round(0.5 * fam.T / cfg.dt)
-    return [(fam.T * 0.5**j, fam.T * 0.5**(j + 1), steps) for j in range(3)]
+    """The shipped schedule, apart from the library: three octaves of T - t,
+    T 2^-j down to T 2^-(j+1), of ``cfg.steps`` steps each, as (T - t at
+    the start, T - t at the end, step count)."""
+    return [(fam.T * 0.5**j, fam.T * 0.5**(j + 1), cfg.steps) for j in range(3)]
 
 
 def _reference_march(fam, n_r, octaves, which, bc_wall):
     """One forcing evaluation and one ``stepper.step`` per time step, no
     blocks, a stepper per octave; T - t at each step's midpoint and end from
     its octave's start. Returns the times and slices of the initial slice
-    and of the step ends nearest to k (T - delta) / 8, k = 1..8."""
+    and of the step ends nearest to t = k t_end / 8, k = 1..8, t_end being
+    the time the last octave ends at."""
     r = np.linspace(0.0, 1.0, n_r)
     rhs = _rhs(fam, which)
     w = _w(fam, which, r, fam.T)
@@ -149,20 +140,17 @@ def _reference_march(fam, n_r, octaves, which, bc_wall):
 
 
 def _solve(fam, cfg, which):
-    if which == "eta":
-        return ax.solve_eta(fam, cfg), fam.log_wall
-    return ax.solve_swirl(fam, cfg), -fam.alpha
+    return ax.solve(fam, cfg, which), (fam.log_wall if which == "eta" else -fam.alpha)
 
 
-# dt = (T - delta) / steps is the first octave's step: 171 and 629 steps per
-# octave. At n_r = 64 a forcing block holds 8192 // 62 = 132 steps, so the
-# octave ends cut the march inside blocks, and the odd step counts put the
-# snapshots between the octave ends off them.
+# Steps per octave. At n_r = 64 a forcing block holds 8192 // 62 = 132
+# steps, so the octave ends, 300 and 600 or 1100 and 2200 steps in, cut the
+# march inside blocks, and the snapshots at t = k (7 T / 8) / 8 fall
+# between the octave ends, off them.
 @pytest.mark.parametrize("steps", [300, 1100])
 @pytest.mark.parametrize("which", ["u", "eta"])
 def test_march_equals_the_per_step_loop(fam2, which, steps):
-    delta = fam2.T / 8.0
-    cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
+    cfg = ax.OracleConfig(n_r=64, steps=steps)
     sol, bc_wall = _solve(fam2, cfg, which)
     _, slices = _reference_march(fam2, cfg.n_r, _octaves(fam2, cfg), which, bc_wall)
     assert np.array_equal(sol.values[-1], slices[-1])
@@ -202,8 +190,7 @@ def test_step_matches_a_dense_solve(n_r, log10_dt, seed):
 @pytest.mark.parametrize("which", ["u", "eta"])
 def test_march_snapshots_equal_the_per_step_loop(fam2, which, steps):
     # The snapshot steps cut the march inside and across forcing blocks.
-    delta = fam2.T / 8.0
-    cfg = ax.OracleConfig(n_r=64, dt=(fam2.T - delta) / steps, delta=delta)
+    cfg = ax.OracleConfig(n_r=64, steps=steps)
     sol, bc_wall = _solve(fam2, cfg, which)
     times, slices = _reference_march(fam2, cfg.n_r, _octaves(fam2, cfg), which, bc_wall)
     assert sol.times.shape == (9,) and sol.values.shape == (9, cfg.n_r)
@@ -254,7 +241,7 @@ def _textbook_march(fam, n_r, octaves, which, bc_wall):
 def test_march_stays_within_rounding_of_textbook_crank_nicolson(request, seed, part, which):
     # The middle level of the default ladder: n_r = 256, 3 octaves of 192 steps.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
-    cfg = default_levels(fam)[1]
+    cfg = default_levels()[1]
     octaves = _octaves(fam, cfg)
     assert (cfg.n_r, sum(n for *_, n in octaves)) == (256, 576)
     sol, bc_wall = _solve(fam, cfg, which)
@@ -281,7 +268,7 @@ def test_finest_level_march_stays_within_rounding_of_textbook_crank_nicolson(
     # steps, where the operator's conditioning magnifies coefficient rounding
     # the most; A = I - dt L / 2 is the worse conditioned the larger dt is.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
-    cfg = default_levels(fam)[2]
+    cfg = default_levels()[2]
     octaves = _octaves(fam, cfg)
     assert (cfg.n_r, sum(n for *_, n in octaves)) == (512, 1152)
     sol, bc_wall = _solve(fam, cfg, which)
@@ -289,17 +276,18 @@ def test_finest_level_march_stays_within_rounding_of_textbook_crank_nicolson(
     assert np.max(np.abs(sol.values[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("seed, part, equation", [(None, 1, "swirl"), (103, 2, "swirl"),
-                                                  (103, 2, "eta")],
+@pytest.mark.parametrize("seed, part, which", [(None, 1, "u"), (103, 2, "u"),
+                                               (103, 2, "eta")],
                          ids=["bump-u", "seed103-u", "seed103-eta"])
-def test_shipped_time_step_adds_little_to_the_error(request, seed, part, equation):
+def test_shipped_time_step_adds_little_to_the_error(request, seed, part, which):
     # Twice the shipped steps per octave (2 x 96 at n_r = 128) leave the grids
     # as they are, so the final errors differ only by the time error:
     # 0.51%, 0.22% and 1.04% here. This keeps a coarser dt from hiding behind
     # the spatial error.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
-    shipped = ax.convergence_study(fam, default_levels(fam), equation)
-    finer = ax.convergence_study(fam, default_levels(fam, base_steps=2 * 96), equation)
+    shipped = ax.convergence_study(fam, default_levels(), which)
+    finer = ax.convergence_study(
+        fam, [ax.OracleConfig(cfg.n_r, 2 * cfg.steps) for cfg in default_levels()], which)
     assert abs(shipped.final_error_Linf - finer.final_error_Linf) < (
         0.1 * finer.final_error_Linf)
 
@@ -312,10 +300,10 @@ def test_octave_steps_add_no_more_time_error_than_uniform_steps(request, seed, p
     # the same grid) is no larger than that of 4 uniform steps per radial
     # node, which takes 78% more steps: 0.58-0.59x of it here.
     fam = request.getfixturevalue("fam1") if seed is None else _seeded_family(seed, part)
-    for cfg in default_levels(fam):
+    for cfg in default_levels():
         sol, bc_wall = _solve(fam, cfg, which)
-        fine, _ = _solve(fam, ax.OracleConfig(cfg.n_r, cfg.dt / 8.0, cfg.delta), which)
-        _, uniform = _reference_march(fam, cfg.n_r, [(fam.T, cfg.delta, 4 * cfg.n_r)],
+        fine, _ = _solve(fam, ax.OracleConfig(cfg.n_r, 8 * cfg.steps), which)
+        _, uniform = _reference_march(fam, cfg.n_r, [(fam.T, fam.T / 8.0, 4 * cfg.n_r)],
                                       which, bc_wall)
         octave_error = np.max(np.abs(sol.values[-1] - fine.values[-1]))
         uniform_error = np.max(np.abs(uniform[-1] - fine.values[-1]))
@@ -347,7 +335,7 @@ def test_octave_ends_cut_the_march_like_the_per_step_loop(monkeypatch):
         return recorded
 
     monkeypatch.setattr(oracle, "_rhs", recording_rhs)
-    cfg = ax.OracleConfig(n_r=64, dt=0.5 * fam.T / 99, delta=fam.T / 8.0)
+    cfg = ax.OracleConfig(n_r=64, steps=99)
     for which in ("u", "eta"):
         blocks.clear()
         sol, bc_wall = _solve(fam, cfg, which)
@@ -368,11 +356,3 @@ def test_octave_ends_cut_the_march_like_the_per_step_loop(monkeypatch):
                                   for a, b, n in octaves])
         assert not np.array_equal(own, shifted)
 
-
-def test_octaves_of_a_cutoff_off_the_dyadic_ladder():
-    # Full octaves take T / (2 dt) steps of dt 2^-j; the last one stops at
-    # delta, with its share of steps, at least one.
-    cfg = ax.OracleConfig(n_r=32, dt=1e-3, delta=0.1)
-    assert cfg.octaves(0.5) == [(0.5, 0.25, 250), (0.25, 0.125, 250), (0.125, 0.1, 100)]
-    close = ax.OracleConfig(n_r=32, dt=1e-3, delta=0.1249999)
-    assert close.octaves(0.5)[-1] == (0.125, 0.1249999, 1)

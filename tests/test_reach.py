@@ -19,8 +19,6 @@ UNREACHED = {
     "fields.evaluate": ("one-field view at (r, t), the public API", "tests"),
     "norms.spatial_L1": ("one-quantity view of the L^1 norms",
                          "tests; item 18 makes it the check path of the L1_f gate"),
-    "oracle.solve_eta": ("independent PDE solve of eta",
-                         "tests; item 2 makes it a check path of the oracle"),
     "fields.eval_pressure": ("quadrature check of the closed-form P",
                              "tests and bench/tracer.py, by name until item 6"),
     "fields._pressure_integral": ("eval_pressure's quadrature", "eval_pressure, until item 6"),

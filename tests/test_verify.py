@@ -240,11 +240,11 @@ def test_pde_samples_are_the_concatenated_one_level_reports(fam2, grid64, which)
     ladder = ax.make_time_ladder(0.5, 10)
     whole = ax.check_swirl_pde(fam2, which, grid64, ladder)
     keep = len(ladder) - 2
+    # Level j and the 2 after it: the 2 nearest t = T are left out.
     parts = [ax.check_swirl_pde(
         fam2, which, grid64,
-        ax.TimeLadder(T=0.5, levels=ladder.levels[j:j + 1],
-                      T_minus=ladder.T_minus[j:j + 1]),
-        exclude_nearest=0) for j in range(keep)]
+        ax.TimeLadder(T=0.5, levels=ladder.levels[j:j + 3],
+                      T_minus=ladder.T_minus[j:j + 3])) for j in range(keep)]
     assert np.array_equal(whole.samples, np.concatenate([p.samples for p in parts]))
 
 
