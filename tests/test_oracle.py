@@ -1,3 +1,6 @@
+import importlib.machinery
+import importlib.util
+import json
 import runpy
 from pathlib import Path
 
@@ -7,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import axiswirl as ax
 from axiswirl.fields import _rhs, _w
-from axiswirl.oracle import (SwirlStepper, TRAJECTORY_HEADER, default_levels,
-                             trajectory_rows)
+from axiswirl.cli import main
+from axiswirl.oracle import (SwirlStepper, TRAJECTORY_HEADER, _lapack,
+                             default_levels, trajectory_rows)
 
 
 def test_config_validation():
@@ -356,3 +360,37 @@ def test_octave_ends_cut_the_march_like_the_per_step_loop(monkeypatch):
                                   for a, b, n in octaves])
         assert not np.array_equal(own, shifted)
 
+
+def test_lapack_is_scipy_linalg_lapacks_pttrf_and_pttrs():
+    # The directly loaded extension is the one scipy's public API re-exports:
+    # a scipy that moves _flapack fails here, not in a user's run.
+    from scipy.linalg import lapack
+
+    pttrf, pttrs = _lapack()
+    assert pttrf is lapack.dpttrf and pttrs is lapack.dpttrs
+
+
+@pytest.mark.parametrize("case", ["no-scipy", "no-flapack"])
+def test_oracle_without_scipys_lapack_exits_1_with_a_summary(case, tmp_path, monkeypatch,
+                                                             capsys):
+    if case == "no-scipy":
+        spec, looked_for = None, "no scipy package"
+    else:
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path / "scipy")]
+        looked_for = str(tmp_path / "scipy" / "linalg" / "_flapack")
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: (
+        spec if name == "scipy" else find_spec(name, package)))
+    _lapack.cache_clear()
+    try:
+        with pytest.raises(ax.AxiswirlError, match="scipy") as info:
+            _lapack()
+        assert looked_for in str(info.value)
+        out = tmp_path / "out"
+        assert main(["oracle", "--part", "1", "--out", str(out)]) == 1
+    finally:
+        _lapack.cache_clear()
+    assert capsys.readouterr().err == f"axiswirl: {info.value}\n"
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["exit_status"] == 1 and summary["error"] == str(info.value)

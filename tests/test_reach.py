@@ -12,6 +12,7 @@ import numpy as np
 import axiswirl
 from axiswirl import reference_k
 from axiswirl.cli import _installed_version, main
+from axiswirl.oracle import _lapack
 
 # Functions no CLI run enters: (role, user). Each check path names the
 # ROADMAP item that will gate it or retire it.
@@ -78,7 +79,9 @@ def test_every_function_is_entered_by_a_cli_run_or_listed(tmp_path):
     runs = [["all", "--part", "1"], ["all", "--part", "2"], ["profile", "--k", str(table)]]
 
     entered = set()
-    _installed_version.cache_clear()  # so the runs enter it, whatever ran before
+    # so the runs enter the cached functions, whatever ran before
+    _installed_version.cache_clear()
+    _lapack.cache_clear()
 
     def on_event(frame, event, arg):
         if event == "call":

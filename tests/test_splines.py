@@ -102,12 +102,19 @@ def test_forcing_table_rejects_non_finite_samples(bad, where):
         ax.forcing_from_samples(r, k)
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("run, expected", [
+    ("", []),
+    # oracle loads scipy's LAPACK extension from its file, not scipy.linalg
+    ("if main(['oracle', '--part', '1', '--out', sys.argv[1]]): sys.exit(1)\n",
+     ["scipy.linalg._flapack"]),
+], ids=["import", "oracle"])
+def test_cli_import_loads_no_scipy(run, expected, tmp_path):
     src = os.path.dirname(os.path.dirname(ax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, axiswirl.cli\n"
+    code = ("import sys\n"
+            "from axiswirl.cli import main\n" + run +
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == str(expected)
