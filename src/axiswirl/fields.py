@@ -29,7 +29,7 @@ self-similarity, the integral of v^2/l from the axis is
 Q(sigma)/tau + 2 alpha G(sigma) + alpha^2 r^2 / 2, with Q and G from
 ``SwirlProfile.pressure_integrals``. The quadrature path ``eval_pressure``
 integrates w^2/l keyed on each row's T - t from the axis, cut by
-``_axis_breakpoints`` like every radial integral from the axis; it checks
+``_axis_breakpoints`` like every radial integral; it checks
 the closed form and is the only path for vbar.
 """
 
@@ -188,16 +188,20 @@ def _rhs(fam: SolutionFamily, which: str):
     return lambda r, tm: _y(fam, r, tm)[4]
 
 
-def _axis_breakpoints(tm):
-    """Initial panel cuts for a radial integral from the axis, one row per
-    entry of tm: sqrt(2 tm) * {1/4, ..., 4}, so no first panel misses the
-    core, continued by factors of 4 out to the wall. Past the core every such
-    integrand falls like a power of r, and one panel from 4 sqrt(2 tm) to 1
-    misses that mass while both Gauss rules agree once T - t < ~1e-13."""
+def _axis_breakpoints(fam: SolutionFamily, tm):
+    """Initial panel cuts of every radial integral, one row per entry of
+    tm: sqrt(2 tm) times one sigma-list. It holds the forcing's knots, where
+    k''' jumps and a panel spanning many spline pieces can have both Gauss
+    rules agree on a wrong value, and {1/4, ..., 4}, so no first panel
+    misses the core, continued by factors of 4 out to the wall: past the
+    core every integrand falls like a power of r, and one panel from
+    4 sqrt(2 tm) to 1 misses that mass while both rules agree once
+    T - t < ~1e-13. ``integrate`` drops the cuts outside a row's limits."""
     scale = np.sqrt(2.0 * tm)
     reach = int(np.ceil(np.log(0.25 / np.min(scale, initial=0.25)) / np.log(4.0)))
-    factors = np.concatenate(([0.25, 0.5, 1.0, 2.0, 4.0], 4.0 ** np.arange(2, reach + 2)))
-    return np.multiply.outer(scale, factors)
+    sigmas = np.concatenate((fam.profile.k.knots, [0.25, 0.5, 1.0, 2.0, 4.0],
+                             4.0 ** np.arange(2, reach + 2)))
+    return np.multiply.outer(scale, sigmas)
 
 
 def _pressure_integral(fam: SolutionFamily, which: str, r, tm,
@@ -211,7 +215,7 @@ def _pressure_integral(fam: SolutionFamily, which: str, r, tm,
         return wl * wl / np.where(l > 0.0, l, 1.0)
 
     return integrate(integrand, np.zeros_like(r), r, spec,
-                     breakpoints=_axis_breakpoints(tm))[0]
+                     breakpoints=_axis_breakpoints(fam, tm))[0]
 
 
 def eval_pressure(fam: SolutionFamily, which: str, r, t,

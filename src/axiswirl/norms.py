@@ -147,7 +147,7 @@ def _kinetic(fam: SolutionFamily, which: str, t, spec: QuadratureSpec,
         return wv * wv * r
 
     value, _ = integrate(integrand, np.zeros_like(tm), np.ones_like(tm), spec,
-                         breakpoints=_axis_breakpoints(tm))
+                         breakpoints=_axis_breakpoints(fam, tm))
     return 2.0 * np.pi * value
 
 
@@ -158,24 +158,26 @@ def _dissipation_steps(fam: SolutionFamily, which: str, tm_edges,
     is one row call in u = T - s, which keeps full relative precision near
     the final time, each row one panel refined by the adaptive engine alone;
     each panel takes the core integrals at all its (rows, 31) time nodes in
-    one row call, node i cut at sqrt(2 u_i) {1/4, 1/2}. The exterior is one
+    one row call, node i from the axis to sqrt(2 u_i). The exterior is one
     radial row per step, its density taken at u_lo (sigma >= 1 on every
-    node), its Fubini weight kinked at sqrt(2 u_hi)."""
+    node). Both take the cuts of ``_axis_breakpoints`` that fall inside
+    them, and the exterior adds the kink of its Fubini weight at
+    sqrt(2 u_hi)."""
     u_hi, u_lo = tm_edges[:-1], tm_edges[1:]
     density = _gradient_density(fam, which)
 
     def rates(u):
         flat = u.ravel()
-        edge = np.sqrt(2.0 * flat)
         value, _ = integrate(lambda r: density(r, flat[:, None]), np.zeros(flat.shape),
-                             edge, spec, breakpoints=np.multiply.outer(edge, (0.25, 0.5)))
+                             np.sqrt(2.0 * flat), spec,
+                             breakpoints=_axis_breakpoints(fam, flat))
         return 2.0 * np.pi * value.reshape(u.shape)
 
     lo, width = u_lo[:, None], (u_hi - u_lo)[:, None]
     exterior, _ = integrate(
         lambda r: density(r, lo) * np.clip(0.5 * r * r - lo, 0.0, width),
         np.sqrt(2.0 * u_lo), np.ones(u_lo.shape), spec,
-        breakpoints=np.column_stack((np.sqrt(2.0 * u_hi), _axis_breakpoints(u_lo))))
+        breakpoints=np.column_stack((np.sqrt(2.0 * u_hi), _axis_breakpoints(fam, u_lo))))
     return integrate(rates, u_lo, u_hi, _TIME_SPEC)[0] + 2.0 * np.pi * exterior
 
 
@@ -240,7 +242,7 @@ def _l1(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
 
     tms = np.tile(tm, len(quantities))
     value, _ = integrate(integrand, np.zeros_like(tms), np.ones_like(tms), spec,
-                         breakpoints=_axis_breakpoints(tms))
+                         breakpoints=_axis_breakpoints(fam, tms))
     return 2.0 * np.pi * value.reshape(len(quantities), rows)
 
 
@@ -298,15 +300,16 @@ TAIL_LEVELS = 8  # the ladder levels the L1_Y growth law is checked on
 def _law_headroom(tm: np.ndarray, v: np.ndarray) -> float:
     """|measured - law|/tolerance of the L1_Y law on the window (module
     docstring). The tolerance is the quadrature's own error, amplified by
-    the second difference and the two Richardson steps, plus the limit's
-    change from the level before, its truncation estimate."""
+    the second difference and the two Richardson steps, and nothing else:
+    a term read off the data, such as the limit's last change, would let
+    an alternating error widen its own tolerance."""
     scale = 2.0 * _Y_LAW * np.log(2.0) ** 2
     d = np.diff(v, 2) / scale
     tolerance = 4.0 * max(NORM_SPEC.abs_tol, NORM_SPEC.rel_tol * np.max(np.abs(v))) / scale
     for r in (np.sqrt(0.5), 0.5):  # the deficit 1 - d decays like sqrt(u), then u
         d = (d[1:] - r * d[:-1]) / (1.0 - r)
         tolerance *= (1.0 + r) / (1.0 - r)
-    return float(abs(d[-1] - 1.0) / (tolerance + abs(d[-1] - d[-2])))
+    return float(abs(d[-1] - 1.0) / tolerance)
 
 
 def _law_tail(tm: np.ndarray, v: np.ndarray, q: float) -> float:

@@ -67,12 +67,16 @@ class ForcingProfile:
     ``nonpositive``/``nontrivial`` carry the admissibility facts needed by
     the log-transformed solution family (k <= 0 everywhere, k not
     identically zero). The profile needs k alone: its axis value k(0) fixes
-    the slope of the h cache there, h'(0) = k(0)/3.
+    the slope of the h cache there, h'(0) = k(0)/3. ``knots`` are the
+    interior radii where the third derivative of k jumps, a table spline's
+    breaks; every radial quadrature over k cuts at them. An analytic k has
+    none.
     """
 
     k: Callable[[np.ndarray], np.ndarray]
     nonpositive: bool
     nontrivial: bool
+    knots: tuple = ()
 
     def __call__(self, r):
         return self.k(r)
@@ -156,6 +160,7 @@ def forcing_from_samples(r_samples, k_samples) -> ForcingProfile:
         k=evaluate,
         nonpositive=bool(np.all(vals <= _ENDPOINT_TOL)),
         nontrivial=bool(np.any(np.abs(vals) > _ENDPOINT_TOL)),
+        knots=tuple(r[1:-1].tolist()),
     )
 
 
@@ -163,15 +168,18 @@ def inner_integral(k: ForcingProfile, s, spec: QuadratureSpec = DEFAULT_SPEC):
     """I(s) = integral of e^{-l^2/2} k(l) over [s, infinity).
 
     The support of k truncates the integral exactly at l = 1, so I(s) = 0
-    for s >= 1 with no tail approximation. An array of s is one
-    row-batched quadrature; a scalar s gives a float.
+    for s >= 1 with no tail approximation. Every row is cut at the knots
+    of k, so no panel straddles a jump of its third derivative; a knot
+    below s cuts nothing. An array of s is one row-batched quadrature; a
+    scalar s gives a float.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("inner integral requires s >= 0")
     lo = np.minimum(s, 1.0)
     value, _ = integrate(lambda l: np.exp(-0.5 * l * l) * k(l), lo,
-                         np.ones_like(lo), spec)
+                         np.ones_like(lo), spec,
+                         breakpoints=np.broadcast_to(k.knots, (*lo.shape, len(k.knots))))
     return value
 
 
