@@ -35,14 +35,4 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

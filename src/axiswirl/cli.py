@@ -44,7 +44,6 @@ class RunConfig:
     grid_n: int = 128
     ladder_J: int = 12
     out_dir: str = "axiswirl-out"
-    formats: tuple = ("csv", "json")
     oracle_n_r: int = 128
 
     def validate(self):
@@ -65,9 +64,6 @@ class RunConfig:
             default_levels(base_n=self.oracle_n_r)
         except ValueError as exc:
             raise ConfigError(f"oracle settings: {exc}") from exc
-        bad = set(self.formats) - {"csv", "json"}
-        if bad:
-            raise ConfigError(f"unknown formats: {sorted(bad)}")
 
 
 LADDER_FLOOR = 20  # the least depth of the boundary-check and energy ladders
@@ -79,9 +75,8 @@ def _floor_ladder(cfg: RunConfig):
     return make_time_ladder(cfg.T, max(cfg.ladder_J, LADDER_FLOOR))
 
 
-# Every RunConfig field is a key (and a flag, where the parser has one).
-_CONFIG_KEYS = {name: kind for name, kind in get_type_hints(RunConfig).items()
-                if name != "formats"}
+# Every RunConfig field is a key and a flag.
+_CONFIG_KEYS = get_type_hints(RunConfig)
 
 
 def load_config(path: str) -> dict:
@@ -101,9 +96,6 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key == "formats":
-                values[key] = _parse_formats(val)
-                continue
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
@@ -111,11 +103,6 @@ def load_config(path: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
-
-
-def _parse_formats(text: str) -> tuple:
-    """Comma-separated formats (key or flag); empty entries are dropped."""
-    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def load_k_table(path: str):
@@ -199,8 +186,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     prof = fam.profile
     radii = np.geomspace(1e-3, 1.0, 201)
     table = profile_table(prof, radii)
-    if "csv" in cfg.formats:
-        write_csv(_out_path(cfg, "profile.csv"), PROFILE_HEADER, table)
+    write_csv(_out_path(cfg, "profile.csv"), PROFILE_HEADER, table)
     res_max = float(np.max(np.abs(table[:, 4])))
     # The residual cannot see the h = g/r^2 cache: its terms in h cancel.
     # So g = r^2 h is also held against the direct quadrature, within the
@@ -243,11 +229,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = {"checks": [report_to_dict(c) for c in checks + bounds]}
     report["passed"] = all(c["passed"] for c in report["checks"])
     write_json(_out_path(cfg, "verify_report.json"), report)
-    if "csv" in cfg.formats:
-        slice_r = grid.nodes[1:-1:max(1, len(grid) // 32)]
-        slice_t = ladder.levels[:: max(1, len(ladder) // 6)]
-        write_csv(_out_path(cfg, "field_slice.csv"), FIELD_SLICE_HEADER,
-                  field_slice_rows(fam, slice_r, slice_t))
+    slice_r = grid.nodes[1:-1:max(1, len(grid) // 32)]
+    slice_t = ladder.levels[:: max(1, len(ladder) // 6)]
+    write_csv(_out_path(cfg, "field_slice.csv"), FIELD_SLICE_HEADER,
+              field_slice_rows(fam, slice_r, slice_t))
     for c in report["checks"]:
         name = c.get("equation", c.get("name"))
         if "name" in c:  # C* = 0 only for a zero field, whose samples are 0
@@ -267,7 +252,7 @@ def _classification_depth(fam: SolutionFamily, floor: int) -> int:
     if alpha == 0.0:
         return max(floor, 28)
     depth = int(np.ceil(np.log2(fam.T / alpha**2))) + 14
-    return int(np.clip(depth, max(floor, 28), 40))
+    return max(floor, int(np.clip(depth, 28, 40)))
 
 
 def cmd_norms(cfg: RunConfig) -> int:
@@ -283,10 +268,9 @@ def cmd_norms(cfg: RunConfig) -> int:
     classify_targets = {s.quantity: s for s in series
                         if s.quantity in ("L1_f", "L1_Y")}
 
-    if "csv" in cfg.formats:
-        for s in series:
-            write_csv(_out_path(cfg, f"norms_{s.quantity}.csv"),
-                      NORM_SERIES_HEADER, norm_series_rows(s))
+    for s in series:
+        write_csv(_out_path(cfg, f"norms_{s.quantity}.csv"),
+                  NORM_SERIES_HEADER, norm_series_rows(s))
 
     classification = []
     for name, s in classify_targets.items():
@@ -358,9 +342,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "passed": passed,
     }
     write_json(_out_path(cfg, "oracle_study.json"), payload)
-    if "csv" in cfg.formats:
-        write_csv(_out_path(cfg, "oracle_trajectory.csv"), TRAJECTORY_HEADER,
-                  trajectory_rows(fam, run.finest))
+    write_csv(_out_path(cfg, "oracle_trajectory.csv"), TRAJECTORY_HEADER,
+              trajectory_rows(fam, run.finest))
     print(f"oracle: order = {run.convergence_order:.2f} "
           f"(band {ORACLE_ORDER_BAND}), final Linf = {run.final_error_Linf:.3e} "
           f"-> {'pass' if passed else 'FAIL'}")
@@ -389,8 +372,6 @@ def _parse_args(argv):
     parser.add_argument("--grid-n", type=int, dest="grid_n")
     parser.add_argument("--ladder-J", type=int, dest="ladder_J")
     parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--format", dest="formats",
-                        help="comma-separated subset of csv,json")
     parser.add_argument("--oracle-n-r", type=int, dest="oracle_n_r")
     return parser.parse_args(argv)
 
@@ -400,11 +381,9 @@ def build_run_config(args) -> RunConfig:
     if args.config:
         values.update(load_config(args.config))
     for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             values[key] = val
-    if getattr(args, "formats", None):
-        values["formats"] = _parse_formats(args.formats)
     if "OUT_DIR" in os.environ:
         values["out_dir"] = os.environ["OUT_DIR"]
     return RunConfig(**values)

@@ -18,10 +18,8 @@ with c = (dt / 2) (wall coupling - RHS_mid): per step one multiply, one
 add, one pttrs solve and one subtract. numpy has no banded solver, so
 this module is the one user of scipy. When a stepper is built it loads
 only scipy's LAPACK extension ``scipy.linalg._flapack``, from its file
-(``_lapack``), never the ``scipy.linalg`` package: on a shared 2-core
-machine a cold ``oracle --part 1`` takes 489 ms instead of 756 ms, and the
-oracle_mix benchmark peaks at 42.1 MB of RSS instead of 60.4 MB. The other
-commands never load scipy.
+(``_lapack``), never the ``scipy.linalg`` package, whose import costs a
+cold run time and memory. The other commands never load scipy.
 
 The solution is self-similar in r / sqrt(tau), tau = 2 (T - t), so tau is
 its one time scale. The march steps on the octaves of T - t, the dyadic

@@ -216,6 +216,15 @@ def test_ladder_J_past_double_precision_exits_2_before_any_array(tmp_path, monke
     assert "ladder_J = 1000000000" in summary["error"]
 
 
+def test_norms_ladder_J_above_the_classification_cap_deepens_every_series(tmp_path):
+    # The classification ladder is capped at 40 levels, but never below ladder_J.
+    out = tmp_path / "out"
+    assert run_cli(["norms", "--part", "2", "--ladder-J", "41", "--out", str(out)]) == 0
+    for name in ("L1_Y", "L1_f", "energy_v"):
+        lines = (out / f"norms_{name}.csv").read_text().splitlines()
+        assert len(lines) == 1 + 41, name
+
+
 def test_missing_config_file_exits_2_with_a_summary(tmp_path):
     missing = tmp_path / "missing.cfg"
     out = tmp_path / "out"
@@ -358,9 +367,10 @@ def test_manifest_records_scipy_version(tmp_path):
     (["--oracle-n-r", "8"], "", "n_r must be at least 16"),
     ([], "oracle_levels = 3\n", "unknown key 'oracle_levels'"),
     ([], "grading = uniform\n", "unknown key 'grading'"),
+    ([], "formats = csv\n", "unknown key 'formats'"),
     ([], "bogus = 1\n", "unknown key 'bogus'"),
     ([], "T = abc\n", "could not convert string to float: 'abc'"),
-], ids=["oracle-theta", "oracle-n-r", "oracle-levels", "grading",
+], ids=["oracle-theta", "oracle-n-r", "oracle-levels", "grading", "formats",
         "config-unknown-key", "config-bad-value"])
 def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, message):
     cfg = tmp_path / "run.cfg"
@@ -375,25 +385,16 @@ def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, messag
 
 def test_every_run_config_field_is_a_config_key(tmp_path):
     from dataclasses import fields
-    from axiswirl.cli import RunConfig
+    from axiswirl.cli import RunConfig, _parse_args
     path = tmp_path / "run.cfg"
     path.write_text("T = 0.25\npart = 2\nk_spec = bump\ngrid_n = 64\n"
-                    "ladder_J = 10\nout_dir = o\n"
-                    "formats = json\noracle_n_r = 64\n")
+                    "ladder_J = 10\nout_dir = o\noracle_n_r = 64\n")
     values = load_config(str(path))
-    assert set(values) == {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**values)
-    cfg.validate()
-    assert cfg.formats == ("json",)
-
-
-def test_format_flag_and_config_key_parse_alike(tmp_path):
-    from axiswirl.cli import _parse_args, build_run_config
-    path = tmp_path / "run.cfg"
-    path.write_text("formats = csv,\n")
-    from_file = build_run_config(_parse_args(["verify", "--config", str(path)]))
-    from_flag = build_run_config(_parse_args(["verify", "--format", "csv,"]))
-    assert from_file.formats == from_flag.formats == ("csv",)
+    names = {f.name for f in fields(RunConfig)}
+    assert set(values) == names
+    RunConfig(**values).validate()
+    # ... and the dest of a flag
+    assert names <= set(vars(_parse_args(["verify"])))
 
 
 def test_verify_console_lines_carry_headroom(tmp_path, capsys):

@@ -33,8 +33,6 @@ UNREACHED = {
                                  "bench/tracer.py until item 6"),
     "profiles.bump_forcing": ("bump of any amplitude", "test fixtures"),
     "profiles.zero_forcing": ("trivial forcing", "test fixtures"),
-    "_csvio._json_default": ("JSON fallback for numpy values; no payload holds one",
-                             "write_json"),
     "errors.QuadratureConvergenceError.__init__": ("raised when a quadrature fails",
                                                    "tests"),
     "numerics.QuadratureSpec.__post_init__": (
@@ -90,8 +88,8 @@ def test_every_function_is_entered_by_a_cli_run_or_listed(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:
-        status = [main([*run, "--config", str(config), "--format", "csv,json",
-                        "--out", str(tmp_path / str(i))]) for i, run in enumerate(runs)]
+        status = [main([*run, "--config", str(config), "--out", str(tmp_path / str(i))])
+                  for i, run in enumerate(runs)]
     finally:
         sys.setprofile(previous)
     assert status == [0, 0, 0]
