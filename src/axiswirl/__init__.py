@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import (AxiswirlError, BlowupTimeError, ConfigError, DomainError,
                      InvariantViolation, QuadratureConvergenceError)
-from .numerics import (DEFAULT_SPEC, QuadratureSpec, RadialGrid, TimeLadder,
-                       integrate, make_radial_grid, make_time_ladder)
+from .numerics import DEFAULT_SPEC, QuadratureSpec, TimeLadder, integrate
 from .profiles import (ForcingProfile, SwirlProfile, build_profile,
                        bump_forcing, forcing_from_samples, inner_integral,
                        ode_residual, reference_k, zero_forcing)

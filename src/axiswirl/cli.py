@@ -4,7 +4,7 @@ Configuration is a flat key=value file with command-line flags taking
 precedence; OUT_DIR in the environment overrides the output directory.
 Every run writes a manifest echoing the effective configuration next to
 its outputs, and a machine-parseable summary is emitted even on failure.
-Exit status is 0 iff every enabled check passed.
+Exit status is 0 iff every check passed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import AxiswirlError, ConfigError
 from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
                     l1_series, norm_series_rows, y_series)
-from .numerics import DEFAULT_SPEC, make_radial_grid, make_time_ladder
+from .numerics import DEFAULT_SPEC, TimeLadder
 from .oracle import (OCTAVES, TRAJECTORY_HEADER, convergence_study,
                      default_levels, trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
@@ -72,7 +72,7 @@ LADDER_FLOOR = 20  # the least depth of the boundary-check and energy ladders
 def _floor_ladder(cfg: RunConfig):
     """The boundary-check and energy ladder. ``validate`` builds it too, so a
     ladder_J too deep for T exits 2 before any command runs."""
-    return make_time_ladder(cfg.T, max(cfg.ladder_J, LADDER_FLOOR))
+    return TimeLadder(cfg.T, max(cfg.ladder_J, LADDER_FLOOR))
 
 
 # Every RunConfig field is a key and a flag.
@@ -188,9 +188,9 @@ def cmd_profile(cfg: RunConfig) -> int:
     table = profile_table(prof, radii)
     write_csv(_out_path(cfg, "profile.csv"), PROFILE_HEADER, table)
     res_max = float(np.max(np.abs(table[:, 4])))
-    # The residual cannot see the h = g/r^2 cache: its terms in h cancel.
-    # So g = r^2 h is also held against the direct quadrature, within the
-    # quadrature's own contract.
+    # The residual cancels identically in h = g/r^2, in I and in k, so it
+    # checks the derivative formulas, not the caches. g = r^2 h is also held
+    # against the direct quadrature, within its contract; no gate reads I.
     probe = radii[::40]
     g_exact = np.array([prof.g_exact(r) for r in probe])
     g_ratio = float(np.max(np.abs(prof.g(probe) - g_exact) / np.maximum(
@@ -213,23 +213,22 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     fam = build_family(cfg)
-    grid = make_radial_grid(cfg.grid_n)
-    ladder = make_time_ladder(cfg.T, cfg.ladder_J)
+    ladder = TimeLadder(cfg.T, cfg.ladder_J)
     checks = []
     fields_to_check = ["v"] if cfg.part == 1 else ["eta", "vbar"]
     for which in fields_to_check:
-        checks.append(check_swirl_pde(fam, which, grid, ladder))
+        checks.append(check_swirl_pde(fam, which, cfg.grid_n, ladder))
     checks.append(check_boundary(fam, _floor_ladder(cfg)))
-    bounds = [check_bound(fam, "u_upper", grid, ladder),
-              check_bound(fam, "grad_u_upper", grid, ladder)]
+    bounds = [check_bound(fam, "u_upper", cfg.grid_n, ladder),
+              check_bound(fam, "grad_u_upper", cfg.grid_n, ladder)]
     if cfg.part == 2 and fam.profile.k.nontrivial:
         # A trivial forcing makes the lower-bound claim empty (u = 0).
-        bounds.append(check_bound(fam, "phi_lower", grid, ladder))
+        bounds.append(check_bound(fam, "phi_lower", cfg.grid_n, ladder))
 
     report = {"checks": [report_to_dict(c) for c in checks + bounds]}
     report["passed"] = all(c["passed"] for c in report["checks"])
     write_json(_out_path(cfg, "verify_report.json"), report)
-    slice_r = grid.nodes[1:-1:max(1, len(grid) // 32)]
+    slice_r = np.linspace(0.0, 1.0, cfg.grid_n)[1:-1:max(1, cfg.grid_n // 32)]
     slice_t = ladder.levels[:: max(1, len(ladder) // 6)]
     write_csv(_out_path(cfg, "field_slice.csv"), FIELD_SLICE_HEADER,
               field_slice_rows(fam, slice_r, slice_t))
@@ -258,7 +257,7 @@ def _classification_depth(fam: SolutionFamily, floor: int) -> int:
 def cmd_norms(cfg: RunConfig) -> int:
     fam = build_family(cfg)
     ladder = _floor_ladder(cfg)
-    deep = make_time_ladder(cfg.T, _classification_depth(fam, cfg.ladder_J))
+    deep = TimeLadder(cfg.T, _classification_depth(fam, cfg.ladder_J))
     series = [energy_series(fam, "v", ladder)]
     if cfg.part == 2:
         series.append(energy_series(fam, "vbar", ladder))

@@ -1,4 +1,4 @@
-"""Shared numerical primitives: adaptive quadrature, radial grids, time ladders.
+"""Shared numerical primitives: adaptive quadrature and the time ladder.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs. All routines are pure functions. Integrands passed to
@@ -8,7 +8,7 @@ batches at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -17,13 +17,10 @@ from .errors import QuadratureConvergenceError
 
 __all__ = [
     "QuadratureSpec",
-    "RadialGrid",
     "TimeLadder",
     "DEFAULT_SPEC",
     "integrate",
     "gauss_panel_sums",
-    "make_radial_grid",
-    "make_time_ladder",
 ]
 
 # Embedded Gauss-Legendre pair: the 21-point rule supplies the panel value,
@@ -210,78 +207,41 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         splits += 1
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Ordered radii in [0, 1]; the outer wall is always the last node."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if nodes[0] < 0.0 or nodes[-1] != 1.0:
-            raise ValueError("grid must start at r >= 0 and end exactly at r = 1")
-
-    def __len__(self):
-        return self.nodes.size
-
-    def interior(self) -> np.ndarray:
-        return self.nodes[1:-1]
-
-
-def make_radial_grid(n: int) -> RadialGrid:
-    """The uniform ``n``-node grid on [0, 1]."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return RadialGrid(nodes=np.linspace(0.0, 1.0, n))
-
-
-@dataclass(frozen=True)
-class TimeLadder:
-    """Geometric times t_j = T (1 - 2^-j) resolving the approach to T.
-
-    ``T_minus`` stores T * 2^-j directly so late levels never suffer the
-    cancellation of computing T - t_j.
-    """
-
-    T: float
-    levels: np.ndarray
-    T_minus: np.ndarray
-
-    def __post_init__(self):
-        if not (0.0 < self.T <= 0.5):
-            raise ValueError("final time T must lie in (0, 1/2]")
-        levels = np.asarray(self.levels, dtype=float)
-        tminus = np.asarray(self.T_minus, dtype=float)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "T_minus", tminus)
-        if levels.shape != tminus.shape:
-            raise ValueError("levels and T_minus must align")
-        if not np.all(np.diff(levels) > 0.0):
-            raise ValueError("ladder levels must be strictly increasing")
-        if levels.size and not (0.0 <= levels[0] and levels[-1] < self.T):
-            raise ValueError("ladder levels must lie in [0, T)")
-
-    def __len__(self):
-        return self.levels.size
-
-
 # Past j = 53, T 2^-j is at most half the spacing of doubles below any T.
 MAX_LADDER_J = np.finfo(float).nmant + 1
 
 
-def make_time_ladder(T: float, J: int) -> TimeLadder:
-    """Ladder levels j = 1..J with t_j = T (1 - 2^-j)."""
-    if not 1 <= J <= MAX_LADDER_J:  # before any array is built
-        raise ValueError(f"J must lie in [1, {MAX_LADDER_J}], past which "
-                         f"T (1 - 2^-J) rounds to T; not {J}")
-    j = np.arange(1, J + 1, dtype=float)
-    tminus = T * np.power(2.0, -j)
-    return TimeLadder(T=T, levels=T - tminus, T_minus=tminus)
+@dataclass(frozen=True)
+class TimeLadder:
+    """Geometric times t_j = T (1 - 2^-j), j = 1..J, resolving the approach to T.
+
+    ``T_minus`` holds T * 2^-j directly so late levels never suffer the
+    cancellation of computing T - t_j; ``levels`` is T - T_minus. Both are
+    derived from (T, J), which alone build and compare a ladder.
+    """
+
+    T: float
+    J: int
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
+    T_minus: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 1 <= self.J <= MAX_LADDER_J:  # before any array is built
+            raise ValueError(f"J must lie in [1, {MAX_LADDER_J}], past which "
+                             f"T (1 - 2^-J) rounds to T; not {self.J}")
+        if not (0.0 < self.T <= 0.5):
+            raise ValueError("final time T must lie in (0, 1/2]")
+        tminus = self.T * np.power(2.0, -np.arange(1, self.J + 1, dtype=float))
+        levels = self.T - tminus
+        if not np.all(np.diff(levels) > 0.0):
+            raise ValueError("ladder levels must be strictly increasing")
+        if not (0.0 <= levels[0] and levels[-1] < self.T):
+            raise ValueError("ladder levels must lie in [0, T)")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "T_minus", tminus)
+
+    def __len__(self):
+        return self.J
 
 
 def local_radial_scale(r, T_minus_t) -> np.ndarray:

@@ -25,8 +25,9 @@ The solution is self-similar in r / sqrt(tau), tau = 2 (T - t), so tau is
 its one time scale. The march steps on the octaves of T - t, the dyadic
 ladder t_j = T (1 - 2^-j) where tau halves, from T - t = T down to T / 8.
 ``OracleConfig`` is that schedule: n_r radial nodes and the same number of
-equal steps on each of the OCTAVES octaves, so the step halves from one
-octave to the next and dt / tau is the same on every octave. Each
+equal steps on each of the OCTAVES octaves, whose ends are the T - t of
+``TimeLadder(T, OCTAVES)``, so the step halves from one octave to the next
+and dt / tau is the same on every octave. Each
 midpoint's T - t is formed from its octave's own T 2^-j, so no T - t_n
 cancellation arises. The forcing is evaluated, and scaled into R c in
 place, for blocks of step midpoints at a time, each block bounded in grid
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import AxiswirlError
 from .fields import SolutionFamily, _rhs, _T_minus, _w
-from .numerics import empirical_order
+from .numerics import TimeLadder, empirical_order
 
 __all__ = [
     "OracleConfig",
@@ -78,11 +79,6 @@ class OracleConfig:
             raise ValueError("n_r must be at least 16")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-
-    def octaves(self, T: float) -> list[tuple[float, float, int]]:
-        """(T - t at the start, T - t at the end, step count) of each octave
-        of the march: octave j runs from T 2^-j to T 2^-(j+1)."""
-        return [(T * 0.5**j, T * 0.5**(j + 1), self.steps) for j in range(OCTAVES)]
 
 
 @dataclass
@@ -223,15 +219,15 @@ def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
     family's T - t kernels."""
     if which not in _WALL:
         raise ValueError(f"which must be 'u' or 'eta', not {which!r}")
-    octaves, n = cfg.octaves(fam.T), cfg.steps
-    sizes = [(a - b) / n for a, b, _ in octaves]
+    # Octave j, one row, runs from T - t = T 2^-j to the ladder's T 2^-(j+1).
+    stops, n = TimeLadder(fam.T, OCTAVES).T_minus, cfg.steps
+    starts = np.append(fam.T, stops[:-1])[:, None]
+    sizes = (starts - stops[:, None]) / n
     # Per step: its size, and T - t at its midpoint and its end, each from
     # its octave's start; the last end of an octave is the octave's end.
     dts = np.repeat(sizes, n)
-    mids = np.concatenate([a - (np.arange(n) + 0.5) * h
-                           for (a, _, _), h in zip(octaves, sizes)])
-    ends = np.concatenate([[fam.T]] + [np.append(a - np.arange(1, n) * h, b)
-                                       for (a, b, _), h in zip(octaves, sizes)])
+    mids = (starts - (np.arange(n) + 0.5) * sizes).ravel()
+    ends = np.append(fam.T, np.column_stack((starts - np.arange(1, n) * sizes, stops)))
     r = np.linspace(0.0, 1.0, cfg.n_r)
     initial = _w(fam, which, r, fam.T)
     stepper = SwirlStepper(cfg.n_r, dts[0], _WALL[which](fam))
@@ -240,7 +236,7 @@ def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
 
     # Forcing blocks, cut again at the octave ends and the kept steps.
     times = fam.T - ends
-    targets = np.linspace(0.0, fam.T - octaves[-1][1], 9)
+    targets = np.linspace(0.0, fam.T - stops[-1], 9)
     keep = set(np.abs(times[:, None] - targets).argmin(axis=0).tolist())
     cuts = sorted(keep.union(range(n, dts.size, n),
                              range(0, dts.size, max(1, _BLOCK_POINTS // ri.size))))

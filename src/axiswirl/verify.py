@@ -8,7 +8,7 @@ stencil is sized against the local solution scale
                                               at most 0.45 min(r, 1 - r))
     h_t       = min(1e-5, theta_t ell^2 / 2) (theta_t = THETA_T_CAP)
 
-with theta_r = 1 / (2 (n - 1)) on an n-point grid, and each sample's
+with theta_r = 1 / (2 (grid_n - 1)) on the uniform grid, and each sample's
 residual is normalized by the magnitude of the largest term entering the
 equation at that sample. A report passes when every normalized residual
 stays below KAPPA * (theta_r^2 + theta_t^2): the truncation of an O(h^2)
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import EPS0, SolutionFamily, _jet, _ladder_T_minus, _rhs, _w
-from .numerics import RadialGrid, TimeLadder, local_radial_scale
+from .numerics import TimeLadder, local_radial_scale
 from .profiles import SwirlProfile
 
 __all__ = [
@@ -104,21 +104,21 @@ class BoundCheck:
     passed: bool
 
 
-def _lattice(fam: SolutionFamily, grid: RadialGrid, ladder: TimeLadder, theta: float):
-    """Level-major samples r, t, tm = T - t of every interior radius >= EPS0
-    at all but the EXCLUDE_NEAREST levels nearest t = T, and the step
-    h = min(theta * ell, 0.45 min(r, 1 - r)), > 0 as EPS0 <= r < 1."""
-    keep = len(ladder) - EXCLUDE_NEAREST
-    times, tminus = ladder.levels[:keep], _ladder_T_minus(fam, ladder)[:keep]
-    radii = grid.interior()
+def _lattice(fam: SolutionFamily, grid_n: int, ladder: TimeLadder, exclude: int = 0):
+    """The lattice's axes: the interior radii >= EPS0 of the uniform
+    grid_n-node grid on [0, 1], and the levels and T - t of all but the
+    ``exclude`` levels nearest t = T."""
+    tminus = _ladder_T_minus(fam, ladder)
+    radii = np.linspace(0.0, 1.0, grid_n)[1:-1]
     radii = radii[radii >= EPS0]
-    r = np.tile(radii, times.size)
-    t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
-    h = np.minimum(theta * local_radial_scale(r, tm), 0.45 * np.minimum(r, 1.0 - r))
-    return r, t, tm, h
+    keep = len(ladder) - exclude
+    if radii.size == 0 or keep < 1:
+        raise ValueError(f"no lattice sample remains with grid_n = {grid_n} "
+                         f"and J = {ladder.J}")
+    return radii, ladder.levels[:keep], tminus[:keep]
 
 
-def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
+def check_swirl_pde(fam: SolutionFamily, which: str, grid_n: int,
                     ladder: TimeLadder, *, step_scale: float = 1.0) -> ResidualReport:
     """Verify (d_rr + d_r/r - 1/r^2 - d_t) w = RHS through FD stencils.
 
@@ -129,9 +129,14 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid: RadialGrid,
     repeats it with the stationary wall term subtracted.
     """
     rhs = _rhs(fam, which)
-    theta_r0 = 0.5 / (len(grid) - 1)
-    r, t, tm, h = _lattice(fam, grid, ladder, step_scale * theta_r0)
+    theta_r0 = 0.5 / (grid_n - 1)
+    # Level-major samples r, t, tm = T - t, and the radial step h, > 0 as
+    # EPS0 <= r < 1.
+    radii, times, tminus = _lattice(fam, grid_n, ladder, EXCLUDE_NEAREST)
+    r = np.tile(radii, times.size)
+    t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
     ell = local_radial_scale(r, tm)
+    h = np.minimum(step_scale * theta_r0 * ell, 0.45 * np.minimum(r, 1.0 - r))
     h_t = step_scale * np.minimum(1e-5, THETA_T_CAP * ell * ell / 2.0)
     # Where the step reaches t = T, the stencil is one-sided into the past.
     one_sided = h_t >= tm
@@ -218,14 +223,13 @@ def bound_constant(profile: SwirlProfile, bound: str) -> float:
     return float(np.max(np.concatenate((coarse, fine.ravel(), [exterior]))))
 
 
-def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
+def _bound_samples(fam: SolutionFamily, bound: str, grid_n: int,
                    ladder: TimeLadder) -> np.ndarray:
     """The normalised field on the (levels, 1) x (1, radii) lattice, level-major."""
     if bound not in _BOUND_SHAPES:
         raise ValueError(f"unknown bound {bound!r}")
-    radii = grid.interior()
-    radii = radii[radii >= EPS0]
-    tm = _ladder_T_minus(fam, ladder)[:, None]
+    radii, _, tm = _lattice(fam, grid_n, ladder)
+    tm = tm[:, None]
     shape = radii * radii + tm
     if bound == "grad_u_upper":
         _, uor, du = _jet(fam, radii, tm)
@@ -238,7 +242,7 @@ def _bound_samples(fam: SolutionFamily, bound: str, grid: RadialGrid,
     return (radii / (u * shape)).ravel()
 
 
-def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
+def check_bound(fam: SolutionFamily, bound: str, grid_n: int,
                 ladder: TimeLadder) -> BoundCheck:
     """Fit the bound constant as the sampled max and gate it against C*.
 
@@ -249,7 +253,7 @@ def check_bound(fam: SolutionFamily, bound: str, grid: RadialGrid,
     """
     if bound == "phi_lower" and fam.part != 2:
         raise ValueError("the lower bound applies to part-2 families")
-    samples = _bound_samples(fam, bound, grid, ladder)
+    samples = _bound_samples(fam, bound, grid_n, ladder)
     fitted = float(np.max(samples))
     c_star = bound_constant(fam.profile, bound)
     return BoundCheck(

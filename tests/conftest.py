@@ -56,22 +56,22 @@ def y_deep(fam2_big):
     """The five Y series of the amplitude-100 bump on the J = 28 ladder, by
     name: one ``y_series`` call for every test that reads a Y series."""
     return {s.quantity.removeprefix("L1_"): s
-            for s in y_series(fam2_big, ax.make_time_ladder(0.5, 28))}
+            for s in y_series(fam2_big, ax.TimeLadder(0.5, 28))}
 
 
 @pytest.fixture(scope="session")
 def grid128():
-    return ax.make_radial_grid(128)
+    return 128
 
 
 @pytest.fixture(scope="session")
 def ladder12():
-    return ax.make_time_ladder(0.5, 12)
+    return ax.TimeLadder(0.5, 12)
 
 
 @pytest.fixture(scope="session")
 def ladder20():
-    return ax.make_time_ladder(0.5, 20)
+    return ax.TimeLadder(0.5, 20)
 
 
 @pytest.fixture

@@ -68,7 +68,7 @@ def test_criterion_3_eta_identity_part2(fam2, grid128, ladder12):
 
 def test_criterion_4_boundary(fam1, fam2):
     start = time.monotonic()
-    ladder = ax.make_time_ladder(0.5, 20)
+    ladder = ax.TimeLadder(0.5, 20)
     worst = 0.0
     for fam, which in ((fam1, "v"), (fam2, "vbar")):
         vals = [abs(ax.evaluate(fam, which, 1.0, float(t))) for t in ladder.levels]
@@ -82,7 +82,7 @@ def test_criterion_4_boundary(fam1, fam2):
 
 def test_criterion_5_energy_contrast(fam1_big, fam2_big):
     start = time.monotonic()
-    ladder = ax.make_time_ladder(0.5, 20)
+    ladder = ax.TimeLadder(0.5, 20)
     ev = energy_series(fam1_big, "v", ladder)
     x = np.abs(np.log(ladder.T_minus[7:]))
     y = ev.values[7:]
@@ -108,8 +108,8 @@ def test_criterion_5_energy_contrast(fam1_big, fam2_big):
 
 def test_criterion_6_forcing_classification(fam1, y_deep):
     start = time.monotonic()
-    ladder = ax.make_time_ladder(0.5, 20)
-    deep = ax.make_time_ladder(0.5, 28)
+    ladder = ax.TimeLadder(0.5, 20)
+    deep = ax.TimeLadder(0.5, 28)
 
     f_series = l1_series(fam1, ladder)
     expected = 2.0 * np.pi * ABS_K_MOMENT_STAR / np.sqrt(2.0)
@@ -155,9 +155,8 @@ def test_criterion_7_oracle_crossvalidation(fam1):
 
 def test_criterion_8_blowup(fam1_big, fam2_big):
     start = time.monotonic()
-    grid = ax.make_radial_grid(128)
-    ladder = ax.make_time_ladder(0.5, 20)
-    r = grid.nodes[1:]
+    ladder = ax.TimeLadder(0.5, 20)
+    r = np.linspace(0.0, 1.0, 128)[1:]
 
     details = []
     growth_ok = True
@@ -170,8 +169,7 @@ def test_criterion_8_blowup(fam1_big, fam2_big):
         growth_ok = growth_ok and nondecreasing and ratio > 10.0
         details.append(f"sup|{name}| x{ratio:.0f}")
 
-    lower = ax.check_bound(fam2_big, "phi_lower", grid,
-                           ax.make_time_ladder(0.5, 12))
+    lower = ax.check_bound(fam2_big, "phi_lower", 128, ax.TimeLadder(0.5, 12))
     elapsed = time.monotonic() - start
     ok = growth_ok and lower.passed
     _report(8, ok, elapsed,

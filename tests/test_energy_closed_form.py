@@ -27,7 +27,7 @@ def nested_energy_v(fam, ladder):
 
 def assert_matches_nested(profile, T, J=8):
     fam = ax.SolutionFamily(profile=profile, T=T, part=1)
-    ladder = ax.make_time_ladder(T, J)
+    ladder = ax.TimeLadder(T, J)
     closed = energy_series(fam, "v", ladder).values
     nested = nested_energy_v(fam, ladder)
     assert np.max(np.abs(closed - nested) / np.abs(nested)) < 1e-9
@@ -67,7 +67,7 @@ def test_energy_log_slope_identity(big_profile, T):
     # E_v - pi (A + 2 g1^2) |ln(T - t)| is affine in T - t, so on deep
     # levels the slope against |ln(T - t)| is pi (A + 2 g1^2) to rounding.
     fam = ax.SolutionFamily(profile=big_profile, T=T, part=1)
-    ladder = ax.make_time_ladder(T, 40)
+    ladder = ax.TimeLadder(T, 40)
     values = energy_series(fam, "v", ladder).values
     logs = np.abs(np.log(ladder.T_minus))
     slopes = np.diff(values[-6:]) / np.diff(logs[-6:])
@@ -89,7 +89,7 @@ def test_closed_form_matches_nested_path_any_T(ref_profile, T):
 @pytest.mark.parametrize("T", [0.5, 0.3])
 def test_closed_form_matches_nested_path_deep_ladder(ref_profile, T):
     fam = ax.SolutionFamily(profile=ref_profile, T=T, part=1)
-    ladder = ax.make_time_ladder(T, 50)
+    ladder = ax.TimeLadder(T, 50)
     closed = energy_series(fam, "v", ladder).values
     nested = _nested_energy(fam, "v", ladder, NORM_SPEC)
     assert np.max(np.abs(closed - nested) / np.abs(nested)) < 1e-9

@@ -87,8 +87,8 @@ def test_eval_v_zero_forcing(fam1_zero):
 
 def test_eval_v_near_blowup_consistent_with_lower_bound(fam2):
     # The sampled lower-bound constant certifies v at a late time.
-    grid = ax.make_radial_grid(64)
-    ladder = ax.make_time_ladder(fam2.T, 12)
+    grid = 64
+    ladder = ax.TimeLadder(fam2.T, 12)
     check = ax.check_bound(fam2, "phi_lower", grid, ladder)
     r, t = 0.5, fam2.T - 1e-4
     v = ax.evaluate(fam2, "v", r, t)
@@ -280,17 +280,16 @@ def test_field_slice_rows_match_samples(fam2):
 
 
 def test_upper_bound_ratio_bounded_and_stable(fam1):
-    grid = ax.make_radial_grid(96)
-    ladder = ax.make_time_ladder(fam1.T, 14)
+    grid = 96
+    ladder = ax.TimeLadder(fam1.T, 14)
     check = ax.check_bound(fam1, "u_upper", grid, ladder)
     assert check.passed
     assert np.isfinite(check.fitted_C)
 
 
 def test_blowup_sup_growth(fam2_big, fam1_big):
-    grid = ax.make_radial_grid(128)
-    ladder = ax.make_time_ladder(0.5, 20)
-    r = grid.nodes[1:]
+    ladder = ax.TimeLadder(0.5, 20)
+    r = np.linspace(0.0, 1.0, 128)[1:]
     vmax = np.array([np.max(np.abs(ax.evaluate(fam1_big, "v", r, float(t))))
                      for t in ladder.levels])
     assert np.all(np.diff(vmax) >= -1e-12 * vmax[:-1])
@@ -351,7 +350,7 @@ def test_value_path_never_touches_the_I_spline(fam2):
         ax.evaluate(fam, "du_dr", r, 0.3)
 
 
-_GRID16 = ax.make_radial_grid(16)
+_GRID16 = 16
 _LADDER_CONSUMERS = {
     "check_swirl_pde": lambda fam, ladder: ax.check_swirl_pde(fam, "v", _GRID16, ladder),
     "check_boundary": ax.check_boundary,
@@ -369,4 +368,4 @@ def test_a_ladder_built_for_another_T_is_rejected(ref_profile, consumer):
     # that its T_minus is not T - t of this family.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=2)
     with pytest.raises(ValueError, match="ladder built for T = 0.25"):
-        _LADDER_CONSUMERS[consumer](fam, ax.make_time_ladder(0.25, 12))
+        _LADDER_CONSUMERS[consumer](fam, ax.TimeLadder(0.25, 12))

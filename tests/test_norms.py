@@ -55,7 +55,7 @@ def test_one_row_energy_matches_closed_form(amplitude, J):
     # the rate's growth toward t_J, down to T - t_J = 2^-51.
     fam = ax.SolutionFamily(profile=ax.build_profile(ax.bump_forcing(amplitude)),
                             T=0.5, part=1)
-    ladder = ax.make_time_ladder(0.5, J)
+    ladder = ax.TimeLadder(0.5, J)
     closed = energy_series(fam, "v", ladder).values[-1]
     assert energy(fam, "v", float(ladder.levels[-1])) == pytest.approx(
         closed, rel=1e-9)
@@ -154,7 +154,7 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
     # At T = 0.3 the difference T - t_j cancels catastrophically on deep
     # levels; the series must use the ladder's exact T * 2^-j instead.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=1)
-    ladder = ax.make_time_ladder(0.3, 40)
+    ladder = ax.TimeLadder(0.3, 40)
     series = l1_series(fam, ladder)
     scaled = series.values * np.sqrt(ladder.T_minus)
     assert np.ptp(scaled) / np.mean(scaled) < 1e-10
@@ -162,7 +162,7 @@ def test_l1_series_reads_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile):
 
 @pytest.mark.parametrize("quantity", ["f", "Y1", "Y4"])
 def test_l1_series_rows_match_per_level_parts(fam2_big, quantity):
-    ladder = ax.make_time_ladder(0.3, 30)
+    ladder = ax.TimeLadder(0.3, 30)
     fam = ax.SolutionFamily(profile=fam2_big.profile, T=0.3, part=2)
     series = (l1_series(fam, ladder) if quantity == "f" else
               {s.quantity: s for s in y_series(fam, ladder)}[f"L1_{quantity}"])
@@ -184,7 +184,7 @@ def test_nested_energy_is_one_time_row_call(fam2, monkeypatch):
         return real(f, a, b, spec, **kwargs)
 
     monkeypatch.setattr(norms, "integrate", counting)
-    ladder = ax.make_time_ladder(fam2.T, 12)
+    ladder = ax.TimeLadder(fam2.T, 12)
     norms._nested_energy(fam2, "vbar", ladder, NORM_SPEC)
     assert time_calls == [(12,)]
 
@@ -323,7 +323,7 @@ def test_y_series_meet_norm_spec_on_the_seed_6_table():
     # panels stopped early; the shared panels refine to what all five need.
     fam = _seeded_family(6, part=2)
     assert fam.T == 0.3651
-    ladder = ax.make_time_ladder(fam.T, 28)
+    ladder = ax.TimeLadder(fam.T, 28)
     tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
     for series, quantity in zip(y_series(fam, ladder), ("Y1", "Y2", "Y3", "Y4", "Y")):
         assert series.quantity == f"L1_{quantity}"
@@ -338,7 +338,7 @@ def test_spatial_l1_meets_norm_spec_on_seeded_tables(seed):
     # The one-quantity check path alone, without the panels the other four
     # quantities share in production, down to T - t ~ 1e-9 near the axis.
     fam = _seeded_family(seed, part=2)
-    ladder = ax.make_time_ladder(fam.T, 28)
+    ladder = ax.TimeLadder(fam.T, 28)
     tight = ax.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13, max_subdivisions=20000)
     for quantity in ("Y1", "Y2", "Y3", "Y4", "Y"):
         value, reference = (spatial_L1(fam, quantity, ladder.levels, spec,
@@ -369,7 +369,7 @@ def test_norms_part2_makes_one_stacked_l1_call(tmp_path, monkeypatch):
     assert l1_calls == [(5 * J,)]
     l1_calls.clear()
     fam = _seeded_family(103, part=1)
-    l1_series(fam, ax.make_time_ladder(fam.T, 40))
+    l1_series(fam, ax.TimeLadder(fam.T, 40))
     assert l1_calls == []
 
 
@@ -385,7 +385,7 @@ def test_log2_tail_meets_a_tight_reference_in_one_halving(seed, T, monkeypatch):
 
     fam = (ax.SolutionFamily(profile=ax.build_profile(ax.reference_k()), T=T, part=2)
            if seed is None else _seeded_family(seed, part=2))
-    ladder = ax.make_time_ladder(fam.T, _classification_depth(fam, 28))
+    ladder = ax.TimeLadder(fam.T, _classification_depth(fam, 28))
     window = slice(-norms.TAIL_LEVELS, None)
     tm, v = ladder.T_minus[window], y_series(fam, ladder)[-1].values[window]
     a = norms._Y_LAW
@@ -421,7 +421,7 @@ def test_closed_form_forcing_norm_matches_quadrature_on_a_table(seed, T):
     # claimed 8.2e-9, until the rows cut at the table's knots.
     fam = _seeded_family(seed, part=1)
     assert fam.T == T
-    ladder = ax.make_time_ladder(fam.T, 40)
+    ladder = ax.TimeLadder(fam.T, 40)
     series = l1_series(fam, ladder)
     numeric = spatial_L1(fam, "f", ladder.levels, T_minus=ladder.T_minus)
     assert np.all(np.abs(series.values - numeric)
@@ -433,7 +433,7 @@ def _classified_family(seed, part):
     from axiswirl.cli import _classification_depth
     fam = (ax.SolutionFamily(profile=ax.build_profile(ax.reference_k()), T=0.5, part=part)
            if seed is None else _seeded_family(seed, part=part))
-    return fam, ax.make_time_ladder(fam.T, _classification_depth(fam, 28))
+    return fam, ax.TimeLadder(fam.T, _classification_depth(fam, 28))
 
 
 @pytest.mark.parametrize("seed", [None, 103], ids=["bump", "seed103"])

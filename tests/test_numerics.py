@@ -139,23 +139,8 @@ def test_gauss_panel_sums_keep_the_per_row_dot_bits(matrix):
     assert np.array_equal(gauss_panel_sums(f, nodes), expected)
 
 
-def test_radial_grid_two_nodes():
-    grid = ax.make_radial_grid(2)
-    assert np.array_equal(grid.nodes, [0.0, 1.0])
-
-
-def test_radial_grid_uniform_five():
-    grid = ax.make_radial_grid(5)
-    assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def test_radial_grid_validation():
-    with pytest.raises(ValueError):
-        ax.make_radial_grid(1)
-
-
 def test_time_ladder_structure():
-    ladder = ax.make_time_ladder(0.5, 20)
+    ladder = ax.TimeLadder(0.5, 20)
     assert len(ladder) == 20
     assert np.all(np.diff(ladder.levels) > 0.0)
     assert ladder.levels[-1] < 0.5
@@ -165,10 +150,22 @@ def test_time_ladder_structure():
 
 
 def test_time_ladder_validation():
-    with pytest.raises(ValueError):
-        ax.make_time_ladder(0.6, 8)
-    with pytest.raises(ValueError):
-        ax.make_time_ladder(0.5, 0)
+    with pytest.raises(ValueError, match=r"final time T must lie in \(0, 1/2\]"):
+        ax.TimeLadder(0.6, 8)
+    with pytest.raises(ValueError, match=r"J must lie in \[1, 53\].*; not 0"):
+        ax.TimeLadder(0.5, 0)
+    with pytest.raises(ValueError, match=r"J must lie in \[1, 53\].*; not 54"):
+        ax.TimeLadder(0.5, 54)
+    # T (1 - 2^-53) rounds to T at this T: the last level is not below it
+    with pytest.raises(ValueError, match=r"ladder levels must"):
+        ax.TimeLadder(0.3617, 53)
+
+
+def test_time_ladders_of_one_T_and_J_compare_equal_and_hash_alike():
+    a, b = ax.TimeLadder(0.3617, 12), ax.TimeLadder(0.3617, 12)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != ax.TimeLadder(0.3617, 13) and a != ax.TimeLadder(0.5, 12)
 
 
 # --- row mode: array endpoints, one integral per row -------------------------

@@ -24,8 +24,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("T", [0.5, 0.3617, 1e-300])
 def test_octaves_are_the_dyadic_ladder_bit_for_bit(T):
-    assert ax.OracleConfig(n_r=64, steps=7).octaves(T) == [
-        (T, T / 2, 7), (T / 2, T / 4, 7), (T / 4, T / 8, 7)]
+    # solve's octave ends are the T - t of this ladder
+    assert ax.TimeLadder(T, 3).T_minus.tolist() == [T / 2, T / 4, T / 8]
 
 
 def test_zero_forcing_zero_trajectory(fam1_zero):

@@ -38,9 +38,8 @@ def _seeded_family(seed):
 def _slice_lattice(fam, J):
     """The radii and T - t rows of the CLI's field slice on the default
     grid and a J-level ladder, keyed on the ladder's exact T_minus."""
-    grid = ax.make_radial_grid(128)
-    ladder = ax.make_time_ladder(fam.T, J)
-    radii = grid.nodes[1:-1:max(1, len(grid) // 32)]
+    ladder = ax.TimeLadder(fam.T, J)
+    radii = np.linspace(0.0, 1.0, 128)[1:-1:128 // 32]
     tm = ladder.T_minus[:: max(1, len(ladder) // 6)]
     return np.tile(radii, tm.size), np.repeat(tm, radii.size)
 
@@ -62,8 +61,8 @@ def test_few_pressure_rows_meet_the_default_spec_on_the_seed_106_table():
     # DEFAULT_SPEC by 1.10e-10 (at sigma = 1.22) until each row cut at the
     # table's knots; all 192 rows in one call met it, on shared panels.
     fam = _seeded_family(106)
-    grid, ladder = ax.make_radial_grid(128), ax.make_time_ladder(fam.T, 12)
-    radii, times = grid.nodes[1:-1:4], ladder.levels[::2]
+    ladder = ax.TimeLadder(fam.T, 12)
+    radii, times = np.linspace(0.0, 1.0, 128)[1:-1:4], ladder.levels[::2]
     r, t = np.tile(radii, times.size)[::8], np.repeat(times, radii.size)[::8]
     assert r.size == 24
     value = ax.eval_pressure(fam, "v", r, t)

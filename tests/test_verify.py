@@ -16,12 +16,12 @@ from oracles import residual_order
 
 @pytest.fixture(scope="module")
 def grid64():
-    return ax.make_radial_grid(64)
+    return 64
 
 
 @pytest.fixture(scope="module")
 def ladder10():
-    return ax.make_time_ladder(0.5, 10)
+    return ax.TimeLadder(0.5, 10)
 
 
 def test_zero_forcing_pde_residuals_vanish(fam1_zero, grid64, ladder10):
@@ -106,7 +106,7 @@ def test_eta_check_requires_part2(fam1, grid64, ladder10):
 
 
 def test_boundary_check_both_parts(fam1, fam2):
-    ladder = ax.make_time_ladder(0.5, 20)
+    ladder = ax.TimeLadder(0.5, 20)
     for fam in (fam1, fam2):
         report = ax.check_boundary(fam, ladder)
         assert report.passed
@@ -115,8 +115,8 @@ def test_boundary_check_both_parts(fam1, fam2):
 
 
 def test_bound_checks_reference(fam1, fam2):
-    grid = ax.make_radial_grid(64)
-    ladder = ax.make_time_ladder(0.5, 12)
+    grid = 64
+    ladder = ax.TimeLadder(0.5, 12)
     upper = ax.check_bound(fam1, "u_upper", grid, ladder)
     assert upper.passed and 0.99 < upper.fitted_C / upper.C_star <= 1.0
     grad = ax.check_bound(fam1, "grad_u_upper", grid, ladder)
@@ -153,7 +153,7 @@ def test_phi_lower_supremum_on_the_bump_is_the_larger_limit(ref_profile):
                                          (2, "phi_lower")])
 def test_bound_supremum_does_not_depend_on_T(ref_profile, grid64, part, bound):
     checks = [ax.check_bound(ax.SolutionFamily(profile=ref_profile, T=T, part=part),
-                             bound, grid64, ax.make_time_ladder(T, 12))
+                             bound, grid64, ax.TimeLadder(T, 12))
               for T in (0.5, 0.3)]
     assert checks[0].C_star == checks[1].C_star
     assert all(c.passed for c in checks)
@@ -167,8 +167,8 @@ def test_bound_samples_stay_within_the_gate_at_every_accepted_T_and_J(ref_profil
         RunConfig(T=T, ladder_J=J).validate()
     except ConfigError:
         assume(False)
-    grid = ax.make_radial_grid(32)
-    ladder = ax.make_time_ladder(T, J)
+    grid = 32
+    ladder = ax.TimeLadder(T, J)
     for part, bound in ((1, "u_upper"), (1, "grad_u_upper"), (2, "phi_lower")):
         fam = ax.SolutionFamily(profile=ref_profile, T=T, part=part)
         check = ax.check_bound(fam, bound, grid, ladder)
@@ -182,22 +182,22 @@ def test_gradient_bound_at_a_tiny_T_raises_no_overflow_warning(ref_profile):
     fam = ax.SolutionFamily(profile=ref_profile, T=1e-300, part=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        check = ax.check_bound(fam, "grad_u_upper", ax.make_radial_grid(32),
-                               ax.make_time_ladder(1e-300, 40))
+        check = ax.check_bound(fam, "grad_u_upper", 32,
+                               ax.TimeLadder(1e-300, 40))
     assert check.passed
 
 
 def test_bound_check_zero_forcing(fam1_zero):
-    grid = ax.make_radial_grid(32)
-    ladder = ax.make_time_ladder(0.5, 8)
+    grid = 32
+    ladder = ax.TimeLadder(0.5, 8)
     check = ax.check_bound(fam1_zero, "u_upper", grid, ladder)
     assert check.passed
     assert check.fitted_C == 0.0
 
 
 def test_bound_check_validation(fam1):
-    grid = ax.make_radial_grid(32)
-    ladder = ax.make_time_ladder(0.5, 8)
+    grid = 32
+    ladder = ax.TimeLadder(0.5, 8)
     with pytest.raises(ValueError):
         ax.check_bound(fam1, "phi_lower", grid, ladder)
     with pytest.raises(ValueError):
@@ -226,26 +226,24 @@ def test_bound_samples_read_T_minus_from_the_ladder_at_non_dyadic_T(ref_profile)
     from axiswirl.fields import _w
     from axiswirl.verify import _bound_samples
     fam = ax.SolutionFamily(profile=ref_profile, T=0.3, part=1)
-    grid = ax.make_radial_grid(64)
-    ladder = ax.make_time_ladder(0.3, 40)
-    radii = grid.interior()
+    ladder = ax.TimeLadder(0.3, 40)
+    radii = np.linspace(0.0, 1.0, 64)[1:-1]
     expected = np.concatenate([
         np.abs(_w(fam, "u", radii, tm)) * (radii * radii + tm) / radii
         for tm in ladder.T_minus])
-    assert np.array_equal(_bound_samples(fam, "u_upper", grid, ladder), expected)
+    assert np.array_equal(_bound_samples(fam, "u_upper", 64, ladder), expected)
 
 
 @pytest.mark.parametrize("which", ["v", "eta"])
 def test_pde_samples_are_the_concatenated_one_level_reports(fam2, grid64, which):
-    ladder = ax.make_time_ladder(0.5, 10)
-    whole = ax.check_swirl_pde(fam2, which, grid64, ladder)
-    keep = len(ladder) - 2
-    # Level j and the 2 after it: the 2 nearest t = T are left out.
-    parts = [ax.check_swirl_pde(
-        fam2, which, grid64,
-        ax.TimeLadder(T=0.5, levels=ladder.levels[j:j + 3],
-                      T_minus=ladder.T_minus[j:j + 3])) for j in range(keep)]
-    assert np.array_equal(whole.samples, np.concatenate([p.samples for p in parts]))
+    # Each level's samples do not depend on the levels after it: a J-level
+    # ladder's report, its J - 2 levels far from t = T, is the J = 10
+    # report's first J - 2 levels.
+    whole = ax.check_swirl_pde(fam2, which, grid64, ax.TimeLadder(0.5, 10)).samples
+    n_radii = grid64 - 2
+    for J in range(3, 11):
+        part = ax.check_swirl_pde(fam2, which, grid64, ax.TimeLadder(0.5, J)).samples
+        assert np.array_equal(part, whole[:(J - 2) * n_radii])
 
 
 @pytest.mark.parametrize("part, which, digest", [
@@ -259,7 +257,7 @@ def test_swirl_pde_samples_away_from_blow_up_are_pinned(ref_profile, grid64, par
     # reaches: those samples (r, t, normalised and raw residual) are bitwise
     # the ones the step h_t = min(1e-5, (T - t) / 100) gave.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
-    ladder = ax.make_time_ladder(0.5, 51)
+    ladder = ax.TimeLadder(0.5, 51)
     report = ax.check_swirl_pde(fam, which, grid64, ladder)
     far = ladder.levels[ladder.T_minus >= 1e-3]
     rows = report.samples[np.isin(report.samples[:, 1], far)]
@@ -272,7 +270,7 @@ def test_swirl_pde_passes_at_the_deepest_ladder(ref_profile, grid128, part, whic
     # Where h_t >= T - t the time stencil is one-sided into the past, so no
     # step collapses to the rounding noise of T - t.
     fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
-    ladder = ax.make_time_ladder(0.5, 51)
+    ladder = ax.TimeLadder(0.5, 51)
     report = ax.check_swirl_pde(fam, which, grid128, ladder)
     assert report.passed
     assert report.max_abs_residual < 0.1 * report.tolerance
@@ -284,9 +282,24 @@ def test_swirl_pde_passes_at_the_deepest_ladder(ref_profile, grid128, part, whic
 def test_every_lattice_sample_is_evaluated(fam1, grid_n, J):
     # Interior radii under EPS0 are left out (the first of grid 20001 is
     # 5e-5); every other radius at every level but the nearest two is a sample.
-    grid, ladder = ax.make_radial_grid(grid_n), ax.make_time_ladder(0.5, J)
-    radii = grid.interior()
+    ladder = ax.TimeLadder(0.5, J)
+    radii = np.linspace(0.0, 1.0, grid_n)[1:-1]
     n_radii = np.count_nonzero(radii >= ax.EPS0)
     levels = J - verify.EXCLUDE_NEAREST
-    pde = ax.check_swirl_pde(fam1, "v", grid, ladder)
+    pde = ax.check_swirl_pde(fam1, "v", grid_n, ladder)
     assert len(pde.samples) == n_radii * levels
+
+
+def test_a_grid_without_interior_radii_is_rejected_not_passed(fam1):
+    # grid_n = 2 has no interior radius: no PDE or bound sample remains.
+    ladder = ax.TimeLadder(0.5, 10)
+    with pytest.raises(ValueError, match="no lattice sample remains with grid_n = 2 and J = 10"):
+        ax.check_swirl_pde(fam1, "v", 2, ladder)
+    with pytest.raises(ValueError, match="no lattice sample remains with grid_n = 2 and J = 10"):
+        ax.check_bound(fam1, "u_upper", 2, ladder)
+
+
+def test_a_ladder_of_only_the_excluded_levels_is_rejected_not_passed(fam1):
+    # J = 2 leaves no PDE level once the EXCLUDE_NEAREST = 2 nearest t = T go.
+    with pytest.raises(ValueError, match="no lattice sample remains with grid_n = 64 and J = 2"):
+        ax.check_swirl_pde(fam1, "v", 64, ax.TimeLadder(0.5, 2))
