@@ -23,6 +23,8 @@ pass ``TimeLadder.T_minus`` (free of the cancellation in T - t_j) or tm
 formed and checked once by ``_T_minus``. Only ``evaluate``,
 ``eval_pressure`` and ``field_slice_rows`` take t: they validate (r, t),
 form T - t once and call the kernels.
+Each rule is checked where its value is formed: ``_w`` rejects an unknown
+field name, and ``_log1p``, which forms every log(1 + u), a part-1 family.
 The pressure of v (``evaluate``'s ``"P"`` and the ``P`` column of
 ``field_slice_rows``) is the closed form ``_pressure_v``: by
 self-similarity, the integral of v^2/l from the axis is
@@ -121,15 +123,15 @@ def _validate(fam: SolutionFamily, r, t):
 
 def _w(fam: SolutionFamily, which: str, r, tm):
     """Value path: u, v, eta or vbar from phi0 alone (no I-spline, no jet)."""
+    if which not in ("u", "v", "eta", "vbar"):
+        raise ValueError(f"unknown field {which!r}")
     root = np.sqrt(2.0 * tm)
     u = fam.profile.phi0(r / root) / root
     if which == "u":
         return u
     if which == "v":
         return u + fam.alpha * r
-    if fam.part != 2:
-        raise ValueError(f"{which} is defined for part-2 families")
-    eta = _log1p(u)
+    eta = _log1p(fam, u)
     return eta if which == "eta" else eta - fam.log_wall * r
 
 
@@ -141,7 +143,10 @@ def _jet(fam: SolutionFamily, r, tm):
     return phi / root, phi_over_s / tau, dphi / tau
 
 
-def _log1p(u):
+def _log1p(fam: SolutionFamily, u):
+    """log(1 + u) for eta, vbar, the Y terms and the vbar dissipation density."""
+    if fam.part != 2:
+        raise ValueError("eta, vbar and the Y terms are defined for part-2 families")
     if np.any(u <= -1.0):
         raise InvariantViolation("1 + u must stay positive for admissible forcing")
     return np.log1p(u)
@@ -166,7 +171,7 @@ _Y_NAMES = ("Y1", "Y2", "Y3", "Y4", "Y")
 
 def _y(fam: SolutionFamily, r, tm):
     u, _, du = _jet(fam, r, tm)
-    eta = _log1p(u)
+    eta = _log1p(fam, u)
     one_plus = 1.0 + u
     r2 = r * r
     y1 = -eta / r2
@@ -178,13 +183,9 @@ def _y(fam: SolutionFamily, r, tm):
 
 def _rhs(fam: SolutionFamily, which: str):
     """Kernel (r, tm) of the right side of the equation ``which`` solves:
-    the forcing for u and v, the Y sum for eta and vbar."""
+    the forcing for u and v, the Y sum for eta and vbar (``_w`` checks the name)."""
     if which in ("u", "v"):
         return lambda r, tm: _h(fam, r, tm)
-    if which not in ("eta", "vbar"):
-        raise ValueError(f"unknown field {which!r}")
-    if fam.part != 2:
-        raise ValueError(f"{which!r} checks need a part-2 family")
     return lambda r, tm: _y(fam, r, tm)[4]
 
 
@@ -261,8 +262,6 @@ def evaluate(fam: SolutionFamily, which: str, r, t):
     """
     rr, tm = _validate(fam, r, t)
     if which in _Y_NAMES:
-        if fam.part != 2:
-            raise ValueError(f"{which} is defined for part-2 families")
         if np.any(rr < EPS0):
             raise DomainError(f"Y components are served for r >= {EPS0:g}")
         value = _y(fam, rr, tm)[_Y_NAMES.index(which)]
@@ -279,22 +278,6 @@ def evaluate(fam: SolutionFamily, which: str, r, t):
     return float(value) if np.ndim(r) == 0 and np.ndim(t) == 0 else value
 
 
-def _fields_at(fam: SolutionFamily, r, t):
-    """(sigma, every field as an array) at the points (r, t) broadcast; the
-    Y components grow like 1/r at the axis: NaN below r = EPS0."""
-    r, tm = np.broadcast_arrays(*_validate(fam, r, t))
-    values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
-              "h": _h(fam, r, tm), "P": _pressure_v(fam, r, tm)}
-    if fam.part == 2:
-        for which in ("eta", "vbar"):
-            values[which] = _w(fam, which, r, tm)
-        served = r >= EPS0
-        for name, y in zip(_Y_NAMES, _y(fam, r[served], tm[served])):
-            values[name] = np.full(r.shape, np.nan)
-            values[name][served] = y
-    return r / np.sqrt(2.0 * tm), values
-
-
 FIELD_SLICE_HEADER = ["r", "t", "sigma", "u", "v", "eta", "vbar", "P", "h",
                       "Y1", "Y2", "Y3", "Y4"]
 
@@ -305,7 +288,16 @@ def field_slice_rows(fam: SolutionFamily, radii, times) -> np.ndarray:
     view."""
     radii, times = np.asarray(radii, dtype=float), np.asarray(times, dtype=float)
     r, t = np.tile(radii, times.size), np.repeat(times, radii.size)
-    sigma, values = _fields_at(fam, r, t)
+    r, tm = _validate(fam, r, t)
+    values = {"u": _w(fam, "u", r, tm), "v": _w(fam, "v", r, tm),
+              "h": _h(fam, r, tm), "P": _pressure_v(fam, r, tm)}
+    if fam.part == 2:
+        values.update(eta=_w(fam, "eta", r, tm), vbar=_w(fam, "vbar", r, tm))
+        # The Y components grow like 1/r at the axis: NaN below r = EPS0.
+        served = r >= EPS0
+        for name, y in zip(_Y_NAMES, _y(fam, r[served], tm[served])):
+            values[name] = np.full(r.shape, np.nan)
+            values[name][served] = y
     nan = np.full(r.shape, np.nan)
-    return np.column_stack([r, t, sigma] + [values.get(name, nan)
-                                            for name in FIELD_SLICE_HEADER[3:]])
+    return np.column_stack([r, t, r / np.sqrt(2.0 * tm)]
+                           + [values.get(name, nan) for name in FIELD_SLICE_HEADER[3:]])

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import (_Y_NAMES, SolutionFamily, _axis_breakpoints, _h, _jet,
-                     _ladder_T_minus, _T_minus, _w, _y)
+                     _ladder_T_minus, _log1p, _T_minus, _w, _y)
 from .numerics import QuadratureSpec, TimeLadder, integrate
 
 __all__ = [
@@ -128,7 +128,7 @@ def _gradient_density(fam: SolutionFamily, which: str):
             u, uor, du = _jet(fam, r, tm)
             # log1p(u)/r with its axis limit u/r * (log1p(u)/u) -> u/r.
             small = np.abs(u) < 1e-8
-            scale = np.where(small, 1.0 - 0.5 * u, np.log1p(u) / np.where(small, 1.0, u))
+            scale = np.where(small, 1.0 - 0.5 * u, _log1p(fam, u) / np.where(small, 1.0, u))
             eta_over_r = uor * scale
             return (np.square(du / (1.0 + u) - lam)
                     + np.square(eta_over_r - lam)) * r
@@ -206,9 +206,10 @@ def _nested_energy(fam: SolutionFamily, which: str, ladder: TimeLadder,
     one radial row call, and the dissipation of every step in one
     ``_dissipation_steps`` call between the ladder's exact ``T_minus``."""
     tm = _ladder_T_minus(fam, ladder)
+    # Dissipation first: _gradient_density rejects a field before any quadrature.
+    steps = _dissipation_steps(fam, which, np.concatenate(([fam.T], tm)), spec)
     kinetic = _kinetic(fam, which, ladder.levels, spec, T_minus=tm)
-    tm_edges = np.concatenate(([fam.T], tm))
-    return kinetic + np.cumsum(_dissipation_steps(fam, which, tm_edges, spec))
+    return kinetic + np.cumsum(steps)
 
 
 def energy_series(fam: SolutionFamily, which: str, ladder: TimeLadder) -> NormSeries:
@@ -230,8 +231,6 @@ def _l1(fam: SolutionFamily, quantities, tm, spec: QuadratureSpec):
     """L^1 norms of ``quantities`` at the 1-d ``tm``, (quantities, times):
     one call from the axis to the wall on rows stacked quantity-major,
     whose blocks share every node, so a panel evaluates one kernel once."""
-    if quantities != ("f",) and fam.part != 2:
-        raise ValueError("Y quantities need a part-2 family")
     rows = tm.size
 
     def integrand(r):

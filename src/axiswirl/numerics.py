@@ -104,8 +104,9 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         Stopping tolerances and subdivision budget.
     breakpoints : sequence of float, or (rows, k) array, optional
         Interior points at which the initial panel set is split (useful when
-        the integrand has known structure). Row i is split at its own
-        points, clipped into ``[a[i], b[i]]``.
+        the integrand has known structure). A sequence cuts every row; row
+        i of an array cuts row i. Each row's points are clipped into
+        ``[a[i], b[i]]``.
 
     Returns
     -------
@@ -145,8 +146,9 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
         raise ValueError("integrate requires a <= b")
     lo, hi = a[:, None], b[:, None]
     cuts = [lo]
-    if breakpoints is not None and a.size:  # reshape cannot size k for no rows
-        inner = np.asarray(breakpoints, dtype=float).reshape(a.size, -1)
+    if breakpoints is not None:
+        inner = np.asarray(breakpoints, dtype=float)
+        inner = np.broadcast_to(inner, (a.size, inner.shape[-1]))
         cuts.append(np.clip(np.sort(inner, axis=1), lo, hi))
     pts = np.concatenate((*cuts, hi), axis=1)
     used = np.any(pts[:, 1:] > pts[:, :-1], axis=0)
@@ -242,15 +244,6 @@ class TimeLadder:
 
     def __len__(self):
         return self.J
-
-
-def local_radial_scale(r, T_minus_t) -> np.ndarray:
-    """Length scale on which the constructed fields vary at (r, t).
-
-    sqrt(r^2 + 2 (T - t)): the self-similar width near the axis, the radius
-    itself further out. Finite-difference steps are sized against it.
-    """
-    return np.sqrt(np.square(r) + 2.0 * np.asarray(T_minus_t, dtype=float))
 
 
 def empirical_order(coarse_err: float, fine_err: float) -> float:

@@ -97,8 +97,9 @@ class OracleRun:
 
 @dataclass
 class OracleSolution:
-    """Discrete trajectory plus final-time errors against the closed form."""
+    """Discrete trajectory of ``which`` plus final-time errors against the closed form."""
 
+    which: str
     r: np.ndarray
     times: np.ndarray
     values: np.ndarray  # shape (len(times), n_r)
@@ -256,8 +257,9 @@ def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
     err = w - exact
     linf = float(np.max(np.abs(err)))
     l2 = float(np.sqrt(2.0 * np.pi * np.trapezoid(err * err * r, r)))
-    return OracleSolution(r=r, times=np.asarray(kept), values=np.asarray(slices),
-                          exact_final=exact, error_Linf=linf, error_L2=l2)
+    return OracleSolution(which=which, r=r, times=np.asarray(kept),
+                          values=np.asarray(slices), exact_final=exact,
+                          error_Linf=linf, error_L2=l2)
 
 
 def default_levels(base_n: int = 128) -> list[OracleConfig]:
@@ -281,14 +283,9 @@ def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
         raise ValueError("a convergence study needs at least two levels")
     solutions = [solve(fam, cfg, which) for cfg in levels]
     errors = [s.error_Linf for s in solutions]
-    orders = []
-    valid = True
-    for coarse, fine in zip(errors[:-1], errors[1:]):
-        if fine <= 0.0 or coarse <= fine:
-            valid = False
-            orders.append(float("nan"))
-        else:
-            orders.append(empirical_order(coarse, fine))
+    # A pair whose error does not fall, or falls to zero, has no order.
+    orders = [empirical_order(coarse, fine) if 0.0 < fine < coarse else float("nan")
+              for coarse, fine in zip(errors[:-1], errors[1:])]
     finite_orders = [o for o in orders if np.isfinite(o)]
     return OracleRun(
         config=levels[-1],
@@ -297,7 +294,7 @@ def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
         convergence_order=finite_orders[-1] if finite_orders else float("nan"),
         errors_per_level=errors,
         orders_per_pair=orders,
-        study_valid=valid,
+        study_valid=len(finite_orders) == len(orders),
         finest=solutions[-1],
     )
 
@@ -305,13 +302,12 @@ def convergence_study(fam: SolutionFamily, levels: list[OracleConfig],
 TRAJECTORY_HEADER = ["t", "r", "phi_numeric", "phi_exact", "abs_error"]
 
 
-def trajectory_rows(fam: SolutionFamily, sol: OracleSolution,
-                    which: str = "u") -> np.ndarray:
+def trajectory_rows(fam: SolutionFamily, sol: OracleSolution) -> np.ndarray:
     """Snapshot table comparing the discrete trajectory with the closed
-    form at every eighth grid radius."""
+    form of its field at every eighth grid radius."""
     rs, num = sol.r[::8], sol.values[:, ::8]
     tm = _T_minus(fam, sol.times)
-    exact = _w(fam, which, rs, tm[:, None])
+    exact = _w(fam, sol.which, rs, tm[:, None])
     return np.column_stack([np.repeat(sol.times, rs.size), np.tile(rs, tm.size),
                             num.ravel(), exact.ravel(),
                             np.abs(num - exact).ravel()])

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import EPS0, SolutionFamily, _jet, _ladder_T_minus, _rhs, _w
-from .numerics import TimeLadder, local_radial_scale
+from .numerics import TimeLadder
 from .profiles import SwirlProfile
 
 __all__ = [
@@ -135,7 +135,7 @@ def check_swirl_pde(fam: SolutionFamily, which: str, grid_n: int,
     radii, times, tminus = _lattice(fam, grid_n, ladder, EXCLUDE_NEAREST)
     r = np.tile(radii, times.size)
     t, tm = np.repeat(times, radii.size), np.repeat(tminus, radii.size)
-    ell = local_radial_scale(r, tm)
+    ell = np.sqrt(np.square(r) + 2.0 * tm)
     h = np.minimum(step_scale * theta_r0 * ell, 0.45 * np.minimum(r, 1.0 - r))
     h_t = step_scale * np.minimum(1e-5, THETA_T_CAP * ell * ell / 2.0)
     # Where the step reaches t = T, the stencil is one-sided into the past.

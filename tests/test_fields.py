@@ -101,6 +101,39 @@ def test_eval_eta_part_one_rejected(fam1):
         ax.evaluate(fam1, "eta", 0.5, 0.1)
 
 
+@pytest.mark.parametrize("part", [1, 2])
+@pytest.mark.parametrize("which", ["Eta", "w", "Y", "h"])
+def test_value_kernel_rejects_an_unknown_field_name(ref_profile, part, which):
+    # Neither vbar (the fall-through branch) nor the part-2 rule answers a
+    # name the value kernel does not form.
+    from axiswirl.fields import _w
+
+    fam = ax.SolutionFamily(profile=ref_profile, T=0.5, part=part)
+    with pytest.raises(ValueError, match=f"unknown field '{which}'"):
+        _w(fam, which, np.array([0.2, 0.8]), 0.25)
+
+
+_PART_TWO_RULE = "eta, vbar and the Y terms are defined for part-2 families"
+_LOG_FIELD_CALLS = {
+    "evaluate-eta": lambda fam: ax.evaluate(fam, "eta", 0.5, 0.1),
+    "evaluate-vbar": lambda fam: ax.evaluate(fam, "vbar", 0.5, 0.1),
+    "evaluate-Y2": lambda fam: ax.evaluate(fam, "Y2", 0.5, 0.1),
+    "eval_pressure-vbar": lambda fam: ax.eval_pressure(fam, "vbar", 0.5, 0.1),
+    "spatial_L1-Y": lambda fam: spatial_L1(fam, "Y", 0.1),
+    "y_series": lambda fam: y_series(fam, ax.TimeLadder(0.5, 4)),
+    "energy_series-vbar": lambda fam: ax.energy_series(fam, "vbar", ax.TimeLadder(0.5, 4)),
+    "check_swirl_pde-eta": lambda fam: ax.check_swirl_pde(fam, "eta", 16, ax.TimeLadder(0.5, 4)),
+    "solve-eta": lambda fam: ax.solve(fam, ax.OracleConfig(n_r=16, steps=4), "eta"),
+}
+
+
+@pytest.mark.parametrize("call", list(_LOG_FIELD_CALLS))
+def test_every_log_field_path_raises_the_one_part_two_rule(fam1, call):
+    # log(1 + u) is formed in one place, and that place checks the part.
+    with pytest.raises(ValueError, match=_PART_TWO_RULE):
+        _LOG_FIELD_CALLS[call](fam1)
+
+
 def test_eval_eta_wall_trace(fam2, ladder20):
     expected = np.log1p(-fam2.alpha)
     for t in ladder20.levels:

@@ -39,6 +39,16 @@ def test_energy_at_the_final_time_is_rejected(fam1):
         energy(fam1, "v", fam1.T)
 
 
+def test_energy_of_a_field_without_a_density_fails_before_any_quadrature(fam2, monkeypatch):
+    from axiswirl import norms
+
+    calls = []
+    monkeypatch.setattr(norms, "integrate", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="'v' or 'vbar'"):
+        energy_series(fam2, "u", ax.TimeLadder(fam2.T, 4))
+    assert calls == []
+
+
 def test_kinetic_energy_against_dense_trapezoid(fam1):
     t = 0.25
     r = np.linspace(0.0, 1.0, 200001)

@@ -234,6 +234,21 @@ def test_integrate_rows_validation():
         ax.integrate(lambda x: x, np.zeros(2), np.ones(3))
 
 
+@pytest.mark.parametrize("rows", [2, 3])
+def test_integrate_breakpoint_sequence_cuts_every_row(rows):
+    # A 1-d list is the (rows, k) array with the list in every row, to the bit.
+    a, b = np.zeros(rows), np.linspace(1.0, 1.5, rows)
+    c = np.arange(1.0, rows + 1.0)[:, None]
+
+    def f(x):
+        return np.exp(-8.0 * c * np.abs(x - 0.25)) + np.sqrt(np.abs(x - 0.75))
+
+    points = [0.25, 0.75]
+    listed = ax.integrate(f, a, b, _ROW_SPEC, breakpoints=points)
+    tiled = ax.integrate(f, a, b, _ROW_SPEC, breakpoints=np.tile(points, (rows, 1)))
+    assert all(np.array_equal(x, y) for x, y in zip(listed, tiled))
+
+
 @pytest.mark.parametrize("points", [None, [0.05, 0.2, 0.2, 1.7]])
 def test_integrate_scalar_call_is_the_one_row_case(points):
     # Scalar endpoints run the row engine on one row: the same panels and

@@ -105,7 +105,17 @@ def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
         for r, wn, we in zip(rs, slc[::8], ax.evaluate(fam2, which, rs, float(t))):
             expected.append([float(t), float(r), float(wn), float(we),
                              abs(float(wn) - float(we))])
-    assert np.array_equal(trajectory_rows(fam2, sol, which), np.array(expected))
+    assert np.array_equal(trajectory_rows(fam2, sol), np.array(expected))
+
+
+def test_trajectory_rows_read_the_marched_field_and_reject_an_unknown_one(fam2):
+    # The exact column is the field the march recorded, not a name passed
+    # beside it; a misspelt one raises instead of writing vbar.
+    import dataclasses
+
+    sol = ax.solve(fam2, ax.OracleConfig(n_r=16, steps=4), "eta")
+    with pytest.raises(ValueError, match="unknown field 'Eta'"):
+        trajectory_rows(fam2, dataclasses.replace(sol, which="Eta"))
 
 
 def test_convergence_study_rejects_unknown_equation(fam2):
