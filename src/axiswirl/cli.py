@@ -25,7 +25,7 @@ from .errors import AxiswirlError, ConfigError
 from .fields import FIELD_SLICE_HEADER, SolutionFamily, field_slice_rows
 from .norms import (NORM_SERIES_HEADER, classify_LqtL1x, energy_series,
                     l1_series, norm_series_rows, y_series)
-from .numerics import DEFAULT_SPEC, TimeLadder
+from .numerics import DEFAULT_SPEC, TimeLadder, deepest_J
 from .oracle import (OCTAVES, TRAJECTORY_HEADER, convergence_study,
                      default_levels, trajectory_rows)
 from .profiles import (build_profile, forcing_from_samples, ode_residual,
@@ -53,11 +53,11 @@ class RunConfig:
             raise ConfigError("part must be 1 or 2")
         if self.ladder_J < 4:
             raise ConfigError("ladder_J must be at least 4")
-        try:
-            _floor_ladder(self)
-        except ValueError as exc:
-            raise ConfigError(f"ladder_J = {self.ladder_J} is too deep for "
-                              f"T = {self.T!r}: {exc}") from exc
+        if max(self.ladder_J, LADDER_FLOOR) > deepest_J(self.T):
+            raise ConfigError(f"ladder_J = {self.ladder_J} is too deep for T = {self.T!r}: "
+                              f"the levels T (1 - 2^-j) increase strictly below T only "
+                              f"to j = {deepest_J(self.T)}, and runs take max(ladder_J, "
+                              f"{LADDER_FLOOR})")
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
         try:  # the constructors' own checks, on what cmd_oracle builds
@@ -70,8 +70,7 @@ LADDER_FLOOR = 20  # the least depth of the boundary-check and energy ladders
 
 
 def _floor_ladder(cfg: RunConfig):
-    """The boundary-check and energy ladder. ``validate`` builds it too, so a
-    ladder_J too deep for T exits 2 before any command runs."""
+    """The boundary-check and energy ladder, held to ``deepest_J`` by ``validate``."""
     return TimeLadder(cfg.T, max(cfg.ladder_J, LADDER_FLOOR))
 
 
@@ -246,12 +245,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _classification_depth(fam: SolutionFamily, floor: int) -> int:
     # The log-transformed family saturates once sqrt(T - t) falls below the
-    # wall constant; the growth laws are checked on a window of saturated levels.
+    # wall constant; the growth laws are checked on a window of saturated
+    # levels: 14 past saturation, at least 28 and ``floor``, at most deepest_J.
     alpha = abs(fam.alpha)
-    if alpha == 0.0:
-        return max(floor, 28)
-    depth = int(np.ceil(np.log2(fam.T / alpha**2))) + 14
-    return max(floor, int(np.clip(depth, 28, 40)))
+    depth = 28 if alpha == 0.0 else int(np.ceil(np.log2(fam.T) - 2.0 * np.log2(alpha))) + 14
+    return max(floor, min(max(depth, 28), deepest_J(fam.T)))
 
 
 def cmd_norms(cfg: RunConfig) -> int:

@@ -19,6 +19,7 @@ __all__ = [
     "QuadratureSpec",
     "TimeLadder",
     "DEFAULT_SPEC",
+    "deepest_J",
     "integrate",
     "gauss_panel_sums",
 ]
@@ -213,13 +214,21 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, *,
 MAX_LADDER_J = np.finfo(float).nmant + 1
 
 
+def deepest_J(T: float) -> int:
+    """The largest J <= MAX_LADDER_J whose levels T (1 - 2^-j), formed as in
+    ``TimeLadder``, increase strictly and stay below T."""
+    levels = T - T * np.power(2.0, -np.arange(1, MAX_LADDER_J + 1, dtype=float))
+    good = np.append(True, np.diff(levels) > 0.0) & (levels < T)
+    return int(np.argmin(np.append(good, False)))  # the first level that is not
+
+
 @dataclass(frozen=True)
 class TimeLadder:
     """Geometric times t_j = T (1 - 2^-j), j = 1..J, resolving the approach to T.
 
-    ``T_minus`` holds T * 2^-j directly so late levels never suffer the
-    cancellation of computing T - t_j; ``levels`` is T - T_minus. Both are
-    derived from (T, J), which alone build and compare a ladder.
+    ``T_minus`` holds T 2^-j directly, so late levels never suffer the
+    cancellation of T - t_j; ``levels`` is T - T_minus. Both derive from
+    (T, J), J <= ``deepest_J(T)``, which alone build and compare a ladder.
     """
 
     T: float
@@ -233,13 +242,11 @@ class TimeLadder:
                              f"T (1 - 2^-J) rounds to T; not {self.J}")
         if not (0.0 < self.T <= 0.5):
             raise ValueError("final time T must lie in (0, 1/2]")
+        if self.J > deepest_J(self.T):
+            raise ValueError(f"ladder levels must increase strictly below T, as they do "
+                             f"to J = {deepest_J(self.T)} at T = {self.T!r}; not {self.J}")
         tminus = self.T * np.power(2.0, -np.arange(1, self.J + 1, dtype=float))
-        levels = self.T - tminus
-        if not np.all(np.diff(levels) > 0.0):
-            raise ValueError("ladder levels must be strictly increasing")
-        if not (0.0 <= levels[0] and levels[-1] < self.T):
-            raise ValueError("ladder levels must lie in [0, T)")
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", self.T - tminus)
         object.__setattr__(self, "T_minus", tminus)
 
     def __len__(self):

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxiswirlError
-from .fields import SolutionFamily, _rhs, _T_minus, _w
+from .fields import SolutionFamily, _rhs, _w
 from .numerics import TimeLadder, empirical_order
 
 __all__ = [
@@ -102,6 +102,7 @@ class OracleSolution:
     which: str
     r: np.ndarray
     times: np.ndarray
+    T_minus: np.ndarray  # each kept slice's T - t, as the march formed it
     values: np.ndarray  # shape (len(times), n_r)
     exact_final: np.ndarray
     error_Linf: float
@@ -241,13 +242,13 @@ def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
     keep = set(np.abs(times[:, None] - targets).argmin(axis=0).tolist())
     cuts = sorted(keep.union(range(n, dts.size, n),
                              range(0, dts.size, max(1, _BLOCK_POINTS // ri.size))))
-    kept, slices = [0.0], [initial]
+    kept, slices = [0], [initial]
     w = initial[1:-1].copy()
     for n0, n1 in zip(cuts[:-1], cuts[1:]):
         stepper.set_dt(dts[n0])
         w = stepper.advance(w, rhs(ri, mids[n0:n1, None]))
         if n1 in keep:
-            kept.append(times[n1])
+            kept.append(n1)
             slices.append(stepper.full(w))
     w = slices[-1]
     if not np.all(np.isfinite(w)):
@@ -257,7 +258,7 @@ def solve(fam: SolutionFamily, cfg: OracleConfig, which: str) -> OracleSolution:
     err = w - exact
     linf = float(np.max(np.abs(err)))
     l2 = float(np.sqrt(2.0 * np.pi * np.trapezoid(err * err * r, r)))
-    return OracleSolution(which=which, r=r, times=np.asarray(kept),
+    return OracleSolution(which=which, r=r, times=times[kept], T_minus=ends[kept],
                           values=np.asarray(slices), exact_final=exact,
                           error_Linf=linf, error_L2=l2)
 
@@ -306,8 +307,7 @@ def trajectory_rows(fam: SolutionFamily, sol: OracleSolution) -> np.ndarray:
     """Snapshot table comparing the discrete trajectory with the closed
     form of its field at every eighth grid radius."""
     rs, num = sol.r[::8], sol.values[:, ::8]
-    tm = _T_minus(fam, sol.times)
-    exact = _w(fam, sol.which, rs, tm[:, None])
-    return np.column_stack([np.repeat(sol.times, rs.size), np.tile(rs, tm.size),
+    exact = _w(fam, sol.which, rs, sol.T_minus[:, None])
+    return np.column_stack([np.repeat(sol.times, rs.size), np.tile(rs, sol.T_minus.size),
                             num.ravel(), exact.ravel(),
                             np.abs(num - exact).ravel()])

@@ -217,12 +217,27 @@ def test_ladder_J_past_double_precision_exits_2_before_any_array(tmp_path, monke
 
 
 def test_norms_ladder_J_above_the_classification_cap_deepens_every_series(tmp_path):
-    # The classification ladder is capped at 40 levels, but never below ladder_J.
+    # The classification depth is derived from the family (34 levels for the
+    # bump at T = 1/2), but never below ladder_J.
     out = tmp_path / "out"
     assert run_cli(["norms", "--part", "2", "--ladder-J", "41", "--out", str(out)]) == 0
     for name in ("L1_Y", "L1_f", "energy_v"):
         lines = (out / f"norms_{name}.csv").read_text().splitlines()
         assert len(lines) == 1 + 41, name
+
+
+@pytest.mark.parametrize("amplitude, part, series",
+                         [(1e-5, "2", "L1_Y"), (1e-160, "1", "L1_f")])
+def test_norms_classifies_a_small_table_at_its_derived_depth(tmp_path, amplitude, part, series):
+    # k = -1e-5 sin(pi r) saturates 40 levels down at T = 1/2, so its L1_Y
+    # law is read at the 53 levels a double-precision ladder there holds.
+    # At 1e-160 the wall constant's square underflows, but not its log.
+    table = tmp_path / "k.csv"
+    table.write_text("r,k\n" + "".join(f"{i / 32},{-amplitude * np.sin(np.pi * i / 32)}\n"
+                                        for i in range(33)))
+    out = tmp_path / "out"
+    assert run_cli(["norms", "--part", part, "--k", str(table), "--out", str(out)]) == 0
+    assert len((out / f"norms_{series}.csv").read_text().splitlines()) == 1 + 53
 
 
 def test_missing_config_file_exits_2_with_a_summary(tmp_path):
@@ -370,8 +385,11 @@ def test_manifest_records_scipy_version(tmp_path):
     ([], "formats = csv\n", "unknown key 'formats'"),
     ([], "bogus = 1\n", "unknown key 'bogus'"),
     ([], "T = abc\n", "could not convert string to float: 'abc'"),
+    (["--T", "0.3617", "--ladder-J", "53"], "",
+     "ladder_J = 53 is too deep for T = 0.3617: the levels T (1 - 2^-j) increase "
+     "strictly below T only to j = 52"),
 ], ids=["oracle-theta", "oracle-n-r", "oracle-levels", "grading", "formats",
-        "config-unknown-key", "config-bad-value"])
+        "config-unknown-key", "config-bad-value", "ladder-J-too-deep"])
 def test_rejected_settings_exit_2_with_a_summary(tmp_path, flags, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

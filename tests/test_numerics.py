@@ -3,7 +3,8 @@ import pytest
 
 import axiswirl as ax
 from axiswirl.errors import QuadratureConvergenceError
-from axiswirl.numerics import _PANEL_W, _PANEL_X, empirical_order, gauss_panel_sums
+from axiswirl.numerics import (MAX_LADDER_J, _PANEL_W, _PANEL_X, deepest_J, empirical_order,
+                               gauss_panel_sums)
 from axiswirl.profiles import _CACHE_PANELS
 
 from oracles import bump, differentiate, simpson_richardson
@@ -159,6 +160,20 @@ def test_time_ladder_validation():
     # T (1 - 2^-53) rounds to T at this T: the last level is not below it
     with pytest.raises(ValueError, match=r"ladder levels must"):
         ax.TimeLadder(0.3617, 53)
+
+
+@pytest.mark.parametrize("T, deepest", [(0.5, 53), (0.25, 53), (1e-147, 53), (0.3617, 52),
+                                        (0.3, 52), (0.01, 52), (1e-300, 52)])
+def test_deepest_J_is_the_deepest_ladder_accepted(T, deepest):
+    accepted = []
+    for J in range(1, MAX_LADDER_J + 1):
+        try:
+            ax.TimeLadder(T, J)
+        except ValueError:
+            continue
+        accepted.append(J)
+    assert deepest_J(T) == max(accepted) == deepest
+    assert accepted == list(range(1, deepest + 1))
 
 
 def test_time_ladders_of_one_T_and_J_compare_equal_and_hash_alike():

@@ -96,8 +96,10 @@ def test_trajectory_rows_layout(fam1):
 
 @pytest.mark.parametrize("which", ["u", "eta"])
 def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
-    # The row-by-row table from the public evaluators at the snapshot times;
-    # at T = 1/2 both form the same T - t.
+    # The row-by-row table from the public evaluators at the snapshot times.
+    # The exact column is taken at the march's own T - t, which t = T - (T - t)
+    # does not give back where a step end is not dyadic, so it and the error
+    # column agree within a few ulps of the largest value.
     sol = ax.solve(fam2, ax.OracleConfig(n_r=64, steps=250), which)
     expected = []
     for t, slc in zip(sol.times, sol.values):
@@ -105,7 +107,10 @@ def test_trajectory_rows_match_the_per_point_evaluators(fam2, which):
         for r, wn, we in zip(rs, slc[::8], ax.evaluate(fam2, which, rs, float(t))):
             expected.append([float(t), float(r), float(wn), float(we),
                              abs(float(wn) - float(we))])
-    assert np.array_equal(trajectory_rows(fam2, sol), np.array(expected))
+    rows, expected = trajectory_rows(fam2, sol), np.array(expected)
+    assert np.array_equal(rows[:, :3], expected[:, :3])
+    ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(sol.values))
+    assert np.max(np.abs(rows[:, 3:] - expected[:, 3:])) <= ulps
 
 
 def test_trajectory_rows_read_the_marched_field_and_reject_an_unknown_one(fam2):
